@@ -4,6 +4,11 @@ Series evaluators with closed-form truncation error bounds, finite closed
 forms at half-odd-integer orders, 1F1 upper bounds, and an independent
 quadrature oracle for validating all of it.  The evaluators use only the
 stdlib; the oracle is the only consumer of numpy/scipy.
+
+``import nuttq`` loads neither numpy nor scipy.  The oracle's names
+(``oracle_nuttall``, ``read_golden``, ...) are still exported here, but
+resolved on first access, which is when :mod:`nuttq.oracle` and with it
+numpy and scipy are imported.
 """
 
 from .errors import (
@@ -24,18 +29,6 @@ from .nuttall import (
     nuttall_series_truncated,
     nuttall_truncation_bound,
     nuttall_upper_bound_1f1,
-)
-from .oracle import (
-    GOLDEN_CASES,
-    GOLDEN_TOL,
-    GoldenEntry,
-    OracleValue,
-    golden_path,
-    oracle_marcum,
-    oracle_nuttall,
-    oracle_toronto,
-    read_golden,
-    write_golden,
 )
 from .special import (
     BoundReport,
@@ -64,6 +57,32 @@ from .toronto import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset({
+    "OracleValue",
+    "GoldenEntry",
+    "GOLDEN_CASES",
+    "GOLDEN_TOL",
+    "oracle_nuttall",
+    "oracle_toronto",
+    "oracle_marcum",
+    "golden_path",
+    "read_golden",
+    "write_golden",
+})
+
+
+def __getattr__(name: str):
+    # PEP 562: numpy/scipy load on the first use of an oracle name.  Not
+    # cached, so the name always resolves to what nuttq.oracle holds now.
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORACLE_NAMES)
 
 __all__ = [
     "DomainError",

@@ -8,6 +8,10 @@ mode emits one object per line with a "type" tag (meta, row, summary).
 
 Exit codes: 0 success, 1 assertion failure (--assert-rel-err or a violated
 bound), 2 domain error, 3 non-convergence or unmet tolerance.
+
+Only the subcommands that need an oracle value (compare, figure f1, golden)
+import the quadrature oracle and with it numpy and scipy; eval, bounds and
+the other figures run on the stdlib-only series route.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
+from .box import LIMIT_MAX, ORDER_MAX, SCALE_MAX
 from .errors import (
     DomainError,
     NonConvergenceError,
@@ -27,29 +31,20 @@ from .errors import (
 )
 from .nuttall import (
     NuttallParams,
+    marcum_q,
     nuttall_half_integer_closed,
     nuttall_series_adaptive,
     nuttall_series_truncated,
     nuttall_truncation_bound,
     nuttall_upper_bound_1f1,
 )
-from .oracle import (
-    LIMIT_MAX,
-    ORDER_MAX,
-    SCALE_MAX,
-    golden_path,
-    oracle_marcum,
-    oracle_nuttall,
-    oracle_toronto,
-    read_golden,
-    write_golden,
-    _evaluate_case,
-)
 from .toronto import (
     TorontoParams,
     toronto_closed_form_half,
+    toronto_marcum_residual,
     toronto_series_adaptive,
     toronto_series_truncated,
+    toronto_t,
     toronto_truncation_bound,
     toronto_upper_bound_1f1,
 )
@@ -116,14 +111,6 @@ def _pairs(ms: list[float], ns: list[float]) -> list[tuple[float, float]]:
         raise DomainError(
             f"--m and --n must pair up, got {len(ms)} vs {len(ns)} values")
     return list(zip(ms, ns))
-
-
-def _run_grid(points: list, compute: Callable, jobs: int) -> list:
-    # rows come back in grid order regardless of completion order
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(compute, points))
-    return [compute(pt) for pt in points]
 
 
 def _norm_series(function: str, m: float, n: float, method: str,
@@ -210,6 +197,8 @@ def cmd_eval(args) -> int:
 
 def _oracle_for(function: str, m: float, n: float, p3: float, p4: float,
                 tol: float, scheme: str) -> float:
+    from .oracle import oracle_marcum, oracle_nuttall, oracle_toronto
+
     if function == "toronto":
         return oracle_toronto(m, n, p3, p4, tol=tol, scheme=scheme).value
     if function == "marcum":
@@ -266,7 +255,7 @@ def cmd_compare(args) -> int:
                 rec.setdefault("trunc_bound", None)
         return rec
 
-    rows = _run_grid(points, compute, args.jobs)
+    rows = [compute(pt) for pt in points]
     worst = 0.0
     for rec in rows:
         out.row(rec)
@@ -332,7 +321,7 @@ def cmd_bounds(args) -> int:
                        regime_ok=False, slack=None, error=str(exc))
         return rec
 
-    rows = _run_grid(points, compute, args.jobs)
+    rows = [compute(pt) for pt in points]
     violations = 0
     for rec in rows:
         out.row(rec)
@@ -351,6 +340,7 @@ def _figure_rows(figure: str, oracle_tol: float) -> tuple[dict, list[dict]]:
         meta = {"figure": "f1", "curves": "normalized nuttall vs b",
                 "params": "(m,n,a) in {(1,0,1),(2,1,1),(3,0.5,2)}",
                 "b": "0..6 step 0.25"}
+        from .oracle import oracle_nuttall
         for (m, n, a) in [(1.0, 0.0, 1.0), (2.0, 1.0, 1.0), (3.0, 0.5, 2.0)]:
             for i in range(0, 25):
                 b = 0.25 * i
@@ -372,8 +362,6 @@ def _figure_rows(figure: str, oracle_tol: float) -> tuple[dict, list[dict]]:
     elif figure == "f3":
         meta = {"figure": "f3", "curves": "toronto vs 1 - marcum identity",
                 "params": "m=3, n=1, r in {0.5,1,2}", "B": "0.5..4 step 0.25"}
-        from .toronto import toronto_marcum_residual, toronto_t
-        from .nuttall import marcum_q
         for r in (0.5, 1.0, 2.0):
             for i in range(2, 17):
                 big_b = 0.25 * i
@@ -421,6 +409,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_golden(args) -> int:
+    from .oracle import _evaluate_case, golden_path, read_golden, write_golden
+
     out = Emitter(args.format, sys.stdout)
     if args.regenerate:
         path = write_golden(args.path)
@@ -450,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluators with quadrature cross-checks.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="thread pool size for grid evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", parents=[common],

@@ -32,6 +32,7 @@ from .special import (
     SeriesResult,
     bessel_i_scaled,
     ceil_half,
+    check_finite,
     classify_order,
     kummer_1f1,
     lower_inc_gamma,
@@ -65,8 +66,8 @@ _STOP_RUN = 3
 class NuttallParams:
     """Arguments of Q_{m,n}(a, b), validated once at construction.
 
-    a = 0 is excluded; the a -> 0 limit is the l = 0 series term and callers
-    wanting it pass a small positive a instead.
+    Every field must be finite.  a = 0 is excluded; the a -> 0 limit is the
+    l = 0 series term and callers wanting it pass a small positive a instead.
     """
 
     m: float
@@ -75,6 +76,7 @@ class NuttallParams:
     b: float
 
     def __post_init__(self):
+        check_finite(m=self.m, n=self.n, a=self.a, b=self.b)
         if not (self.m >= 0.0):
             raise DomainError(f"m must be >= 0, got {self.m}")
         if not (self.n >= 0.0):
@@ -288,7 +290,8 @@ def nuttall_upper_bound_1f1(m: float, n: float, a: float) -> float:
     complete gamma factors), hence dominates for every b >= 0; it is close,
     not just valid, when b <= (2/3) min(a, m, n).  n = 0 is allowed: the
     1F1 denominator parameter becomes 1, which is not a pole, and the b = 0
-    equality still holds term by term.
+    equality still holds term by term.  Raises TermOverflowError where the
+    1F1 factor overflows a double (a^2/2 beyond about 700).
     """
     if not (m > 0.0 and n >= 0.0 and a > 0.0):
         raise DomainError(f"need m > 0, n >= 0, a > 0, got m={m}, n={n}, a={a}")

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ive
 
+from .box import LIMIT_MAX, ORDER_MAX, SCALE_MAX
 from .errors import DomainError, ToleranceNotMetError
 
 __all__ = [
@@ -48,12 +49,6 @@ __all__ = [
     "write_golden",
 ]
 
-# Supported parameter box.  Chosen to cover every grid this package is tested
-# on with head room, while staying inside the range where the tail majorant
-# and both quadrature schemes were validated.
-ORDER_MAX = 10.0
-SCALE_MAX = 6.0        # a (nuttall) and r (toronto)
-LIMIT_MAX = 8.0        # b (nuttall) and B (toronto)
 TOL_MIN = 1e-14
 TOL_MAX = 1e-6
 

@@ -65,6 +65,13 @@ class BoundReport:
     slack: float
 
 
+def check_finite(**values: float) -> None:
+    """Raise DomainError naming the first keyword value that is +-inf or nan."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def ceil_half(x: float) -> float:
     """Smallest half-odd integer >= x (identity on half-odd integers)."""
     return math.ceil(x - 0.5) + 0.5
@@ -250,9 +257,12 @@ def kummer_1f1(a: float, b: float, x: float,
 
     Plain ascending series; adequate for the moderate nonnegative arguments
     the bounds use (x = a^2/2 or r^2 well under the overflow range).  Raises
-    DomainError when b is a nonpositive integer (a pole of 1F1) and
+    DomainError for a nan argument or when b is a nonpositive integer (a pole
+    of 1F1), TermOverflowError when the sum overflows a double, and
     NonConvergenceError if the term cap is hit.
     """
+    if math.isnan(a) or math.isnan(b) or math.isnan(x):
+        raise DomainError(f"1F1 arguments must not be nan, got a={a}, b={b}, x={x}")
     if b <= 0.0 and abs(b - round(b)) < 1e-9:
         raise DomainError(f"1F1 pole: b={b} is a nonpositive integer")
     if x < 0.0:
@@ -263,6 +273,11 @@ def kummer_1f1(a: float, b: float, x: float,
     for k in range(max_terms):
         term *= (a + k) * x / ((b + k) * (k + 1.0))
         total += term
+        if math.isinf(total):
+            # log_term is inf when the term itself overflowed
+            raise TermOverflowError(
+                f"1F1 series overflows at k={k} for a={a}, b={b}, x={x}",
+                log_term=math.log(abs(term)))
         if abs(term) < rtol * abs(total):
             return total
     raise NonConvergenceError(

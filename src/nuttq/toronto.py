@@ -29,6 +29,7 @@ from .special import (
     LOG_OVERFLOW,
     BoundReport,
     SeriesResult,
+    check_finite,
     classify_order,
     floor_half,
     kummer_1f1,
@@ -58,7 +59,8 @@ _STOP_RUN = 3
 class TorontoParams:
     """Arguments of T_B(m, n, r), validated once at construction.
 
-    m - n > -1 keeps the integrand integrable at t = 0.
+    Every field must be finite.  m - n > -1 keeps the integrand integrable
+    at t = 0.
     """
 
     m: float
@@ -67,6 +69,7 @@ class TorontoParams:
     B: float
 
     def __post_init__(self):
+        check_finite(m=self.m, n=self.n, r=self.r, B=self.B)
         if not (self.n >= 0.0):
             raise DomainError(f"n must be >= 0, got {self.n}")
         if not (self.m - self.n > -1.0):
@@ -254,7 +257,9 @@ def toronto_upper_bound_1f1(m: float, n: float, r: float) -> float:
 
     This is the B -> inf limit of the series (every lower gamma completed),
     hence an upper bound for all finite B; it doubles as an approximation
-    once B^2 is large against the retained gamma orders.
+    once B^2 is large against the retained gamma orders.  Raises
+    TermOverflowError where the 1F1 factor overflows a double (r^2 beyond
+    about 700).
     """
     if not (n >= 0.0 and r > 0.0):
         raise DomainError(f"need n >= 0 and r > 0, got n={n}, r={r}")

@@ -1,12 +1,18 @@
 """Command line behaviour: record formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nuttq
 from nuttq.cli import main
+
+# the checkout's src/, for the subprocesses
+SRC = Path(nuttq.__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
@@ -159,13 +165,6 @@ class TestDeterminism:
         _, second = run(capsys, argv)
         assert first == second
 
-    def test_jobs_do_not_reorder(self, capsys):
-        base = ["compare", "toronto", "--m", "2,3", "--n", "1,1.5",
-                "--r", "0.5,1", "--B", "1,2"]
-        _, serial = run(capsys, base + ["--jobs", "1"])
-        _, threaded = run(capsys, base + ["--jobs", "4"])
-        assert serial == threaded
-
 
 class TestGoldenCommand:
     def test_verify(self, capsys):
@@ -181,10 +180,50 @@ class TestGoldenCommand:
         assert target.read_bytes() == golden_path().read_bytes()
 
 
+def run_python(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env)
+
+
 def test_console_script_wiring():
-    proc = subprocess.run(
-        [sys.executable, "-m", "nuttq.cli", "eval", "marcum",
-         "--m", "1", "--a", "1", "--b", "1"],
-        capture_output=True, text=True)
+    proc = run_python("-m", "nuttq.cli", "eval", "marcum",
+                      "--m", "1", "--a", "1", "--b", "1")
     assert proc.returncode == 0
     assert "0.7328798037968" in proc.stdout
+
+
+# Runs in a fresh interpreter: this test process has already imported the
+# oracle (conftest reads the golden file through it).
+LAZY_ORACLE_SCRIPT = """
+import contextlib, io, sys
+
+def loaded():
+    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+
+def cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(list(argv)) == 0, argv
+
+import nuttq
+assert loaded() == [], ("import nuttq", loaded())
+nuttq.nuttall_series_adaptive(nuttq.NuttallParams(2.0, 1.0, 1.0, 2.0))
+assert loaded() == [], ("series value", loaded())
+from nuttq.cli import main as cli_main
+cli("eval", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2")
+cli("bounds", "toronto", "--m", "2", "--n", "0.5", "--r", "1", "--B", "2")
+cli("figure", "f2")
+assert loaded() == [], ("eval, bounds, figure f2", loaded())
+cli("compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2")
+assert loaded() == ["numpy", "scipy"], ("compare", loaded())
+assert nuttq.oracle_nuttall is nuttq.oracle.oracle_nuttall
+print("ok")
+"""
+
+
+def test_series_and_cli_cold_path_is_stdlib_only():
+    proc = run_python("-c", LAZY_ORACLE_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from nuttq.errors import DomainError, NonConvergenceError
+from nuttq.errors import DomainError, NonConvergenceError, TermOverflowError
 from nuttq.nuttall import (
     NuttallParams,
     marcum_q,
@@ -47,6 +47,15 @@ class TestParams:
             NuttallParams(2.0, 1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             NuttallParams(2.0, 1.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        # a = inf would sum 10^4 terms and b = inf stall the kernel
+        for field in range(4):
+            args = [2.0, 1.0, 1.0, 1.0]
+            args[field] = bad
+            with pytest.raises(DomainError, match="must be finite"):
+                NuttallParams(*args)
 
     def test_terms_range(self):
         p = NuttallParams(2.0, 1.0, 1.0, 1.0)
@@ -210,6 +219,11 @@ class TestKummerBound:
             nuttall_upper_bound_1f1(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             nuttall_upper_bound_1f1(2.0, 1.0, -1.0)
+
+    def test_overflow_raises(self):
+        # 1F1(2; 2; 800) = e^800 overflows, and inf * e^-800 would be nan
+        with pytest.raises(TermOverflowError):
+            nuttall_upper_bound_1f1(2.0, 1.0, 40.0)
 
 
 class TestIdentities:

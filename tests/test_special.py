@@ -140,6 +140,18 @@ class TestKummer1F1:
         with pytest.raises(DomainError):
             kummer_1f1(1.0, 2.0, -1.0)
 
+    def test_nan_argument_rejected(self):
+        # a nan x would run the series to its term cap
+        for args in [(math.nan, 2.0, 1.0), (1.0, math.nan, 1.0), (1.0, 2.0, math.nan)]:
+            with pytest.raises(DomainError):
+                kummer_1f1(*args)
+
+    def test_overflow_raises(self):
+        # the sum overflowing with a finite last term, and the term itself
+        for args in [(2.0, 2.0, 800.0), (1.5, 2.0, 1600.0)]:
+            with pytest.raises(TermOverflowError):
+                kummer_1f1(*args)
+
 
 class TestOrderRounding:
     def test_ceil_half_frozen(self):

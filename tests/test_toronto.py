@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from nuttq.errors import DomainError
+from nuttq.errors import DomainError, TermOverflowError
 from nuttq.nuttall import marcum_q
 from nuttq.special import lower_inc_gamma
 from nuttq.toronto import (
@@ -44,6 +44,14 @@ class TestParams:
             TorontoParams(2.0, 1.0, 0.0, 2.0)
         with pytest.raises(DomainError):
             TorontoParams(2.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        for field in range(4):
+            args = [2.0, 1.0, 1.0, 2.0]
+            args[field] = bad
+            with pytest.raises(DomainError, match="must be finite"):
+                TorontoParams(*args)
 
 
 class TestSeries:
@@ -166,6 +174,10 @@ class TestKummerApproximation:
             toronto_upper_bound_1f1(2.0, -0.5, 1.0)
         with pytest.raises(DomainError):
             toronto_upper_bound_1f1(2.0, 1.0, 0.0)
+
+    def test_overflow_raises(self):
+        with pytest.raises(TermOverflowError):
+            toronto_upper_bound_1f1(2.0, 1.0, 40.0)
 
 
 class TestMarcumLink:
