@@ -17,6 +17,8 @@ the other figures run on the stdlib-only series route.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import sys
@@ -38,6 +40,7 @@ from .nuttall import (
     nuttall_truncation_bound,
     nuttall_upper_bound_1f1,
 )
+from .special import DEFAULT_MAX_TERMS, BoundReport
 from .toronto import (
     TorontoParams,
     toronto_closed_form_half,
@@ -72,11 +75,7 @@ class Emitter:
         self.columns: list[str] | None = None
 
     def meta(self, **kv):
-        if self.fmt == "csv":
-            body = " ".join(f"{k}={_fmt(v)}" for k, v in kv.items())
-            print(f"# {body}", file=self.out)
-        else:
-            print(json.dumps({"type": "meta", **kv}, sort_keys=True), file=self.out)
+        self._line("meta", "# ", kv)
 
     def row(self, record: dict):
         if self.fmt == "csv":
@@ -88,11 +87,14 @@ class Emitter:
             print(json.dumps({"type": "row", **record}, sort_keys=True), file=self.out)
 
     def summary(self, **kv):
+        self._line("summary", "# summary ", kv)
+
+    def _line(self, kind: str, csv_prefix: str, kv: dict):
         if self.fmt == "csv":
             body = " ".join(f"{k}={_fmt(v)}" for k, v in kv.items())
-            print(f"# summary {body}", file=self.out)
+            print(csv_prefix + body, file=self.out)
         else:
-            print(json.dumps({"type": "summary", **kv}, sort_keys=True), file=self.out)
+            print(json.dumps({"type": kind, **kv}, sort_keys=True), file=self.out)
 
 
 def _float_list(text: str) -> list[float]:
@@ -106,34 +108,29 @@ def _int_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s.strip()]
 
 
-def _pairs(ms: list[float], ns: list[float]) -> list[tuple[float, float]]:
-    if len(ms) != len(ns):
-        raise DomainError(
-            f"--m and --n must pair up, got {len(ms)} vs {len(ns)} values")
-    return list(zip(ms, ns))
+def _scale(function: str, n: float, p3: float) -> float:
+    """Normalized value -> output scale: a^n for nuttall, 1 otherwise."""
+    return p3 ** n if function == "nuttall" else 1.0
+
+
+def _point(function: str, m: float, n: float, p3: float, p4: float) -> dict:
+    """A point's record fields: r, B for toronto, a, b otherwise."""
+    if function == "toronto":
+        return {"m": m, "n": n, "r": p3, "B": p4}
+    return {"m": m, "n": n, "a": p3, "b": p4}
 
 
 def _norm_series(function: str, m: float, n: float, method: str,
                  terms: int, tol: float, p3: float, p4: float,
-                 max_terms: int = 10_000):
-    """Normalized-series result plus the factor turning it into the output
-    scale of `function` (a^n for unnormalized nuttall, 1 otherwise)."""
+                 max_terms: int = DEFAULT_MAX_TERMS):
+    """Series result on the normalized scale; see _scale."""
     if function == "toronto":
         p = TorontoParams(m, n, p3, p4)
-        res = (toronto_series_truncated(p, terms) if method == "truncated"
-               else toronto_series_adaptive(p, tol=tol, max_terms=max_terms))
-        return res, 1.0
+        return (toronto_series_truncated(p, terms) if method == "truncated"
+                else toronto_series_adaptive(p, tol=tol, max_terms=max_terms))
     p = NuttallParams(m, n, p3, p4)
-    res = (nuttall_series_truncated(p, terms) if method == "truncated"
-           else nuttall_series_adaptive(p, tol=tol, max_terms=max_terms))
-    scale = p3 ** n if function == "nuttall" else 1.0
-    return res, scale
-
-
-def _result_orders(function: str, args) -> tuple[float, float]:
-    if function == "marcum":
-        return args.m, args.m - 1.0
-    return args.m, args.n
+    return (nuttall_series_truncated(p, terms) if method == "truncated"
+            else nuttall_series_adaptive(p, tol=tol, max_terms=max_terms))
 
 
 def _require(args, names: tuple[str, ...]) -> None:
@@ -154,6 +151,34 @@ def _check_box(m: float, n: float, p3: float, p4: float) -> None:
         raise DomainError(f"limit parameter must lie in [0, {LIMIT_MAX}], got {p4}")
 
 
+def _grid(args, depths: str | None = None) -> list[tuple]:
+    """The (m, n, p3, p4, depth) points of a compare or bounds grid, from
+    its comma lists (depth None without a depth list); refuses an empty
+    grid, one over 10^4 points, and points outside the box."""
+    fn = args.function
+    ms = _float_list(args.m)
+    if fn == "marcum":
+        pairs = [(mv, mv - 1.0) for mv in ms]
+    else:
+        ns = _float_list(args.n)
+        if len(ms) != len(ns):
+            raise DomainError(
+                f"--m and --n must pair up, got {len(ms)} vs {len(ns)} values")
+        pairs = list(zip(ms, ns))
+    p3s = _float_list(args.r if fn == "toronto" else args.a)
+    p4s = _float_list(args.B if fn == "toronto" else args.b)
+    ds = [None] if depths is None else _int_list(depths)
+    points = [(m, n, p3, p4, d) for (m, n) in pairs for p3 in p3s
+              for p4 in p4s for d in ds]
+    if not points:
+        raise DomainError("empty grid")
+    if len(points) > 10_000:
+        raise DomainError(f"grid too large: {len(points)} > 10000 points")
+    for pt in points:
+        _check_box(*pt[:4])
+    return points
+
+
 def cmd_eval(args) -> int:
     out = Emitter(args.format, sys.stdout)
     fn = args.function
@@ -163,34 +188,28 @@ def cmd_eval(args) -> int:
         _require(args, ("a", "b"))
     else:
         _require(args, ("n", "a", "b"))
-    m, n = _result_orders(fn, args)
+    m, n = args.m, (args.m - 1.0 if fn == "marcum" else args.n)
     p3 = args.r if fn == "toronto" else args.a
     p4 = args.B if fn == "toronto" else args.b
     _check_box(m, n, p3, p4)
-    out.meta(command="eval", function=fn, method=args.method, m=m, n=n,
-             **({"r": p3, "B": p4} if fn == "toronto" else {"a": p3, "b": p4}),
+    point = _point(fn, m, n, p3, p4)
+    out.meta(command="eval", function=fn, method=args.method, **point,
              terms=args.terms, tol=args.tol)
-    record: dict[str, Any] = {"function_id": fn, "method": args.method,
-                              "m": m, "n": n,
-                              ("r" if fn == "toronto" else "a"): p3,
-                              ("B" if fn == "toronto" else "b"): p4}
+    record: dict[str, Any] = {"function_id": fn, "method": args.method, **point}
+    scale = _scale(fn, n, p3)
     if args.method in ("truncated", "adaptive"):
-        res, scale = _norm_series(fn, m, n, args.method, args.terms, args.tol,
-                                  p3, p4, max_terms=args.max_terms)
+        res = _norm_series(fn, m, n, args.method, args.terms, args.tol,
+                           p3, p4, max_terms=args.max_terms)
         record.update(value=res.value * scale, terms_used=res.terms_used,
                       last_term_abs=res.last_term_abs, converged=res.converged)
     elif args.method == "closed_half":
-        if fn == "toronto":
-            record["value"] = toronto_closed_form_half(m, n, p3, p4)
-        else:
-            v = nuttall_half_integer_closed(NuttallParams(m, n, p3, p4))
-            record["value"] = v * (p3 ** n if fn == "nuttall" else 1.0)
+        record["value"] = scale * (
+            toronto_closed_form_half(m, n, p3, p4) if fn == "toronto"
+            else nuttall_half_integer_closed(NuttallParams(m, n, p3, p4)))
     else:  # bound_1f1
-        if fn == "toronto":
-            record["value"] = toronto_upper_bound_1f1(m, n, p3)
-        else:
-            v = nuttall_upper_bound_1f1(m, n, p3)
-            record["value"] = v * (p3 ** n if fn == "nuttall" else 1.0)
+        record["value"] = scale * (
+            toronto_upper_bound_1f1(m, n, p3) if fn == "toronto"
+            else nuttall_upper_bound_1f1(m, n, p3))
     out.row(record)
     return 0
 
@@ -210,33 +229,19 @@ def _oracle_for(function: str, m: float, n: float, p3: float, p4: float,
 def cmd_compare(args) -> int:
     out = Emitter(args.format, sys.stdout)
     fn = args.function
-    if fn == "marcum":
-        pairs = [(mv, mv - 1.0) for mv in _float_list(args.m)]
-    else:
-        pairs = _pairs(_float_list(args.m), _float_list(args.n))
-    p3s = _float_list(args.r if fn == "toronto" else args.a)
-    p4s = _float_list(args.B if fn == "toronto" else args.b)
-    points = [(m, n, p3, p4) for (m, n) in pairs for p3 in p3s for p4 in p4s]
-    if not points:
-        raise DomainError("empty grid")
-    if len(points) > 10_000:
-        raise DomainError(f"grid too large: {len(points)} > 10000 points")
-    for pt in points:
-        _check_box(*pt)
+    points = _grid(args)
     out.meta(command="compare", function=fn, method=args.method,
              terms=args.terms, tol=args.tol, oracle_tol=args.oracle_tol,
              scheme=args.scheme, points=len(points))
 
     def compute(pt):
-        m, n, p3, p4 = pt
-        res, scale = _norm_series(fn, m, n, args.method, args.terms, args.tol,
-                                  p3, p4)
+        m, n, p3, p4, _ = pt
+        scale = _scale(fn, n, p3)
+        res = _norm_series(fn, m, n, args.method, args.terms, args.tol, p3, p4)
         series = res.value * scale
         oracle = _oracle_for(fn, m, n, p3, p4, args.oracle_tol, args.scheme)
         rel = abs(series - oracle) / abs(oracle) if oracle != 0.0 else math.inf
-        rec = {"function_id": fn, "m": m, "n": n,
-               ("r" if fn == "toronto" else "a"): p3,
-               ("B" if fn == "toronto" else "b"): p4,
+        rec = {"function_id": fn, **_point(fn, m, n, p3, p4),
                "series_value": series, "oracle_value": oracle,
                "rel_error": rel, "terms": res.terms_used}
         if args.with_bounds:
@@ -272,27 +277,14 @@ def cmd_bounds(args) -> int:
     fn = args.function
     if fn not in ("nuttall", "toronto"):
         raise DomainError(f"bounds are defined for nuttall/toronto, got {fn}")
-    pairs = _pairs(_float_list(args.m), _float_list(args.n))
-    p3s = _float_list(args.r if fn == "toronto" else args.a)
-    p4s = _float_list(args.B if fn == "toronto" else args.b)
-    terms_list = _int_list(args.terms) if args.kind == "truncation" else [0]
-    points = [(m, n, p3, p4, t) for (m, n) in pairs for p3 in p3s
-              for p4 in p4s for t in terms_list]
-    if not points:
-        raise DomainError("empty grid")
-    if len(points) > 10_000:
-        raise DomainError(f"grid too large: {len(points)} > 10000 points")
-    for pt in points:
-        _check_box(*pt[:4])
+    points = _grid(args, args.terms if args.kind == "truncation" else None)
     out.meta(command="bounds", function=fn, kind=args.kind, terms=args.terms,
              points=len(points))
 
     def compute(pt):
         m, n, p3, p4, t = pt
-        rec = {"function_id": fn, "kind": args.kind, "m": m, "n": n,
-               ("r" if fn == "toronto" else "a"): p3,
-               ("B" if fn == "toronto" else "b"): p4,
-               "terms": t if args.kind == "truncation" else None}
+        rec = {"function_id": fn, "kind": args.kind, **_point(fn, m, n, p3, p4),
+               "terms": t}
         try:
             if args.kind == "truncation":
                 rep = (toronto_truncation_bound(TorontoParams(m, n, p3, p4), t)
@@ -307,13 +299,9 @@ def cmd_bounds(args) -> int:
                     bound = nuttall_upper_bound_1f1(m, n, p3)
                     value = nuttall_series_adaptive(NuttallParams(m, n, p3, p4)).value
                     regime = p4 <= (2.0 / 3.0) * min(p3, m, n)
-                rep = None
-                rec.update(bound_value=bound, dominated_quantity=value,
-                           regime_ok=regime, slack=bound - value)
-            if rep is not None:
-                rec.update(bound_value=rep.bound_value,
-                           dominated_quantity=rep.dominated_quantity,
-                           regime_ok=rep.regime_ok, slack=rep.slack)
+                rep = BoundReport(bound_value=bound, dominated_quantity=value,
+                                  regime_ok=regime, slack=bound - value)
+            rec.update(dataclasses.asdict(rep))
         except DomainError as exc:
             # e.g. the rounded orders admit no closed form (m <= n sweeps);
             # keep the row, flag it out of regime, and leave numerics empty
@@ -392,14 +380,8 @@ def _figure_rows(figure: str, oracle_tol: float) -> tuple[dict, list[dict]]:
 
 def cmd_figure(args) -> int:
     meta, rows = _figure_rows(args.figure, args.oracle_tol)
-    if args.output == "-":
-        out = Emitter(args.format, sys.stdout)
-        out.meta(command="figure", **meta)
-        for rec in rows:
-            out.row(rec)
-        out.summary(rows=len(rows))
-        return 0
-    with open(args.output, "w") as fh:
+    with (contextlib.nullcontext(sys.stdout) if args.output == "-"
+          else open(args.output, "w")) as fh:
         out = Emitter(args.format, fh)
         out.meta(command="figure", **meta)
         for rec in rows:
@@ -409,16 +391,18 @@ def cmd_figure(args) -> int:
 
 
 def cmd_golden(args) -> int:
-    from .oracle import _evaluate_case, golden_path, read_golden, write_golden
+    from .oracle import _evaluate_case, read_golden, write_golden
 
     out = Emitter(args.format, sys.stdout)
+    # the packaged file's location differs between checkouts, so only a
+    # path given on the command line is echoed
+    path = {} if args.path is None else {"path": args.path}
     if args.regenerate:
-        path = write_golden(args.path)
-        out.meta(command="golden", action="regenerate", path=str(path))
+        write_golden(args.path)
+        out.meta(command="golden", action="regenerate", **path)
         return 0
     entries = read_golden(args.path)
-    out.meta(command="golden", action="verify", path=str(args.path or golden_path()),
-             entries=len(entries))
+    out.meta(command="golden", action="verify", **path, entries=len(entries))
     worst = 0.0
     for e in entries:
         gv = _evaluate_case(e.kind, e.m, e.n, e.a_or_r, e.b_or_big_b, e.tol,
@@ -455,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--B", type=float)
     pe.add_argument("--terms", type=int, default=20)
     pe.add_argument("--tol", type=float, default=1e-12)
-    pe.add_argument("--max-terms", type=int, default=10_000,
+    pe.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
                     help="adaptive-summation term cap")
     pe.set_defaults(func=cmd_eval)
 

@@ -25,18 +25,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergenceError, TermOverflowError
+from .errors import DomainError, TermOverflowError
 from .special import (
+    ADAPTIVE_TOL_MIN,
+    DEFAULT_MAX_TERMS,
     LOG_OVERFLOW,
     BoundReport,
     SeriesResult,
     bessel_i_scaled,
     ceil_half,
     check_finite,
+    check_terms,
     classify_order,
     kummer_1f1,
     lower_inc_gamma,
     sgn,
+    sum_adaptive,
+    sum_truncated,
     upper_inc_gamma,
     upper_inc_gamma_log,
 )
@@ -54,12 +59,6 @@ __all__ = [
     "nuttall_q",
     "nuttall_q_normalized",
 ]
-
-MAX_TRUNC_TERMS = 500
-_DEFAULT_MAX_TERMS = 10_000
-ADAPTIVE_TOL_MIN = 1e-14
-# consecutive below-threshold terms required before an adaptive sum stops
-_STOP_RUN = 3
 
 
 @dataclass(frozen=True)
@@ -103,61 +102,18 @@ def _term(p: NuttallParams, l: int) -> float:
     return math.exp(lg)
 
 
-def _check_terms(terms: int) -> None:
-    if not (1 <= terms <= MAX_TRUNC_TERMS):
-        raise DomainError(f"terms must be in [1, {MAX_TRUNC_TERMS}], got {terms}")
-
-
-def nuttall_series_truncated(p: NuttallParams, terms: int,
-                             polynomial_weights: bool = False) -> SeriesResult:
-    """Fixed-depth partial sum of the normalized series.
-
-    The default is the plain P-term partial sum (l = 0..P-1), whose distance
-    to the limit is exactly the series tail.  ``polynomial_weights=True``
-    instead evaluates the degree-P polynomial variant: terms l = 0..P each
-    multiplied by w_l = Gamma(P+l) P^(1-2l) / Gamma(P-l+1).  The weights tend
-    to 1 as P grows but visibly distort moderate-P sums (worse than 1e-3
-    relative at P=20 on typical arguments), so they are off by default.
-    """
-    _check_terms(terms)
-    top = terms + 1 if polynomial_weights else terms
-    total = 0.0
-    last = 0.0
-    for l in range(top):
-        t = _term(p, l)
-        if polynomial_weights:
-            t *= math.exp(math.lgamma(terms + l) + (1 - 2 * l) * math.log(terms)
-                          - math.lgamma(terms - l + 1.0))
-        total += t
-        last = t
-    return SeriesResult(value=total, terms_used=top, last_term_abs=last,
-                        converged=True)
+def nuttall_series_truncated(p: NuttallParams, terms: int) -> SeriesResult:
+    """Plain P-term partial sum (l = 0..P-1) by special.sum_truncated."""
+    return sum_truncated(_term, p, terms)
 
 
 def nuttall_series_adaptive(p: NuttallParams, tol: float = 1e-12,
-                            max_terms: int = _DEFAULT_MAX_TERMS) -> SeriesResult:
-    """Sum the normalized series until terms stay below tol * partial sum.
+                            max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
+    """Sum the series until terms stay below tol * partial sum.
 
-    Stops only after _STOP_RUN consecutive sub-threshold terms, which guards
-    against the hump the terms go through near l ~ a^2/2.
+    special.sum_adaptive's stop rule outlasts the term hump near l ~ a^2/2.
     """
-    if tol < ADAPTIVE_TOL_MIN:
-        raise DomainError(f"tol must be >= {ADAPTIVE_TOL_MIN}, got {tol}")
-    total = 0.0
-    below = 0
-    for l in range(max_terms):
-        t = _term(p, l)
-        total += t
-        if t < tol * total:
-            below += 1
-            if below >= _STOP_RUN:
-                return SeriesResult(value=total, terms_used=l + 1,
-                                    last_term_abs=t, converged=True)
-        else:
-            below = 0
-    raise NonConvergenceError(
-        f"series for {p} did not meet tol={tol} in {max_terms} terms",
-        partial_value=total, terms=max_terms)
+    return sum_adaptive(_term, p, tol, max_terms)
 
 
 def nuttall_integer_series(p: NuttallParams, terms: int) -> SeriesResult:
@@ -174,7 +130,7 @@ def nuttall_integer_series(p: NuttallParams, terms: int) -> SeriesResult:
     separate numerical route: no incomplete gamma kernel is involved at all.
     m+n even is rejected because L must be an integer.
     """
-    _check_terms(terms)
+    check_terms(terms)  # a bad depth is reported before bad orders
     mi, ni = round(p.m), round(p.n)
     if abs(p.m - mi) > 1e-9 or abs(p.n - ni) > 1e-9:
         raise DomainError(f"integer route needs integer orders, got {p.m}, {p.n}")
@@ -182,9 +138,8 @@ def nuttall_integer_series(p: NuttallParams, terms: int) -> SeriesResult:
         raise DomainError(f"integer route needs m+n odd, got m+n={mi + ni}")
     a0_log = 0.5 * (p.m - p.n - 1) * math.log(2.0) - 0.5 * (p.a ** 2 + p.b ** 2)
     half_b2 = 0.5 * p.b * p.b
-    total = 0.0
-    last = 0.0
-    for l in range(terms):
+
+    def double_sum_term(p: NuttallParams, l: int) -> float:
         big_l = (mi + ni - 1) // 2 + l
         inner = 1.0
         u = 1.0
@@ -197,10 +152,9 @@ def nuttall_integer_series(p: NuttallParams, terms: int) -> SeriesResult:
         if lg > LOG_OVERFLOW:
             raise TermOverflowError(
                 f"double series term overflows at l={l} for {p}", log_term=lg)
-        last = math.exp(lg) * inner
-        total += last
-    return SeriesResult(value=total, terms_used=terms, last_term_abs=last,
-                        converged=True)
+        return math.exp(lg) * inner
+
+    return sum_truncated(double_sum_term, p, terms)
 
 
 def nuttall_half_integer_closed(p: NuttallParams) -> float:

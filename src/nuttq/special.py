@@ -1,10 +1,14 @@
-"""Scalar special-function kernels used by the series evaluators.
+"""Scalar special-function kernels and the summation core of the series
+evaluators.
 
 Everything here is hand-rolled on top of ``math`` so the series routes stay
 fully independent of the scipy-based quadrature oracle.  The kernels cover
 exactly what the evaluators need: incomplete gamma functions (linear and log
 domain), the modified Bessel function of the first kind, Kummer's confluent
-hypergeometric function, and the half-odd-integer rounding helpers.
+hypergeometric function, and the half-odd-integer rounding helpers.  The
+summation core (``sum_truncated``, ``sum_adaptive``) sums the positive-term
+series of both function families, Nuttall Q and incomplete Toronto, from a
+per-index term function.
 
 Conventions: ``lower_inc_gamma(a, x)`` is the unregularized integral from 0
 to x of t^(a-1) e^(-t) dt, ``upper_inc_gamma`` its complement on [x, inf).
@@ -38,6 +42,16 @@ __all__ = [
 LOG_OVERFLOW = 700.0
 _EPS = 1e-17
 _MAX_KERNEL_TERMS = 500_000
+_ORDER_TOL = 1e-9
+_KUMMER_RTOL = 1e-16
+_KUMMER_MAX_TERMS = 10_000
+
+# Summation-core limits shared by both series families.
+MAX_TRUNC_TERMS = 500
+DEFAULT_MAX_TERMS = 10_000
+ADAPTIVE_TOL_MIN = 1e-14
+# consecutive below-threshold terms required before an adaptive sum stops
+_STOP_RUN = 3
 
 
 @dataclass(frozen=True)
@@ -65,6 +79,56 @@ class BoundReport:
     slack: float
 
 
+def check_terms(terms: int) -> None:
+    """Raise DomainError unless 1 <= terms <= MAX_TRUNC_TERMS."""
+    if not (1 <= terms <= MAX_TRUNC_TERMS):
+        raise DomainError(f"terms must be in [1, {MAX_TRUNC_TERMS}], got {terms}")
+
+
+def sum_truncated(term, p, terms: int) -> SeriesResult:
+    """Plain partial sum of term(p, i) over i = 0..terms-1.
+
+    For a positive-term series its distance to the limit is exactly the
+    tail, so the result is reported converged at the requested depth.
+    """
+    check_terms(terms)
+    total = 0.0
+    last = 0.0
+    for i in range(terms):
+        last = term(p, i)
+        total += last
+    return SeriesResult(value=total, terms_used=terms, last_term_abs=last,
+                        converged=True)
+
+
+def sum_adaptive(term, p, tol: float, max_terms: int) -> SeriesResult:
+    """Sum term(p, i) for i = 0, 1, ... until terms stay below tol * sum.
+
+    Stops only after _STOP_RUN consecutive sub-threshold terms, which guards
+    against the hump the terms of both series go through (near i ~ a^2/2 for
+    Nuttall, i ~ r^2 for Toronto).  Raises DomainError for tol below
+    ADAPTIVE_TOL_MIN and NonConvergenceError, carrying the partial sum, once
+    max_terms terms have been summed.
+    """
+    if tol < ADAPTIVE_TOL_MIN:
+        raise DomainError(f"tol must be >= {ADAPTIVE_TOL_MIN}, got {tol}")
+    total = 0.0
+    below = 0
+    for i in range(max_terms):
+        t = term(p, i)
+        total += t
+        if t < tol * total:
+            below += 1
+            if below >= _STOP_RUN:
+                return SeriesResult(value=total, terms_used=i + 1,
+                                    last_term_abs=t, converged=True)
+        else:
+            below = 0
+    raise NonConvergenceError(
+        f"series for {p} did not meet tol={tol} in {max_terms} terms",
+        partial_value=total, terms=max_terms)
+
+
 def check_finite(**values: float) -> None:
     """Raise DomainError naming the first keyword value that is +-inf or nan."""
     for name, value in values.items():
@@ -87,12 +151,12 @@ def sgn(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
-def classify_order(x: float, tol: float = 1e-9) -> str:
-    """Classify an order as 'integer', 'half-odd' or 'general' within tol."""
+def classify_order(x: float) -> str:
+    """Classify an order as 'integer', 'half-odd' or 'general' within 1e-9."""
     frac = x - math.floor(x)
-    if frac <= tol or frac >= 1.0 - tol:
+    if frac <= _ORDER_TOL or frac >= 1.0 - _ORDER_TOL:
         return "integer"
-    if abs(frac - 0.5) <= tol:
+    if abs(frac - 0.5) <= _ORDER_TOL:
         return "half-odd"
     return "general"
 
@@ -251,15 +315,15 @@ def bessel_i(nu: float, x: float) -> float:
     return math.exp(lg)
 
 
-def kummer_1f1(a: float, b: float, x: float,
-               rtol: float = 1e-16, max_terms: int = 10_000) -> float:
+def kummer_1f1(a: float, b: float, x: float) -> float:
     """Kummer's confluent hypergeometric function 1F1(a; b; x).
 
     Plain ascending series; adequate for the moderate nonnegative arguments
-    the bounds use (x = a^2/2 or r^2 well under the overflow range).  Raises
-    DomainError for a nan argument or when b is a nonpositive integer (a pole
-    of 1F1), TermOverflowError when the sum overflows a double, and
-    NonConvergenceError if the term cap is hit.
+    the bounds use (x = a^2/2 or r^2 well under the overflow range).  Stops
+    once a term falls below 1e-16 of the sum.  Raises DomainError for a nan
+    argument or when b is a nonpositive integer (a pole of 1F1),
+    TermOverflowError when the sum overflows a double, and
+    NonConvergenceError after 10,000 terms.
     """
     if math.isnan(a) or math.isnan(b) or math.isnan(x):
         raise DomainError(f"1F1 arguments must not be nan, got a={a}, b={b}, x={x}")
@@ -270,7 +334,7 @@ def kummer_1f1(a: float, b: float, x: float,
         raise DomainError(f"1F1 argument must be >= 0, got {x}")
     term = 1.0
     total = 1.0
-    for k in range(max_terms):
+    for k in range(_KUMMER_MAX_TERMS):
         term *= (a + k) * x / ((b + k) * (k + 1.0))
         total += term
         if math.isinf(total):
@@ -278,8 +342,8 @@ def kummer_1f1(a: float, b: float, x: float,
             raise TermOverflowError(
                 f"1F1 series overflows at k={k} for a={a}, b={b}, x={x}",
                 log_term=math.log(abs(term)))
-        if abs(term) < rtol * abs(total):
+        if abs(term) < _KUMMER_RTOL * abs(total):
             return total
     raise NonConvergenceError(
         f"1F1 series did not converge for a={a}, b={b}, x={x}",
-        partial_value=total, terms=max_terms)
+        partial_value=total, terms=_KUMMER_MAX_TERMS)

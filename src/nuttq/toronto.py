@@ -23,9 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergenceError, TermOverflowError
+from .errors import DomainError, TermOverflowError
 from .nuttall import marcum_q
 from .special import (
+    ADAPTIVE_TOL_MIN,
+    DEFAULT_MAX_TERMS,
     LOG_OVERFLOW,
     BoundReport,
     SeriesResult,
@@ -36,6 +38,8 @@ from .special import (
     lower_inc_gamma,
     lower_inc_gamma_log,
     sgn,
+    sum_adaptive,
+    sum_truncated,
 )
 
 __all__ = [
@@ -48,11 +52,6 @@ __all__ = [
     "toronto_marcum_residual",
     "toronto_t",
 ]
-
-MAX_TRUNC_TERMS = 500
-_DEFAULT_MAX_TERMS = 10_000
-ADAPTIVE_TOL_MIN = 1e-14
-_STOP_RUN = 3
 
 
 @dataclass(frozen=True)
@@ -89,68 +88,24 @@ def _term_log(p: TorontoParams, k: int) -> float:
 
 def _term(p: TorontoParams, k: int) -> float:
     lg = _term_log(p, k)
-    if lg == -math.inf:
-        return 0.0
     if lg > LOG_OVERFLOW:
         raise TermOverflowError(
             f"series term overflows at k={k} for {p}", log_term=lg)
     return math.exp(lg)
 
 
-def _check_terms(terms: int) -> None:
-    if not (1 <= terms <= MAX_TRUNC_TERMS):
-        raise DomainError(f"terms must be in [1, {MAX_TRUNC_TERMS}], got {terms}")
-
-
-def toronto_series_truncated(p: TorontoParams, terms: int,
-                             polynomial_weights: bool = False) -> SeriesResult:
-    """Fixed-depth partial sum of the series (k = 0..P-1 by default).
-
-    ``polynomial_weights=True`` evaluates the degree-P polynomial variant
-    instead: terms k = 0..P, each multiplied by
-    w_k = Gamma(P+k) P^(1-2k) / Gamma(P-k+1).  The weights approach 1 as P
-    grows but cost several digits at moderate P, so the plain partial sum is
-    the default.
-    """
-    _check_terms(terms)
-    top = terms + 1 if polynomial_weights else terms
-    total = 0.0
-    last = 0.0
-    for k in range(top):
-        t = _term(p, k)
-        if polynomial_weights:
-            t *= math.exp(math.lgamma(terms + k) + (1 - 2 * k) * math.log(terms)
-                          - math.lgamma(terms - k + 1.0))
-        total += t
-        last = t
-    return SeriesResult(value=total, terms_used=top, last_term_abs=last,
-                        converged=True)
+def toronto_series_truncated(p: TorontoParams, terms: int) -> SeriesResult:
+    """Plain P-term partial sum (k = 0..P-1) by special.sum_truncated."""
+    return sum_truncated(_term, p, terms)
 
 
 def toronto_series_adaptive(p: TorontoParams, tol: float = 1e-12,
-                            max_terms: int = _DEFAULT_MAX_TERMS) -> SeriesResult:
+                            max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
     """Sum the series until terms stay below tol * partial sum.
 
-    Same stop rule as the Nuttall evaluator: _STOP_RUN consecutive terms
-    under the relative threshold, term hump near k ~ r^2 notwithstanding.
+    special.sum_adaptive's stop rule outlasts the term hump near k ~ r^2.
     """
-    if tol < ADAPTIVE_TOL_MIN:
-        raise DomainError(f"tol must be >= {ADAPTIVE_TOL_MIN}, got {tol}")
-    total = 0.0
-    below = 0
-    for k in range(max_terms):
-        t = _term(p, k)
-        total += t
-        if t < tol * total:
-            below += 1
-            if below >= _STOP_RUN:
-                return SeriesResult(value=total, terms_used=k + 1,
-                                    last_term_abs=t, converged=True)
-        else:
-            below = 0
-    raise NonConvergenceError(
-        f"series for {p} did not meet tol={tol} in {max_terms} terms",
-        partial_value=total, terms=max_terms)
+    return sum_adaptive(_term, p, tol, max_terms)
 
 
 def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:

@@ -172,6 +172,20 @@ class TestGoldenCommand:
         assert rc == 0
         assert "worst_abs_diff=" in out
 
+    def test_meta_echoes_only_a_given_path(self, capsys, monkeypatch):
+        # the packaged file's location differs between checkouts, so it must
+        # not reach the output; a --path is echoed as typed
+        from nuttq.oracle import golden_path
+        rc, out = run(capsys, ["golden"])
+        assert rc == 0
+        assert str(golden_path()) not in out
+        assert out.splitlines()[0] == "# command=golden action=verify entries=30"
+        monkeypatch.chdir(golden_path().parent)
+        rc, out = run(capsys, ["golden", "--path", "golden.txt"])
+        assert rc == 0
+        assert out.splitlines()[0] == \
+            "# command=golden action=verify path=golden.txt entries=30"
+
     def test_regenerate_to_path(self, capsys, tmp_path):
         target = tmp_path / "g.txt"
         rc, _ = run(capsys, ["golden", "--regenerate", "--path", str(target)])

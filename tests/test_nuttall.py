@@ -24,10 +24,27 @@ from nuttq.nuttall import (
     nuttall_upper_bound_1f1,
 )
 from nuttq.special import upper_inc_gamma
+from nuttq.toronto import (
+    TorontoParams,
+    toronto_series_adaptive,
+    toronto_series_truncated,
+)
 
 
 def rel(x, y):
     return abs(x - y) / abs(y)
+
+
+# (params, truncated, adaptive) per family.  Both families are summed by
+# the same core (special.sum_truncated, special.sum_adaptive), so its
+# contract is tested on each.  a = r = 3 puts the term hump near index 4.5
+# or 9, so five terms cannot meet any tol.
+SERIES_FAMILIES = [
+    (NuttallParams(2.0, 1.0, 3.0, 1.0), nuttall_series_truncated,
+     nuttall_series_adaptive),
+    (TorontoParams(2.0, 1.0, 3.0, 1.0), toronto_series_truncated,
+     toronto_series_adaptive),
+]
 
 
 def golden_value(entries, kind, m, n, p3, p4):
@@ -58,11 +75,16 @@ class TestParams:
                 NuttallParams(*args)
 
     def test_terms_range(self):
-        p = NuttallParams(2.0, 1.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            nuttall_series_truncated(p, 0)
-        with pytest.raises(DomainError):
-            nuttall_series_truncated(p, 501)
+        for p, truncated, _ in SERIES_FAMILIES:
+            for terms in (0, 501):
+                with pytest.raises(DomainError, match=r"terms must be in \[1, 500\]"):
+                    truncated(p, terms)
+            one, four, five = (truncated(p, t) for t in (1, 4, 5))
+            assert (one.terms_used, five.terms_used) == (1, 5)
+            assert one.last_term_abs == one.value
+            # the P-term sum is the (P-1)-term sum plus the last term, exactly
+            assert five.value == four.value + five.last_term_abs
+            assert five.converged
 
 
 class TestSeries:
@@ -109,24 +131,19 @@ class TestSeries:
             for r0, r1 in zip(res, res[1:]):
                 assert r1 <= r0 * (1.0 + 1e-12) + 1e-16
 
-    def test_weighted_variant_is_coarser(self, golden_entries):
-        # the gamma-weighted partial sum tracks the function only loosely;
-        # keep its behaviour pinned so the flag stays honest
-        want = golden_value(golden_entries, "nuttall", 2.0, 1.0, 1.0, 2.0)
-        w = nuttall_series_truncated(NuttallParams(2.0, 1.0, 1.0, 2.0), 20,
-                                     polynomial_weights=True)
-        assert 1e-5 < rel(w.value, want) < 1e-2
-
     def test_adaptive_tol_floor(self):
-        with pytest.raises(DomainError):
-            nuttall_series_adaptive(NuttallParams(2.0, 1.0, 1.0, 1.0), tol=1e-15)
+        for p, _, adaptive in SERIES_FAMILIES:
+            with pytest.raises(DomainError, match="tol must be >= 1e-14"):
+                adaptive(p, tol=1e-15)
+            assert adaptive(p, tol=1e-14).converged
 
     def test_adaptive_term_cap(self):
-        with pytest.raises(NonConvergenceError) as exc:
-            nuttall_series_adaptive(NuttallParams(2.0, 1.0, 3.0, 1.0),
-                                    tol=1e-12, max_terms=5)
-        assert exc.value.terms == 5
-        assert exc.value.partial_value > 0.0
+        for p, truncated, adaptive in SERIES_FAMILIES:
+            with pytest.raises(NonConvergenceError,
+                               match=r"series for .* in 5 terms") as exc:
+                adaptive(p, tol=1e-12, max_terms=5)
+            assert exc.value.terms == 5
+            assert exc.value.partial_value == truncated(p, 5).value > 0.0
 
 
 class TestIntegerSeries:

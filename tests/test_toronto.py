@@ -79,12 +79,6 @@ class TestSeries:
         want = lower_inc_gamma(2.0, 4.0) / math.gamma(2.0)
         assert rel(got, want) < 1e-6
 
-    def test_weighted_variant_is_coarser(self, golden_entries):
-        want = golden_value(golden_entries, 2.0, 1.0, 1.0, 3.0)
-        w = toronto_series_truncated(TorontoParams(2.0, 1.0, 1.0, 3.0), 20,
-                                     polynomial_weights=True)
-        assert 1e-5 < rel(w.value, want) < 1e-1
-
 
 class TestClosedForm:
     def test_frozen_values(self):
