@@ -97,15 +97,30 @@ class Emitter:
             print(json.dumps({"type": kind, **kv}, sort_keys=True), file=self.out)
 
 
+def _number_list(text: str, kind) -> list:
+    """Comma-separated entries of text as kind (float or int); blank entries
+    are skipped and a non-numeric one is a DomainError."""
+    values = []
+    for item in text.split(","):
+        if not item.strip():
+            continue
+        try:
+            values.append(kind(item))
+        except ValueError:
+            raise DomainError(f"expected {kind.__name__} entries, got "
+                              f"{item.strip()!r} in {text!r}") from None
+    return values
+
+
 def _float_list(text: str) -> list[float]:
-    items = [s for s in text.split(",") if s.strip()]
-    if not items:
+    values = _number_list(text, float)
+    if not values:
         raise DomainError(f"empty value list: {text!r}")
-    return [float(s) for s in items]
+    return values
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip()]
+    return _number_list(text, int)
 
 
 def _scale(function: str, n: float, p3: float) -> float:

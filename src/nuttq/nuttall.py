@@ -14,6 +14,13 @@ where Gamma(., .) is the upper incomplete gamma function.  All terms are
 positive, so partial sums increase monotonically to the limit and the
 truncation error is exactly the series tail.
 
+The terms come from one log-domain kernel call for Gamma((m+n+1)/2, b^2/2)
+per value; every later gamma factor is stepped upward by
+Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x.  Upward is the stable direction
+for the upper incomplete gamma: the step only adds positive quantities, so
+rounding errors stay relative and never cancel (_terms carries the ratio
+form of it).  special.sum_adaptive/sum_truncated sum what _terms yields.
+
 Also here: the finite closed form for half-odd-integer orders, the double-sum
 route for integer orders, the ceiling-rounded truncation error bound, the
 Kummer 1F1 upper bound, the generalized Marcum Q wrapper, and the three-term
@@ -24,12 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
 from .errors import DomainError, TermOverflowError
 from .special import (
     ADAPTIVE_TOL_MIN,
     DEFAULT_MAX_TERMS,
     LOG_OVERFLOW,
+    TERM_MAX,
+    TERM_MIN,
     BoundReport,
     SeriesResult,
     bessel_i_scaled,
@@ -86,25 +97,57 @@ class NuttallParams:
             raise DomainError(f"b must be >= 0, got {self.b}")
 
 
-def _term_log(p: NuttallParams, l: int) -> float:
-    order = 0.5 * (p.m + p.n + 2 * l + 1)
-    return (2 * l * math.log(p.a) - 0.5 * p.a * p.a
-            + upper_inc_gamma_log(order, 0.5 * p.b * p.b)
-            - math.lgamma(l + 1.0) - math.lgamma(p.n + l + 1.0)
-            - 0.5 * (p.n - p.m + 2 * l + 1) * math.log(2.0))
+def _log_gamma(p: NuttallParams, l: int) -> float:
+    """log Gamma((m+n+1)/2 + l, b^2/2): one incomplete gamma kernel call."""
+    return upper_inc_gamma_log(0.5 * (p.m + p.n + 2 * l + 1), 0.5 * p.b * p.b)
 
 
-def _term(p: NuttallParams, l: int) -> float:
-    lg = _term_log(p, l)
+def _term(p: NuttallParams, l: int, log_gamma: float) -> float:
+    """Term l in log domain from its log gamma factor; TermOverflowError past
+    LOG_OVERFLOW."""
+    lg = (2 * l * math.log(p.a) - 0.5 * p.a * p.a + log_gamma
+          - math.lgamma(l + 1.0) - math.lgamma(p.n + l + 1.0)
+          - 0.5 * (p.n - p.m + 2 * l + 1) * math.log(2.0))
     if lg > LOG_OVERFLOW:
         raise TermOverflowError(
             f"series term overflows at l={l} for {p}", log_term=lg)
     return math.exp(lg)
 
 
+def _terms(p: NuttallParams) -> Iterator[float]:
+    """The series terms l = 0, 1, ... from one incomplete gamma kernel call.
+
+    With x = b^2/2, s = (m+n+1)/2 and h_l = x^(s+l) e^-x / Gamma(s+l, x),
+    Gamma(s+l+1, x) = (s+l+h_l) Gamma(s+l, x) gives
+
+        h_{l+1} = x h_l / (s+l+h_l),
+        t_{l+1} = t_l (a^2/2) (s+l+h_l) / ((l+1)(n+l+1)).
+
+    Every quantity is positive, so each step adds relative rounding error
+    and never cancels.  A running term outside [TERM_MIN, TERM_MAX] is
+    recomputed in log domain: that keeps terms which underflow before the
+    hump (large a) and decides overflow exactly as the log-domain term does.
+    """
+    x = 0.5 * p.b * p.b
+    s = 0.5 * (p.m + p.n + 1)
+    n = p.n
+    half_a2 = 0.5 * p.a * p.a
+    log_gamma = _log_gamma(p, 0)
+    t = _term(p, 0, log_gamma)
+    h = math.exp(s * math.log(x) - x - log_gamma) if x > 0.0 else 0.0
+    l = 0
+    while True:
+        yield t
+        t *= half_a2 * (s + l + h) / ((l + 1) * (n + l + 1))
+        h = x * h / (s + l + h)
+        l += 1
+        if not TERM_MIN <= t <= TERM_MAX:
+            t = _term(p, l, _log_gamma(p, l))
+
+
 def nuttall_series_truncated(p: NuttallParams, terms: int) -> SeriesResult:
     """Plain P-term partial sum (l = 0..P-1) by special.sum_truncated."""
-    return sum_truncated(_term, p, terms)
+    return sum_truncated(_terms(p), terms)
 
 
 def nuttall_series_adaptive(p: NuttallParams, tol: float = 1e-12,
@@ -113,7 +156,7 @@ def nuttall_series_adaptive(p: NuttallParams, tol: float = 1e-12,
 
     special.sum_adaptive's stop rule outlasts the term hump near l ~ a^2/2.
     """
-    return sum_adaptive(_term, p, tol, max_terms)
+    return sum_adaptive(_terms(p), p, tol, max_terms)
 
 
 def nuttall_integer_series(p: NuttallParams, terms: int) -> SeriesResult:
@@ -139,22 +182,24 @@ def nuttall_integer_series(p: NuttallParams, terms: int) -> SeriesResult:
     a0_log = 0.5 * (p.m - p.n - 1) * math.log(2.0) - 0.5 * (p.a ** 2 + p.b ** 2)
     half_b2 = 0.5 * p.b * p.b
 
-    def double_sum_term(p: NuttallParams, l: int) -> float:
-        big_l = (mi + ni - 1) // 2 + l
-        inner = 1.0
-        u = 1.0
-        for k in range(1, big_l + 1):
-            u *= half_b2 / k
-            inner += u
-        lg = (a0_log + 2 * l * math.log(p.a) + math.lgamma(big_l + 1.0)
-              - math.lgamma(l + 1.0) - math.lgamma(ni + l + 1.0)
-              - l * math.log(2.0))
-        if lg > LOG_OVERFLOW:
-            raise TermOverflowError(
-                f"double series term overflows at l={l} for {p}", log_term=lg)
-        return math.exp(lg) * inner
+    def double_sum_terms() -> Iterator[float]:
+        for l in count():
+            big_l = (mi + ni - 1) // 2 + l
+            inner = 1.0
+            u = 1.0
+            for k in range(1, big_l + 1):
+                u *= half_b2 / k
+                inner += u
+            lg = (a0_log + 2 * l * math.log(p.a) + math.lgamma(big_l + 1.0)
+                  - math.lgamma(l + 1.0) - math.lgamma(ni + l + 1.0)
+                  - l * math.log(2.0))
+            if lg > LOG_OVERFLOW:
+                raise TermOverflowError(
+                    f"double series term overflows at l={l} for {p}",
+                    log_term=lg)
+            yield math.exp(lg) * inner
 
-    return sum_truncated(double_sum_term, p, terms)
+    return sum_truncated(double_sum_terms(), terms)
 
 
 def nuttall_half_integer_closed(p: NuttallParams) -> float:

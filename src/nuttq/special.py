@@ -7,8 +7,11 @@ exactly what the evaluators need: incomplete gamma functions (linear and log
 domain), the modified Bessel function of the first kind, Kummer's confluent
 hypergeometric function, and the half-odd-integer rounding helpers.  The
 summation core (``sum_truncated``, ``sum_adaptive``) sums the positive-term
-series of both function families, Nuttall Q and incomplete Toronto, from a
-per-index term function.
+series of both function families, Nuttall Q and incomplete Toronto, from an
+iterator that yields the terms in index order.  Each family's iterator
+carries its incomplete gamma factor from term to term by a recurrence, so
+the core never calls a kernel itself; it only applies the depth, the
+stopping rule and the limits below.
 
 Conventions: ``lower_inc_gamma(a, x)`` is the unregularized integral from 0
 to x of t^(a-1) e^(-t) dt, ``upper_inc_gamma`` its complement on [x, inf).
@@ -18,7 +21,10 @@ Orders are real and positive throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .errors import DomainError, NonConvergenceError, TermOverflowError
 
@@ -40,6 +46,11 @@ __all__ = [
 
 # Largest exponent exp() can take before a double overflows.
 LOG_OVERFLOW = 700.0
+# A term carried by a recurrence is trusted only inside [TERM_MIN, TERM_MAX]:
+# below, it has lost digits to underflow; above, the log-domain term decides
+# whether it overflows.  Outside, the series recompute it in log domain.
+TERM_MIN = sys.float_info.min
+TERM_MAX = math.exp(LOG_OVERFLOW)
 _EPS = 1e-17
 _MAX_KERNEL_TERMS = 500_000
 _ORDER_TOL = 1e-9
@@ -85,37 +96,37 @@ def check_terms(terms: int) -> None:
         raise DomainError(f"terms must be in [1, {MAX_TRUNC_TERMS}], got {terms}")
 
 
-def sum_truncated(term, p, terms: int) -> SeriesResult:
-    """Plain partial sum of term(p, i) over i = 0..terms-1.
+def sum_truncated(terms: Iterator[float], count: int) -> SeriesResult:
+    """Plain partial sum of the first count terms yielded by terms.
 
     For a positive-term series its distance to the limit is exactly the
     tail, so the result is reported converged at the requested depth.
     """
-    check_terms(terms)
+    check_terms(count)
     total = 0.0
     last = 0.0
-    for i in range(terms):
-        last = term(p, i)
+    for last in islice(terms, count):
         total += last
-    return SeriesResult(value=total, terms_used=terms, last_term_abs=last,
+    return SeriesResult(value=total, terms_used=count, last_term_abs=last,
                         converged=True)
 
 
-def sum_adaptive(term, p, tol: float, max_terms: int) -> SeriesResult:
-    """Sum term(p, i) for i = 0, 1, ... until terms stay below tol * sum.
+def sum_adaptive(terms: Iterator[float], p, tol: float,
+                 max_terms: int) -> SeriesResult:
+    """Sum the terms yielded by terms until they stay below tol * sum.
 
     Stops only after _STOP_RUN consecutive sub-threshold terms, which guards
     against the hump the terms of both series go through (near i ~ a^2/2 for
     Nuttall, i ~ r^2 for Toronto).  Raises DomainError for tol below
-    ADAPTIVE_TOL_MIN and NonConvergenceError, carrying the partial sum, once
-    max_terms terms have been summed.
+    ADAPTIVE_TOL_MIN and NonConvergenceError, naming the parameters p and
+    carrying the partial sum, once max_terms terms have been summed.
     """
     if tol < ADAPTIVE_TOL_MIN:
         raise DomainError(f"tol must be >= {ADAPTIVE_TOL_MIN}, got {tol}")
     total = 0.0
     below = 0
-    for i in range(max_terms):
-        t = term(p, i)
+    # range first, so zip stops without asking for a term past the cap
+    for i, t in zip(range(max_terms), terms):
         total += t
         if t < tol * total:
             below += 1

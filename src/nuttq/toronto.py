@@ -13,6 +13,15 @@ evaluated through its series in the summation index k,
 with gamma(., .) the lower incomplete gamma function.  Terms are positive, so
 partial sums increase monotonically and the truncation error is the tail.
 
+The lower incomplete gamma is stable only downward:
+gamma(s, x) = (gamma(s+1, x) + x^s e^-x) / s adds positive quantities,
+while the upward step gamma(s+1, x) = s gamma(s, x) - x^s e^-x cancels
+once s passes x = B^2.  So _terms makes one log-domain kernel call at the
+top of each block of _BLOCK indices, steps the gamma ratio down through
+the block, and carries the terms upward with those ratios; the sum still
+sees the terms in index order.  special.sum_adaptive/sum_truncated sum
+what _terms yields.
+
 Also here: the finite closed form for integer m with half-odd-integer n, the
 rounding-based truncation error bound built on it, the B-independent 1F1
 upper bound, and the residual of the Marcum Q identity at n = (m-1)/2.
@@ -22,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterator
 
 from .errors import DomainError, TermOverflowError
 from .nuttall import marcum_q
@@ -29,6 +40,8 @@ from .special import (
     ADAPTIVE_TOL_MIN,
     DEFAULT_MAX_TERMS,
     LOG_OVERFLOW,
+    TERM_MAX,
+    TERM_MIN,
     BoundReport,
     SeriesResult,
     check_finite,
@@ -41,6 +54,9 @@ from .special import (
     sum_adaptive,
     sum_truncated,
 )
+
+# terms per incomplete gamma kernel call of the recurrence (see _terms)
+_BLOCK = 8
 
 __all__ = [
     "TorontoParams",
@@ -80,23 +96,68 @@ class TorontoParams:
             raise DomainError(f"B must be > 0, got {self.B}")
 
 
-def _term_log(p: TorontoParams, k: int) -> float:
-    return ((2.0 * (p.n + k) - p.m + 1.0) * math.log(p.r) - p.r * p.r
-            + lower_inc_gamma_log(0.5 * (p.m + 1.0) + k, p.B * p.B)
-            - math.lgamma(k + 1.0) - math.lgamma(p.n + k + 1.0))
+def _log_gamma(p: TorontoParams, k: int) -> float:
+    """log gamma((m+1)/2 + k, B^2): one incomplete gamma kernel call."""
+    return lower_inc_gamma_log(0.5 * (p.m + 1.0) + k, p.B * p.B)
 
 
-def _term(p: TorontoParams, k: int) -> float:
-    lg = _term_log(p, k)
+def _term(p: TorontoParams, k: int, log_gamma: float) -> float:
+    """Term k in log domain from its log gamma factor; TermOverflowError past
+    LOG_OVERFLOW."""
+    lg = ((2.0 * (p.n + k) - p.m + 1.0) * math.log(p.r) - p.r * p.r
+          + log_gamma - math.lgamma(k + 1.0) - math.lgamma(p.n + k + 1.0))
     if lg > LOG_OVERFLOW:
         raise TermOverflowError(
             f"series term overflows at k={k} for {p}", log_term=lg)
     return math.exp(lg)
 
 
+def _terms(p: TorontoParams) -> Iterator[float]:
+    """The series terms k = 0, 1, ...: one incomplete gamma kernel call for
+    term 0 and one per block of _BLOCK later terms.
+
+    With x = B^2, c = (m+1)/2 and v_s = x^s e^-x / gamma(s, x), the ratio
+    gamma(s+1, x) / gamma(s, x) = s x / (x + v_{s+1}) gives
+
+        t_{k+1} = t_k r^2 / ((k+1)(n+k+1)) * s x / (x + v_{s+1}),  s = c+k.
+
+    v cannot be stepped upward: gamma(s+1, x) = s gamma(s, x) - x^s e^-x
+    cancels once s passes x.  Downward, v_s = s v_{s+1} / (x + v_{s+1})
+    adds only positive quantities, so it shrinks the relative error of v.
+    So each block of _BLOCK indices takes v from one kernel call at its top
+    and steps it down; the terms themselves still come out in upward order.
+    A running term outside [TERM_MIN, TERM_MAX] is recomputed in log domain,
+    as in the Nuttall series.  If B^2 underflows to 0 every term is 0, and
+    no kernel is asked for log gamma(s, 0).
+    """
+    x = p.B * p.B
+    if x == 0.0:
+        yield from repeat(0.0)  # endless: nothing below runs
+    c = 0.5 * (p.m + 1.0)
+    n = p.n
+    r2 = p.r * p.r
+    log_x = math.log(x)
+    t = _term(p, 0, _log_gamma(p, 0))
+    yield t
+    k = 0
+    while True:
+        # v[j] = v_{c+k+1+j}, from the kernel at the block's top index
+        top = k + _BLOCK
+        v = [0.0] * _BLOCK
+        v[-1] = math.exp((c + top) * log_x - x - _log_gamma(p, top))
+        for j in range(_BLOCK - 2, -1, -1):
+            v[j] = (c + k + 1 + j) * v[j + 1] / (x + v[j + 1])
+        for vs in v:
+            t *= r2 / ((k + 1) * (n + k + 1)) * (c + k) * x / (x + vs)
+            k += 1
+            if not TERM_MIN <= t <= TERM_MAX:
+                t = _term(p, k, _log_gamma(p, k))
+            yield t
+
+
 def toronto_series_truncated(p: TorontoParams, terms: int) -> SeriesResult:
     """Plain P-term partial sum (k = 0..P-1) by special.sum_truncated."""
-    return sum_truncated(_term, p, terms)
+    return sum_truncated(_terms(p), terms)
 
 
 def toronto_series_adaptive(p: TorontoParams, tol: float = 1e-12,
@@ -105,7 +166,7 @@ def toronto_series_adaptive(p: TorontoParams, tol: float = 1e-12,
 
     special.sum_adaptive's stop rule outlasts the term hump near k ~ r^2.
     """
-    return sum_adaptive(_term, p, tol, max_terms)
+    return sum_adaptive(_terms(p), p, tol, max_terms)
 
 
 def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:

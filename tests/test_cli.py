@@ -100,6 +100,13 @@ class TestCompare:
                                "--a", "1", "--b", "1"])
         assert rc == 2
 
+    def test_non_numeric_float_entry_exits_2(self, capsys):
+        rc, out = run(capsys, ["compare", "nuttall", "--m", "2", "--n", "1",
+                               "--a", "1,x", "--b", "1"])
+        assert rc == 2
+        assert out == ("# error domain_error: expected float entries, "
+                       "got 'x' in '1,x'\n")
+
     def test_oversized_grid_exits_2(self, capsys):
         many = ",".join(["1"] * 25)
         rc, out = run(capsys, ["compare", "nuttall", "--m", many, "--n", many,
@@ -120,6 +127,13 @@ class TestBounds:
                                "--r", "2", "--B", "2", "--terms", "5"])
         assert rc == 1
         assert "violations=1" in out
+
+    def test_non_numeric_int_entry_exits_2(self, capsys):
+        for terms in ("5x", "1,2.5"):
+            rc, out = run(capsys, ["bounds", "nuttall", "--m", "2", "--n", "1",
+                                   "--a", "1", "--b", "2", "--terms", terms])
+            assert rc == 2
+            assert out.startswith("# error domain_error: expected int entries")
 
     def test_out_of_regime_row_excluded(self, capsys):
         # m <= n has no usable closed reference; row flagged, not asserted

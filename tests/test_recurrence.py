@@ -1,0 +1,192 @@
+"""The recurrences that carry both series from term to term.
+
+Each series makes one incomplete gamma kernel call per Nuttall value and
+one per block of Toronto terms, and steps the rest.  These tests hold the
+recurrences to a 50-digit series reference over a seeded set of box
+points, count the kernel calls, and pin the edge cases where a running
+term must be recomputed in log domain: terms that underflow before the
+hump, B^2 underflowing to 0, and a term that overflows mid-series.
+"""
+
+import math
+import random
+
+import pytest
+
+import nuttq.nuttall as nuttall
+import nuttq.toronto as toronto
+from nuttq.errors import NonConvergenceError, TermOverflowError
+from nuttq.nuttall import NuttallParams, nuttall_series_adaptive
+from nuttq.special import DEFAULT_MAX_TERMS, LOG_OVERFLOW
+from nuttq.toronto import TorontoParams, toronto_series_adaptive
+
+TOL = 1e-14
+POINTS = 60
+
+
+def _order(rng, kind):
+    """An order in [0, 10]: integer, half-odd or general."""
+    if kind == 0:
+        return float(rng.randint(0, 10))
+    if kind == 1:
+        return rng.randint(0, 9) + 0.5
+    return rng.uniform(0.0, 10.0)
+
+
+def _box(seed, edge_limit, toronto_orders):
+    """POINTS seeded (m, n, scale, limit) tuples: every pair of order kinds,
+    scales 1e-3 and 6 beside uniform draws, the given edge limit beside
+    uniform draws on (0, 8]."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(POINTS):
+        n = _order(rng, i % 3)
+        m = _order(rng, (i // 3) % 3)
+        while toronto_orders and not m - n > -1.0:
+            m = _order(rng, (i // 3) % 3)
+        if i % 4 < 2:
+            scale = (1e-3, 6.0)[i % 4]
+        else:
+            scale = 6.0 * (1.0 - rng.random())
+        limit = edge_limit if i % 5 == 0 else 8.0 * (1.0 - rng.random())
+        points.append((m, n, scale, limit))
+    return points
+
+
+NUTTALL_BOX = _box(8, 0.0, toronto_orders=False)
+TORONTO_BOX = _box(9, 1e-3, toronto_orders=True)
+
+
+def _nuttall_reference(mp, m, n, a, b):
+    """Normalized Nuttall Q at 50 digits: Gamma(s + l, x) stepped upward
+    from one mpmath gammainc, every step adding positive quantities."""
+    with mp.workdps(50):
+        m, n, a, b = (mp.mpf(v) for v in (m, n, a, b))
+        s = (m + n + 1) / 2
+        x = b * b / 2
+        g = mp.gammainc(s, x)
+        xs = x ** s * mp.exp(-x)
+        w = mp.exp(-a * a / 2) / (mp.gamma(n + 1) * mp.power(2, (n - m + 1) / 2))
+        total = mp.mpf(0)
+        l = 0
+        # past l = 2a^2 + 20 the term ratio is under 3/4 and falling
+        while True:
+            t = w * g
+            total += t
+            if l > 2 * a * a + 20 and t < mp.mpf(10) ** -48 * total:
+                return float(total)
+            g = (s + l) * g + xs
+            xs *= x
+            w *= a * a / (2 * (l + 1) * (n + l + 1))
+            l += 1
+
+
+def _toronto_reference(mp, m, n, r, big_b):
+    """Incomplete Toronto function at 50 digits, one mpmath lower gamma per
+    term.  gamma(s+1, x) < s gamma(s, x), so once r^2 (c+k)/((k+1)(n+k+1))
+    is under 1/2 the tail is under the last term."""
+    with mp.workdps(50):
+        m, n, r, big_b = (mp.mpf(v) for v in (m, n, r, big_b))
+        c = (m + 1) / 2
+        x = big_b * big_b
+        w = r ** (2 * n - m + 1) * mp.exp(-r * r) / mp.gamma(n + 1)
+        total = mp.mpf(0)
+        k = 0
+        while True:
+            t = w * mp.gammainc(c + k, 0, x)
+            total += t
+            if (r * r * (c + k) < (k + 1) * (n + k + 1) / 2
+                    and t < mp.mpf(10) ** -48 * total):
+                return float(total)
+            w *= r * r / ((k + 1) * (n + k + 1))
+            k += 1
+
+
+def test_boxes_cover_the_edges():
+    for box, edge in ((NUTTALL_BOX, 0.0), (TORONTO_BOX, 1e-3)):
+        assert sum(p[3] == edge for p in box) == POINTS // 5
+        assert {1e-3, 6.0} <= {p[2] for p in box}
+        for i in range(2):
+            kinds = {(0.0 if v == int(v) else 0.5 if v % 1 == 0.5 else 0.25)
+                     for v in (p[i] for p in box)}
+            assert len(kinds) == 3
+
+
+def test_nuttall_recurrence_matches_50_digit_reference():
+    mp = pytest.importorskip("mpmath")
+    for m, n, a, b in NUTTALL_BOX:
+        want = _nuttall_reference(mp, m, n, a, b)
+        got = nuttall_series_adaptive(NuttallParams(m, n, a, b), tol=TOL).value
+        assert abs(got - want) <= 10 * TOL * want, (m, n, a, b)
+
+
+def test_toronto_recurrence_matches_50_digit_reference():
+    mp = pytest.importorskip("mpmath")
+    for m, n, r, big_b in TORONTO_BOX:
+        want = _toronto_reference(mp, m, n, r, big_b)
+        got = toronto_series_adaptive(TorontoParams(m, n, r, big_b), tol=TOL).value
+        assert abs(got - want) <= 10 * TOL * want, (m, n, r, big_b)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count the incomplete gamma kernel calls each series module makes."""
+    calls = {"nuttall": 0, "toronto": 0}
+
+    def counted(module, name):
+        kernel = getattr(module, name)
+
+        def wrapper(*args):
+            calls[module.__name__.rsplit(".", 1)[1]] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(nuttall, "upper_inc_gamma_log")
+    counted(toronto, "lower_inc_gamma_log")
+    return calls
+
+
+def test_nuttall_value_makes_one_kernel_call(kernel_calls):
+    for tol in (TOL, 1e-12, 1e-6):
+        for m, n, a, b in NUTTALL_BOX:
+            kernel_calls["nuttall"] = 0
+            nuttall_series_adaptive(NuttallParams(m, n, a, b), tol=tol)
+            assert kernel_calls["nuttall"] <= 1, (m, n, a, b, tol)
+
+
+def test_toronto_value_makes_one_kernel_call_per_block(kernel_calls):
+    for tol in (TOL, 1e-12, 1e-6):
+        for m, n, r, big_b in TORONTO_BOX:
+            kernel_calls["toronto"] = 0
+            res = toronto_series_adaptive(TorontoParams(m, n, r, big_b), tol=tol)
+            assert (kernel_calls["toronto"]
+                    <= 1 + math.ceil(res.terms_used / toronto._BLOCK)), \
+                (m, n, r, big_b, tol)
+
+
+def test_terms_underflowing_before_the_hump_are_recomputed():
+    # e^(-a^2/2) = e^-1800: the first few hundred terms underflow to 0 and
+    # a carried term would stay 0; Q_{2,1}(60, 1)/60 = Q_2(60, 1) ~ 1
+    res = nuttall_series_adaptive(NuttallParams(2.0, 1.0, 60.0, 1.0))
+    assert res.converged
+    assert abs(res.value - 1.0) < 1e-10
+
+
+def test_underflowed_limit_is_nonconvergence_without_kernel_calls(kernel_calls):
+    # B^2 = 1e-400 underflows to 0: every term is 0, so no tol is met
+    with pytest.raises(NonConvergenceError) as exc:
+        toronto_series_adaptive(TorontoParams(2.0, 1.0, 1.0, 1e-200))
+    assert exc.value.partial_value == 0.0
+    assert exc.value.terms == DEFAULT_MAX_TERMS
+    assert kernel_calls["toronto"] == 0
+
+
+@pytest.mark.parametrize("series, params, index", [
+    (nuttall_series_adaptive, NuttallParams(300.0, 0.0, 40.0, 1.0), "l=248"),
+    (toronto_series_adaptive, TorontoParams(1300.0, 0.0, 10.0, 20.0), "k=80"),
+])
+def test_overflow_mid_series_raises_at_the_log_domain_index(series, params, index):
+    with pytest.raises(TermOverflowError, match=f"overflows at {index} ") as exc:
+        series(params)
+    assert LOG_OVERFLOW < exc.value.log_term < LOG_OVERFLOW + 1.0
