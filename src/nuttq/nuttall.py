@@ -174,9 +174,9 @@ def nuttall_integer_series(p: NuttallParams, terms: int) -> SeriesResult:
     m+n even is rejected because L must be an integer.
     """
     check_terms(terms)  # a bad depth is reported before bad orders
-    mi, ni = round(p.m), round(p.n)
-    if abs(p.m - mi) > 1e-9 or abs(p.n - ni) > 1e-9:
+    if classify_order(p.m) != "integer" or classify_order(p.n) != "integer":
         raise DomainError(f"integer route needs integer orders, got {p.m}, {p.n}")
+    mi, ni = round(p.m), round(p.n)
     if (mi + ni) % 2 != 1:
         raise DomainError(f"integer route needs m+n odd, got m+n={mi + ni}")
     a0_log = 0.5 * (p.m - p.n - 1) * math.log(2.0) - 0.5 * (p.a ** 2 + p.b ** 2)
@@ -311,9 +311,9 @@ def nuttall_recursion_residual(p: NuttallParams) -> float:
     domain.  All three values come from the adaptive series at tol 1e-12; the
     residual measures internal consistency, not quadrature agreement.
     """
-    mi, ni = round(p.m), round(p.n)
-    if abs(p.m - mi) > 1e-9 or abs(p.n - ni) > 1e-9:
+    if classify_order(p.m) != "integer" or classify_order(p.n) != "integer":
         raise DomainError(f"recursion needs integer orders, got {p.m}, {p.n}")
+    mi = round(p.m)
     if mi < 2:
         raise DomainError(f"recursion check needs m >= 2, got m={p.m}")
     a, b = p.a, p.b

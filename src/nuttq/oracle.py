@@ -19,8 +19,9 @@ Both integrate against the exponentially scaled Bessel function
 dropped upper tail of the Nuttall integral is covered by an explicit log
 domain majorant that must come in under 0.1 * tol.
 
-Parameters are validated against a supported box; outside it the oracle
-raises :class:`DomainError` instead of returning unvalidated numbers.
+Parameters are validated against the supported box by
+:func:`nuttq.box.check_box`, the one statement of it; outside the box the
+oracle raises :class:`DomainError` instead of returning unvalidated numbers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ive
 
-from .box import LIMIT_MAX, ORDER_MAX, SCALE_MAX
+# the box limits are unused here but stay importable from this module
+from .box import LIMIT_MAX, ORDER_MAX, SCALE_MAX, check_box  # noqa: F401
 from .errors import DomainError, ToleranceNotMetError
 
 __all__ = [
@@ -55,6 +57,7 @@ TOL_MAX = 1e-6
 GOLDEN_TOL = 1e-13
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_MAX_STRIPS = 8192
 
 
 @dataclass(frozen=True)
@@ -83,17 +86,16 @@ class GoldenEntry:
     err_est: float
 
 
-def _check_tol(tol: float) -> None:
+def _check(tol: float, scheme: str, m: float, n: float, scale: float,
+           limit: float) -> None:
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise DomainError(f"tol={tol} outside supported [{TOL_MIN}, {TOL_MAX}]")
-
-
-def _check_scheme(scheme: str) -> None:
     if scheme not in ("adaptive", "gauss"):
         raise DomainError(f"unknown scheme {scheme!r}, want 'adaptive' or 'gauss'")
+    check_box(m, n, scale, limit)
 
 
-def _quad_adaptive(f, lo: float, hi: float, tol: float, hint=None):
+def _quad_adaptive(f, lo: float, hi: float, tol: float, hint: float | None):
     # epsabs asks for less than the budget because QUADPACK's estimate is
     # conservative and often lands somewhat above the request at tight
     # tolerances; acceptance is against the budget itself
@@ -110,10 +112,10 @@ def _quad_adaptive(f, lo: float, hi: float, tol: float, hint=None):
     return value, abserr, int(info["last"])
 
 
-def _quad_gauss(f_vec, lo: float, hi: float, tol: float, max_strips: int = 8192):
+def _quad_gauss(f_vec, lo: float, hi: float, tol: float):
     prev = None
     strips = 16
-    while strips <= max_strips:
+    while strips <= _GL_MAX_STRIPS:
         edges = np.linspace(lo, hi, strips + 1)
         half = 0.5 * (edges[1] - edges[0])
         mids = 0.5 * (edges[:-1] + edges[1:])
@@ -126,7 +128,7 @@ def _quad_gauss(f_vec, lo: float, hi: float, tol: float, max_strips: int = 8192)
         prev = value
         strips *= 2
     raise ToleranceNotMetError(
-        f"Gauss-Legendre refinement exhausted {max_strips} strips",
+        f"Gauss-Legendre refinement exhausted {_GL_MAX_STRIPS} strips",
         value=prev, err_est=math.inf)
 
 
@@ -151,14 +153,7 @@ def oracle_nuttall(m: float, n: float, a: float, b: float,
     Integrates x^m e^(-(x^2+a^2)/2) I_n(ax) from b to a finite cutoff chosen
     so the discarded tail is provably below 0.1 * tol.
     """
-    _check_tol(tol)
-    _check_scheme(scheme)
-    if not (0.0 <= m <= ORDER_MAX and 0.0 <= n <= ORDER_MAX):
-        raise DomainError(f"orders m={m}, n={n} outside [0, {ORDER_MAX}]")
-    if not (0.0 < a <= SCALE_MAX):
-        raise DomainError(f"a={a} outside (0, {SCALE_MAX}]")
-    if not (0.0 <= b <= LIMIT_MAX):
-        raise DomainError(f"b={b} outside [0, {LIMIT_MAX}]")
+    _check(tol, scheme, m, n, a, b)
 
     upper = max(b, a + 40.0, a + math.sqrt(2.0 * m) + 8.0)
     log_tail = _nuttall_tail_log(m, a, upper)
@@ -191,16 +186,11 @@ def oracle_toronto(m: float, n: float, r: float, B: float,
     Integrand 2 r^(n-m+1) t^(m-n) e^(-(t-r)^2) ive(n, 2rt) on [0, B]; the
     interval is finite so there is no tail term.
     """
-    _check_tol(tol)
-    _check_scheme(scheme)
-    if not (0.0 <= m <= ORDER_MAX and 0.0 <= n <= ORDER_MAX):
-        raise DomainError(f"orders m={m}, n={n} outside [0, {ORDER_MAX}]")
+    _check(tol, scheme, m, n, r, B)
     if m - n <= -1.0:
         raise DomainError(f"need m - n > -1 for integrability, got {m - n}")
-    if not (0.0 < r <= SCALE_MAX):
-        raise DomainError(f"r={r} outside (0, {SCALE_MAX}]")
-    if not (0.0 < B <= LIMIT_MAX):
-        raise DomainError(f"B={B} outside (0, {LIMIT_MAX}]")
+    if B <= 0.0:
+        raise DomainError(f"B must be > 0, got {B}")
 
     c = 2.0 * r ** (n - m + 1.0)
 

@@ -161,6 +161,18 @@ class TestIntegerSeries:
         with pytest.raises(DomainError):
             nuttall_integer_series(NuttallParams(2.5, 0.5, 1.0, 1.0), 10)
 
+    def test_integer_orders_within_classify_order_tolerance(self):
+        # both integer routes accept what classify_order calls 'integer'
+        # (within 1e-9, either side) and refuse anything further off
+        for m in (3.0 + 5e-10, 3.0 - 5e-10):
+            assert nuttall_integer_series(NuttallParams(m, 0.0, 1.0, 1.0), 5).value > 0.0
+            assert nuttall_recursion_residual(NuttallParams(m, 0.0, 1.0, 1.0)) < 1e-9
+        for m, n in ((3.0 + 2e-9, 0.0), (3.0, 2e-9), (2.0, 1.0 - 2e-9)):
+            with pytest.raises(DomainError, match="integer route needs integer orders"):
+                nuttall_integer_series(NuttallParams(m, n, 1.0, 1.0), 5)
+            with pytest.raises(DomainError, match="recursion needs integer orders"):
+                nuttall_recursion_residual(NuttallParams(m, n, 1.0, 1.0))
+
 
 class TestClosedForm:
     def test_frozen_values(self):

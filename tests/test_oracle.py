@@ -1,11 +1,14 @@
 """Quadrature oracle: parameter box, golden file round-trip, scheme
 cross-checks, and limit behaviour of the defining integrals."""
 
+import contextlib
 import math
 
 import pytest
 
-from nuttq.errors import DomainError
+from nuttq.box import check_box
+from nuttq.cli import main
+from nuttq.errors import DomainError, ToleranceNotMetError
 from nuttq.oracle import (
     GOLDEN_CASES,
     GOLDEN_TOL,
@@ -25,9 +28,13 @@ class TestParameterBox:
         dict(m=2.0, n=1.0, a=0.0, b=1.0),
         dict(m=2.0, n=1.0, a=6.5, b=1.0),
         dict(m=2.0, n=1.0, a=1.0, b=9.0),
+        dict(m=10.0 + 1e-9, n=1.0, a=1.0, b=1.0),
+        dict(m=2.0, n=10.0 + 1e-9, a=1.0, b=1.0),
+        dict(m=2.0, n=1.0, a=6.0 + 1e-9, b=1.0),
+        dict(m=2.0, n=1.0, a=1.0, b=8.0 + 1e-9),
     ])
     def test_nuttall_out_of_box(self, kwargs):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="must lie in"):
             oracle_nuttall(**kwargs)
 
     def test_tol_out_of_box(self):
@@ -41,6 +48,26 @@ class TestParameterBox:
             oracle_toronto(2.0, 1.0, 0.0, 2.0)
         with pytest.raises(DomainError):
             oracle_toronto(2.0, 1.0, 1.0, 8.5)
+        with pytest.raises(DomainError, match="B must be > 0"):
+            oracle_toronto(2.0, 1.0, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            oracle_toronto(2.0, 1.0, 6.0 + 1e-9, 2.0)
+        with pytest.raises(DomainError):
+            oracle_toronto(2.0, 1.0, 1.0, 8.0 + 1e-9)
+
+    def test_exact_corners_are_inside(self):
+        check_box(10.0, 10.0, 6.0, 8.0)
+        for argv in (["nuttall", "--n", "10", "--a", "6", "--b", "8"],
+                     ["toronto", "--n", "10", "--r", "6", "--B", "8"],
+                     ["marcum", "--a", "6", "--b", "8"]):
+            assert main(["eval", *argv, "--m", "10"]) == 0, argv
+        oracle_toronto(10.0, 10.0, 6.0, 8.0)
+        oracle_marcum(10.0, 6.0, 8.0)
+        # Only the box is asserted for Nuttall: its value here is about
+        # 2.2e6, whose double resolution exceeds the default absolute tol,
+        # so the oracle refuses with ToleranceNotMetError (ROADMAP item 3).
+        with contextlib.suppress(ToleranceNotMetError):
+            oracle_nuttall(10.0, 10.0, 6.0, 8.0)
 
     def test_unknown_scheme(self):
         with pytest.raises(DomainError):
