@@ -2,7 +2,8 @@
 and figure data as CSV or JSON.
 
 Output contract: deterministic byte-identical records for identical
-invocations.  CSV rows use 17-significant-digit decimals, `#` metadata lines
+invocations.  CSV rows use 17-significant-digit decimals and quote a field
+only when it holds a comma, quote or newline; `#` metadata lines
 echo the inputs, and a trailing summary carries grid-level aggregates.  JSON
 mode emits one object per line with a "type" tag (meta, row, summary).
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import json
 import math
@@ -40,7 +42,7 @@ from .nuttall import (
     nuttall_truncation_bound,
     nuttall_upper_bound_1f1,
 )
-from .special import DEFAULT_MAX_TERMS, BoundReport
+from .special import DEFAULT_MAX_TERMS, BoundReport, check_terms
 from .toronto import (
     TorontoParams,
     toronto_closed_form_half,
@@ -72,6 +74,7 @@ class Emitter:
     def __init__(self, fmt: str, out):
         self.fmt = fmt
         self.out = out
+        self.csv = csv.writer(out, lineterminator="\n")
         self.columns: list[str] | None = None
 
     def meta(self, **kv):
@@ -81,8 +84,8 @@ class Emitter:
         if self.fmt == "csv":
             if self.columns is None:
                 self.columns = list(record)
-                print(",".join(self.columns), file=self.out)
-            print(",".join(_fmt(record.get(c)) for c in self.columns), file=self.out)
+                self.csv.writerow(self.columns)
+            self.csv.writerow([_fmt(record.get(c)) for c in self.columns])
         else:
             print(json.dumps({"type": "row", **record}, sort_keys=True), file=self.out)
 
@@ -157,10 +160,10 @@ def _require(args, names: tuple[str, ...]) -> None:
 
 def _grid(args, depths: str | None = None) -> list[tuple]:
     """The (m, n, p3, p4, depth) points of a compare or bounds grid, from
-    its comma lists (depth None without a depth list); refuses an empty
-    grid, one over 10^4 points, and points outside the box (every
-    request stays inside the window the oracle is validated on, so each
-    emitted value is cross-checkable)."""
+    its comma lists (depth None without a depth list); refuses a depth
+    outside [1, MAX_TRUNC_TERMS], an empty grid, one over 10^4 points, and
+    points outside the box (every request stays inside the window the
+    oracle is validated on, so each emitted value is cross-checkable)."""
     fn = args.function
     ms = _float_list(args.m)
     if fn == "marcum":
@@ -173,7 +176,12 @@ def _grid(args, depths: str | None = None) -> list[tuple]:
         pairs = list(zip(ms, ns))
     p3s = _float_list(args.r if fn == "toronto" else args.a)
     p4s = _float_list(args.B if fn == "toronto" else args.b)
-    ds = [None] if depths is None else _int_list(depths)
+    if depths is None:
+        ds = [None]
+    else:
+        ds = _int_list(depths)
+        for d in ds:
+            check_terms(d)
     points = [(m, n, p3, p4, d) for (m, n) in pairs for p3 in p3s
               for p4 in p4s for d in ds]
     if not points:

@@ -21,8 +21,10 @@ for the upper incomplete gamma: the step only adds positive quantities, so
 rounding errors stay relative and never cancel (_terms carries the ratio
 form of it).  special.sum_adaptive/sum_truncated sum what _terms yields.
 
-Also here: the finite closed form for half-odd-integer orders, the double-sum
-route for integer orders, the ceiling-rounded truncation error bound, the
+Also here: the finite closed form for half-odd-integer orders (whose
+incomplete gammas depend on the binomial index alone, so each is computed
+once per value and shared by every outer term), the double-sum route for
+integer orders, the ceiling-rounded truncation error bound, the
 Kummer 1F1 upper bound, the generalized Marcum Q wrapper, and the three-term
 recursion residual used as a consistency check.
 """
@@ -215,7 +217,9 @@ def nuttall_half_integer_closed(p: NuttallParams) -> float:
 
     where Jm, Jp are binomial sums over incomplete gammas at (b-a)^2/2 and
     (b+a)^2/2.  sgn(b - a) = 0 at b = a removes the lower-gamma term exactly,
-    so the seam needs no convention.
+    so the seam needs no convention.  The gamma of binomial index l is the
+    same in every Jm(mu-k), Jp(mu-k), so each is computed once: 2(mu+1)
+    kernel calls per value.
     """
     if classify_order(p.m) != "half-odd" or classify_order(p.n) != "half-odd":
         raise DomainError(
@@ -228,13 +232,16 @@ def nuttall_half_integer_closed(p: NuttallParams) -> float:
     xm = 0.5 * (b - a) ** 2
     xp = 0.5 * (b + a) ** 2
     sm = sgn(b - a)
+    lower_m = [lower_inc_gamma(0.5 * (l + 1), xm) if sm != 0 else 0.0
+               for l in range(mu + 1)]
+    upper_p = [upper_inc_gamma(0.5 * (l + 1), xp) for l in range(mu + 1)]
 
     def j_minus(s: int) -> float:
         acc = 0.0
         for l in range(s + 1):
             g = math.gamma(0.5 * (l + 1))
             if sm != 0:
-                g -= sm ** (l + 1) * lower_inc_gamma(0.5 * (l + 1), xm)
+                g -= sm ** (l + 1) * lower_m[l]
             acc += math.comb(s, l) * a ** (s - l) * 2.0 ** (0.5 * (l - 1)) * g
         return acc
 
@@ -242,7 +249,7 @@ def nuttall_half_integer_closed(p: NuttallParams) -> float:
         acc = 0.0
         for l in range(s + 1):
             acc += (math.comb(s, l) * (-a) ** (s - l) * 2.0 ** (0.5 * (l - 1))
-                    * upper_inc_gamma(0.5 * (l + 1), xp))
+                    * upper_p[l])
         return acc
 
     total = 0.0

@@ -17,7 +17,16 @@ Two schemes:
 Both integrate against the exponentially scaled Bessel function
 ``ive(n, z) = e^-|z| I_n(z)`` so the integrand never overflows, and the
 dropped upper tail of the Nuttall integral is covered by an explicit log
-domain majorant that must come in under 0.1 * tol.
+domain majorant that must come in under 0.1 * tol.  The adaptive scheme
+calls its integrand once per node with a Python float, so that integrand
+takes ``ive`` from ``scipy.special.cython_special``: the same kernel as the
+``scipy.special.ive`` ufunc the Gauss scheme applies to whole arrays, with
+plain doubles in and out instead of a ufunc dispatch per call.
+
+QUADPACK's error estimate on a single accepted panel is an extrapolation
+from one 21-point rule and can fall far short of the true error, so a
+one-panel result gets a second opinion from the same interval split at its
+midpoint (see ``_quad_adaptive``).
 
 Parameters are validated against the supported box by
 :func:`nuttq.box.check_box`, the one statement of it; outside the box the
@@ -33,6 +42,7 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import ive
+from scipy.special.cython_special import ive as ive_scalar
 
 # the box limits are unused here but stay importable from this module
 from .box import LIMIT_MAX, ORDER_MAX, SCALE_MAX, check_box  # noqa: F401
@@ -99,17 +109,29 @@ def _quad_adaptive(f, lo: float, hi: float, tol: float, hint: float | None):
     # epsabs asks for less than the budget because QUADPACK's estimate is
     # conservative and often lands somewhat above the request at tight
     # tolerances; acceptance is against the budget itself
-    points = [hint] if hint is not None and lo < hint < hi else None
-    res = quad(f, lo, hi, epsabs=0.4 * tol, epsrel=0.0, limit=400,
-               full_output=1, points=points)
-    value, abserr, info = res[0], res[1], res[2]
+    def run(points):
+        res = quad(f, lo, hi, epsabs=0.4 * tol, epsrel=0.0, limit=400,
+                   full_output=1, points=points)
+        return res[0], res[1], int(res[2]["last"])
+
+    value, abserr, last = run(
+        [hint] if hint is not None and lo < hint < hi else None)
+    if last == 1:
+        # One panel means one Gauss-Kronrod rule, whose estimate can miss
+        # by orders of magnitude.  Split it at the midpoint: if the two
+        # answers agree within the first estimate, the estimate stands;
+        # otherwise take the split answer and charge it the disagreement.
+        split, split_err, split_last = run([0.5 * (lo + hi)])
+        gap = abs(value - split)
+        if gap > abserr:
+            value, abserr, last = split, max(split_err, gap), split_last
     # quad may flag ier != 0 at tight tolerances while abserr is still fine;
     # the estimate is the acceptance gate, not the flag
     if abserr > tol:
         raise ToleranceNotMetError(
             f"adaptive quadrature stopped at abserr={abserr:.3e} > {tol:.3e}",
             value=value, err_est=abserr)
-    return value, abserr, int(info["last"])
+    return value, abserr, last
 
 
 def _quad_gauss(f_vec, lo: float, hi: float, tol: float):
@@ -165,7 +187,7 @@ def oracle_nuttall(m: float, n: float, a: float, b: float,
     budget = tol - tail
 
     def f_scalar(x: float) -> float:
-        return x ** m * math.exp(-0.5 * (x - a) ** 2) * ive(n, a * x)
+        return x ** m * math.exp(-0.5 * (x - a) ** 2) * ive_scalar(n, a * x)
 
     def f_vec(x: np.ndarray) -> np.ndarray:
         return x ** m * np.exp(-0.5 * (x - a) ** 2) * ive(n, a * x)
@@ -195,7 +217,8 @@ def oracle_toronto(m: float, n: float, r: float, B: float,
     c = 2.0 * r ** (n - m + 1.0)
 
     def f_scalar(t: float) -> float:
-        return c * t ** (m - n) * math.exp(-((t - r) ** 2)) * ive(n, 2.0 * r * t)
+        return (c * t ** (m - n) * math.exp(-((t - r) ** 2))
+                * ive_scalar(n, 2.0 * r * t))
 
     def f_vec(t: np.ndarray) -> np.ndarray:
         return c * t ** (m - n) * np.exp(-((t - r) ** 2)) * ive(n, 2.0 * r * t)
@@ -305,13 +328,26 @@ def write_golden(path: Path | str | None = None) -> Path:
 
 
 def read_golden(path: Path | str | None = None) -> list[GoldenEntry]:
+    """The entries of a golden file; DomainError if it cannot be read, holds
+    a malformed line, or holds no entries."""
     path = Path(path) if path is not None else golden_path()
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or type(exc).__name__
+        raise DomainError(f"cannot read golden file {str(path)!r}: {reason}") \
+            from None
     entries = []
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        kind, *nums = line.split()
-        m, n, p3, p4, tol, value, err = (float(v) for v in nums)
+        try:
+            kind, *nums = line.split()
+            m, n, p3, p4, tol, value, err = (float(v) for v in nums)
+        except ValueError:
+            raise DomainError(f"malformed golden line {line!r}") from None
         entries.append(GoldenEntry(kind, m, n, p3, p4, tol, value, err))
+    if not entries:
+        raise DomainError(f"golden file {str(path)!r} holds no entries")
     return entries

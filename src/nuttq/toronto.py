@@ -22,9 +22,11 @@ the block, and carries the terms upward with those ratios; the sum still
 sees the terms in index order.  special.sum_adaptive/sum_truncated sum
 what _terms yields.
 
-Also here: the finite closed form for integer m with half-odd-integer n, the
-rounding-based truncation error bound built on it, the B-independent 1F1
-upper bound, and the residual of the Marcum Q identity at n = (m-1)/2.
+Also here: the finite closed form for integer m with half-odd-integer n
+(each of its incomplete gammas computed once per value, as in the Nuttall
+closed form), the rounding-based truncation error bound built on it, the
+B-independent 1F1 upper bound, and the residual of the Marcum Q identity at
+n = (m-1)/2.
 """
 
 from __future__ import annotations
@@ -185,7 +187,10 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
     with c_k = (nu+k)!/(2^k k! (nu-k)!) and g the lower incomplete gamma.
     sgn(B - r) = 0 at B = r drops the first gamma exactly.  Requires
     m >= 2n (i.e. m >= 2 nu + 1) so every exponent s - l stays nonnegative;
-    below that the elementary split diverges termwise at t = 0.
+    below that the elementary split diverges termwise at t = 0.  The gamma
+    of binomial index l is the same in every P1(s), P2(s), and the one at
+    r^2 is shared by both, so each is computed once: 3(m - nu) kernel calls
+    per value (2(m - nu) at B = r).
     """
     if classify_order(m) != "integer" or classify_order(n) != "half-odd":
         raise DomainError(
@@ -203,21 +208,27 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
     xp = (B + r) ** 2
     xr = r * r
     sm = sgn(B - r)
+    # in the order the k = 0 term asks for them, so a kernel error is the
+    # one the sum would meet first
+    lower_r, lower_m = [], []
+    for l in range(mi - nu):
+        lower_r.append(lower_inc_gamma(0.5 * (l + 1), xr))
+        lower_m.append(lower_inc_gamma(0.5 * (l + 1), xm) if sm != 0 else 0.0)
+    lower_p = [lower_inc_gamma(0.5 * (l + 1), xp) for l in range(mi - nu)]
 
     def p_one(s: int) -> float:
         acc = 0.0
         for l in range(s + 1):
-            g = (-1.0) ** l * lower_inc_gamma(0.5 * (l + 1), xr)
+            g = (-1.0) ** l * lower_r[l]
             if sm != 0:
-                g += sm ** (l + 1) * lower_inc_gamma(0.5 * (l + 1), xm)
+                g += sm ** (l + 1) * lower_m[l]
             acc += math.comb(s, l) * r ** (s - l) * 0.5 * g
         return acc
 
     def p_two(s: int) -> float:
         acc = 0.0
         for l in range(s + 1):
-            g = lower_inc_gamma(0.5 * (l + 1), xp) \
-                - lower_inc_gamma(0.5 * (l + 1), xr)
+            g = lower_p[l] - lower_r[l]
             acc += math.comb(s, l) * (-r) ** (s - l) * 0.5 * g
         return acc
 

@@ -1,5 +1,6 @@
 """Command line behaviour: record formats, exit codes, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -135,6 +136,25 @@ class TestBounds:
             assert rc == 2
             assert out.startswith("# error domain_error: expected int entries")
 
+    def test_depth_outside_range_exits_2(self, capsys):
+        for terms, bad in (("0", "0"), ("1,501", "501")):
+            rc, out = run(capsys, ["bounds", "nuttall", "--m", "2", "--n", "1",
+                                   "--a", "1", "--b", "2", "--terms", terms])
+            assert rc == 2
+            assert out == ("# error domain_error: terms must be in [1, 500], "
+                           f"got {bad}\n")
+
+    def test_csv_quotes_a_field_holding_a_comma(self, capsys):
+        rc, out = run(capsys, ["bounds", "toronto", "--m", "2", "--n", "1",
+                               "--r", "1", "--B", "0"])
+        assert rc == 0
+        rows = list(csv.reader(l for l in out.splitlines()
+                               if not l.startswith("#")))
+        assert len(rows) == 2
+        header, row = rows
+        assert len(row) == len(header) == 12
+        assert dict(zip(header, row))["error"] == "B must be > 0, got 0.0"
+
     def test_out_of_regime_row_excluded(self, capsys):
         # m <= n has no usable closed reference; row flagged, not asserted
         rc, out = run(capsys, ["bounds", "toronto", "--m", "2,2",
@@ -199,6 +219,29 @@ class TestGoldenCommand:
         assert rc == 0
         assert out.splitlines()[0] == \
             "# command=golden action=verify path=golden.txt entries=30"
+
+    def test_unreadable_path_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        rc, out = run(capsys, ["golden", "--path", str(missing)])
+        assert rc == 2
+        assert out == (f"# error domain_error: cannot read golden file "
+                       f"{str(missing)!r}: No such file or directory\n")
+        rc, out = run(capsys, ["golden", "--path", str(tmp_path),
+                               "--format", "json"])
+        assert rc == 2
+        assert json.loads(out)["error_type"] == "domain_error"
+
+    @pytest.mark.parametrize("text, message", [
+        ("# comments only\n", "holds no entries"),
+        ("nuttall 1 0 1 1 1e-13 0.73\n", "malformed golden line"),
+    ])
+    def test_empty_or_malformed_golden_file_exits_2(self, capsys, tmp_path,
+                                                     text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        rc, out = run(capsys, ["golden", "--path", str(path)])
+        assert rc == 2
+        assert out.startswith("# error domain_error: ") and message in out
 
     def test_regenerate_to_path(self, capsys, tmp_path):
         target = tmp_path / "g.txt"

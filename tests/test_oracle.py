@@ -89,6 +89,17 @@ class TestOracleValues:
         assert ov.tail_bound <= 1e-10
         assert ov.subdivisions >= 1
 
+    @pytest.mark.parametrize("oracle, args", [
+        # QUADPACK accepts one 21-point panel at both points, with an
+        # estimate 7e6 and 8 times short of the true error
+        (oracle_nuttall, (6.0, 8.5, 0.09278083110782154, 4.95838826993411)),
+        (oracle_toronto, (2.5, 0.5, 3.2718703094305113, 2.6270719808659253)),
+    ])
+    def test_single_panel_estimate_covers_the_error(self, oracle, args):
+        ov = oracle(*args)
+        gauss = oracle(*args, scheme="gauss")
+        assert abs(ov.value - gauss.value) <= ov.abs_err_est
+
     def test_b_monotone_ladders(self):
         # integrand is positive, so the tail integral falls as b rises
         for (m, n, a) in [(2.0, 1.0, 1.0), (3.0, 0.5, 2.0)]:

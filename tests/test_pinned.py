@@ -1,0 +1,115 @@
+"""Pins on the arithmetic of the closed forms and the oracle.
+
+Each closed form computes every incomplete gamma it needs once per value;
+the kernel-call counts below hold it to that.  The float.hex pins hold the
+exact bits of a few closed-form, truncation-bound and adaptive-oracle
+values, so any reordering of their arithmetic fails here even when it
+stays within tolerance.  The pinned points are ones where the closed forms
+agree with the series to a few ulps; they pin bits, not accuracy.
+"""
+
+import pytest
+
+import nuttq.nuttall as nuttall
+import nuttq.toronto as toronto
+from nuttq.nuttall import (
+    NuttallParams,
+    nuttall_half_integer_closed,
+    nuttall_truncation_bound,
+)
+from nuttq.oracle import oracle_marcum, oracle_nuttall, oracle_toronto
+from nuttq.toronto import (
+    TorontoParams,
+    toronto_closed_form_half,
+    toronto_truncation_bound,
+)
+
+
+@pytest.fixture
+def gamma_calls(monkeypatch):
+    """Count the linear-domain incomplete gamma calls of both modules."""
+    calls = []
+
+    for module, names in ((nuttall, ("lower_inc_gamma", "upper_inc_gamma")),
+                          (toronto, ("lower_inc_gamma",))):
+        for name in names:
+            kernel = getattr(module, name)
+
+            def wrapper(*args, kernel=kernel, name=name):
+                calls.append((name, args))
+                return kernel(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("m, n, a, b", [
+    (9.5, 9.5, 0.5, 1.0),
+    (9.5, 9.5, 3.0, 4.0),
+    (9.5, 0.5, 2.0, 1.0),
+    (6.5, 3.5, 2.5, 2.5),
+])
+def test_nuttall_closed_form_gamma_calls(gamma_calls, m, n, a, b):
+    mu = round(m - 0.5)
+    nuttall_half_integer_closed(NuttallParams(m, n, a, b))
+    assert len(gamma_calls) <= 2 * (mu + 1)
+    assert len(set(gamma_calls)) == len(gamma_calls)
+
+
+@pytest.mark.parametrize("m, n, r, big_b", [
+    (10.0, 0.5, 6.0, 0.1),
+    (10.0, 4.5, 2.0, 3.0),
+    (9.0, 4.5, 1.0, 2.5),
+    (4.0, 1.5, 1.5, 1.5),
+])
+def test_toronto_closed_form_gamma_calls(gamma_calls, m, n, r, big_b):
+    nu = round(n - 0.5)
+    toronto_closed_form_half(m, n, r, big_b)
+    assert len(gamma_calls) <= 3 * (round(m) - nu)
+    assert len(set(gamma_calls)) == len(gamma_calls)
+
+
+@pytest.mark.parametrize("params, bits", [
+    ((6.5, 3.5, 2.5, 2.0), "0x1.e6ecb5e67d4a5p+3"),
+    ((5.5, 0.5, 1.0, 1.0), "0x1.9f25d2befbe48p+4"),
+    ((2.5, 1.5, 2.0, 3.0), "0x1.b936d082726a9p-2"),
+])
+def test_nuttall_closed_form_bits(params, bits):
+    assert nuttall_half_integer_closed(NuttallParams(*params)).hex() == bits
+
+
+@pytest.mark.parametrize("params, bits", [
+    ((6.0, 2.5, 1.0, 2.5), "0x1.982f3e39dbe36p-1"),
+    ((9.0, 4.5, 2.0, 3.0), "0x1.95241a3f0e2bcp-2"),
+    ((4.0, 1.5, 1.5, 1.5), "0x1.533fe73044840p-3"),
+    ((2.0, 0.5, 1.0, 2.0), "0x1.a29c1cacd964dp-1"),
+])
+def test_toronto_closed_form_bits(params, bits):
+    assert toronto_closed_form_half(*params).hex() == bits
+
+
+def test_truncation_bound_bits():
+    rep = nuttall_truncation_bound(NuttallParams(3.0, 1.0, 2.0, 1.5), 20)
+    assert (rep.bound_value.hex(), rep.slack.hex()) == \
+        ("0x1.ca91a5f69bc00p-3", "0x1.ca91a5f698010p-3")
+    rep = toronto_truncation_bound(TorontoParams(3.0, 1.0, 1.0, 2.0), 20)
+    assert (rep.bound_value.hex(), rep.slack.hex()) == \
+        ("0x1.30625f0c5efaap-2", "0x1.30625f0c5efaap-2")
+
+
+@pytest.mark.parametrize("call, bits", [
+    (lambda: oracle_nuttall(2.0, 1.0, 1.0, 2.0),
+     ("0x1.0f6f6a6097a11p-1", "0x1.3d79b2e560000p-46", 5)),
+    (lambda: oracle_nuttall(3.5, 0.5, 4.0, 0.0),
+     ("0x1.3000000000002p+5", "0x1.d58b951dc0000p-39", 7)),
+    (lambda: oracle_toronto(2.0, 1.0, 1.0, 3.0),
+     ("0x1.69a5d4a639b55p-1", "0x1.1a898e21dd15ap-47", 2)),
+    # one panel, confirmed by the midpoint split
+    (lambda: oracle_toronto(2.0, 1.0, 2.0, 1.0),
+     ("0x1.2f0f5a422cbf5p-5", "0x1.d987fd0765eafp-52", 1)),
+    (lambda: oracle_marcum(2.0, 1.0, 1.0),
+     ("0x1.e1af416f43143p-1", "0x1.8f79b2e560000p-46", 6)),
+])
+def test_adaptive_oracle_bits(call, bits):
+    ov = call()
+    assert (ov.value.hex(), ov.abs_err_est.hex(), ov.subdivisions) == bits
