@@ -19,12 +19,13 @@ per value; every later gamma factor is stepped upward by
 Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x.  Upward is the stable direction
 for the upper incomplete gamma: the step only adds positive quantities, so
 rounding errors stay relative and never cancel (_terms carries the ratio
-form of it).  special.sum_adaptive/sum_truncated sum what _terms yields.
+form of it).  special.sum_adaptive/sum_truncated sum what _terms yields,
+and special.truncation_reports forms the truncation-bound reports from it.
 
 Also here: the finite closed form for half-odd-integer orders (whose
 incomplete gammas depend on the binomial index alone, so each is computed
 once per value and shared by every outer term), the double-sum route for
-integer orders, the ceiling-rounded truncation error bound, the
+integer orders, the ceiling-rounded truncation error bounds, the
 Kummer 1F1 upper bound, the generalized Marcum Q wrapper, and the three-term
 recursion residual used as a consistency check.
 """
@@ -34,11 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import DomainError, TermOverflowError
 from .special import (
-    ADAPTIVE_TOL_MIN,
     DEFAULT_MAX_TERMS,
     LOG_OVERFLOW,
     TERM_MAX,
@@ -55,6 +55,7 @@ from .special import (
     sgn,
     sum_adaptive,
     sum_truncated,
+    truncation_reports,
     upper_inc_gamma,
     upper_inc_gamma_log,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "nuttall_integer_series",
     "nuttall_half_integer_closed",
     "nuttall_truncation_bound",
+    "nuttall_truncation_bounds",
     "nuttall_upper_bound_1f1",
     "nuttall_recursion_residual",
     "marcum_q",
@@ -262,8 +264,10 @@ def nuttall_half_integer_closed(p: NuttallParams) -> float:
     return total / (a ** p.n * math.sqrt(2.0 * math.pi * a))
 
 
-def nuttall_truncation_bound(p: NuttallParams, terms: int) -> BoundReport:
-    """Closed-form bound on the P-term truncation error, with its slack.
+def nuttall_truncation_bounds(p: NuttallParams,
+                              depths: Sequence[int]) -> list[BoundReport]:
+    """Closed-form bounds on the P-term truncation error at each depth P in
+    depths, with their slack, from one walk of the series.
 
     Rounds both orders up to the nearest half-odd integers, where the exact
     value has a finite closed form that dominates the original function
@@ -273,18 +277,22 @@ def nuttall_truncation_bound(p: NuttallParams, terms: int) -> BoundReport:
         actual = adaptive(p, 1e-14) - truncated(p, P)
 
     The reported slack therefore reduces to closed(rounded) - adaptive(p) and
-    does not depend on P.
+    does not depend on P.  special.truncation_reports walks the terms once
+    for every depth; each value has the bits a separate walk would give.
     """
     mc, nc = ceil_half(p.m), ceil_half(p.n)
     if mc < nc:
         raise DomainError(
             f"bound needs ceil_half(m) >= ceil_half(n), got {mc} < {nc}")
-    truncated = nuttall_series_truncated(p, terms).value
-    bound = nuttall_half_integer_closed(
-        NuttallParams(mc, nc, p.a, p.b)) - truncated
-    residual = nuttall_series_adaptive(p, tol=ADAPTIVE_TOL_MIN).value - truncated
-    return BoundReport(bound_value=bound, dominated_quantity=residual,
-                       regime_ok=p.b > 0.0, slack=bound - residual)
+    return truncation_reports(
+        _terms(p), p, depths,
+        lambda: nuttall_half_integer_closed(NuttallParams(mc, nc, p.a, p.b)),
+        p.b > 0.0)
+
+
+def nuttall_truncation_bound(p: NuttallParams, terms: int) -> BoundReport:
+    """The one-depth nuttall_truncation_bounds report."""
+    return nuttall_truncation_bounds(p, [terms])[0]
 
 
 def nuttall_upper_bound_1f1(m: float, n: float, a: float) -> float:

@@ -304,14 +304,28 @@ def _evaluate_case(kind: str, m: float, n: float, p3: float, p4: float,
     raise DomainError(f"unknown golden kind {kind!r}")
 
 
+def _golden_file(action: str, path: Path, call):
+    """call(), with a failure to read or write the golden file at path
+    turned into a DomainError naming the action, the path and the reason."""
+    try:
+        return call()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or type(exc).__name__
+        raise DomainError(f"cannot {action} golden file {str(path)!r}: "
+                          f"{reason}") from None
+
+
 def write_golden(path: Path | str | None = None) -> Path:
     """Recompute every golden case with the adaptive scheme and write the file.
 
     The output is deterministic (fixed cases, fixed tolerance, "%.17g"
     formatting, no timestamps), so regeneration is expected to be
-    bit-identical to the committed file.
+    bit-identical to the committed file.  The directory is made before any
+    value is computed; DomainError if it or the file cannot be written.
     """
     path = Path(path) if path is not None else golden_path()
+    _golden_file("write", path,
+                 lambda: path.parent.mkdir(parents=True, exist_ok=True))
     lines = [
         "# nuttq golden reference values",
         "# columns: kind m n a_or_r b_or_B tol value err_est",
@@ -322,8 +336,7 @@ def write_golden(path: Path | str | None = None) -> Path:
         lines.append(" ".join([kind, _fmt(m), _fmt(n), _fmt(p3), _fmt(p4),
                                _fmt(GOLDEN_TOL), _fmt(ov.value),
                                _fmt(ov.abs_err_est)]))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    _golden_file("write", path, lambda: path.write_text("\n".join(lines) + "\n"))
     return path
 
 
@@ -331,12 +344,7 @@ def read_golden(path: Path | str | None = None) -> list[GoldenEntry]:
     """The entries of a golden file; DomainError if it cannot be read, holds
     a malformed line, or holds no entries."""
     path = Path(path) if path is not None else golden_path()
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or type(exc).__name__
-        raise DomainError(f"cannot read golden file {str(path)!r}: {reason}") \
-            from None
+    text = _golden_file("read", path, path.read_text)
     entries = []
     for line in text.splitlines():
         line = line.strip()

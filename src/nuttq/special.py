@@ -11,7 +11,9 @@ series of both function families, Nuttall Q and incomplete Toronto, from an
 iterator that yields the terms in index order.  Each family's iterator
 carries its incomplete gamma factor from term to term by a recurrence, so
 the core never calls a kernel itself; it only applies the depth, the
-stopping rule and the limits below.
+stopping rule and the limits below.  ``truncation_reports`` forms both
+families' truncation-bound reports on top of the core, at every requested
+depth from one walk of the term iterator.
 
 Conventions: ``lower_inc_gamma(a, x)`` is the unregularized integral from 0
 to x of t^(a-1) e^(-t) dt, ``upper_inc_gamma`` its complement on [x, inf).
@@ -23,8 +25,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
+from itertools import chain, islice
+from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, NonConvergenceError, TermOverflowError
 
@@ -138,6 +140,44 @@ def sum_adaptive(terms: Iterator[float], p, tol: float,
     raise NonConvergenceError(
         f"series for {p} did not meet tol={tol} in {max_terms} terms",
         partial_value=total, terms=max_terms)
+
+
+def truncation_reports(terms: Iterator[float], p, depths: Sequence[int],
+                       closed: Callable[[], float],
+                       regime_ok: bool) -> list[BoundReport]:
+    """Truncation-bound reports at each depth P in depths, from one walk of
+    the positive-term series that terms yields:
+
+        bound  = closed() - S_P
+        actual = A - S_P
+
+    S_P is the P-term partial sum and A the sum to ADAPTIVE_TOL_MIN, whose
+    NonConvergenceError names p.  closed() is the closed-form value the
+    bound rests on, and regime_ok is copied into every report; the slack
+    bound - actual = closed() - A does not depend on P.
+
+    Every depth is checked first.  The first max(depths) terms are then
+    drawn once and kept; A sums them and then the rest of the walk, and
+    each S_P sums the first P of them, the same additions in the same
+    order as a separate walk per sum.  The head of the walk comes before
+    closed(), so an error in it is the one raised.
+    """
+    if not depths:
+        raise DomainError("truncation reports need at least one depth")
+    for depth in depths:
+        check_terms(depth)
+    head = list(islice(terms, max(depths)))
+    exact = closed()
+    limit = sum_adaptive(chain(head, terms), p, ADAPTIVE_TOL_MIN,
+                         DEFAULT_MAX_TERMS).value
+    reports = []
+    for depth in depths:
+        partial = sum_truncated(iter(head), depth).value
+        bound = exact - partial
+        residual = limit - partial
+        reports.append(BoundReport(bound_value=bound, dominated_quantity=residual,
+                                   regime_ok=regime_ok, slack=bound - residual))
+    return reports
 
 
 def check_finite(**values: float) -> None:

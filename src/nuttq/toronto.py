@@ -20,11 +20,12 @@ once s passes x = B^2.  So _terms makes one log-domain kernel call at the
 top of each block of _BLOCK indices, steps the gamma ratio down through
 the block, and carries the terms upward with those ratios; the sum still
 sees the terms in index order.  special.sum_adaptive/sum_truncated sum
-what _terms yields.
+what _terms yields, and special.truncation_reports forms the
+truncation-bound reports from it.
 
 Also here: the finite closed form for integer m with half-odd-integer n
 (each of its incomplete gammas computed once per value, as in the Nuttall
-closed form), the rounding-based truncation error bound built on it, the
+closed form), the rounding-based truncation error bounds built on it, the
 B-independent 1F1 upper bound, and the residual of the Marcum Q identity at
 n = (m-1)/2.
 """
@@ -34,12 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import DomainError, TermOverflowError
 from .nuttall import marcum_q
 from .special import (
-    ADAPTIVE_TOL_MIN,
     DEFAULT_MAX_TERMS,
     LOG_OVERFLOW,
     TERM_MAX,
@@ -55,6 +55,7 @@ from .special import (
     sgn,
     sum_adaptive,
     sum_truncated,
+    truncation_reports,
 )
 
 # terms per incomplete gamma kernel call of the recurrence (see _terms)
@@ -66,6 +67,7 @@ __all__ = [
     "toronto_series_adaptive",
     "toronto_closed_form_half",
     "toronto_truncation_bound",
+    "toronto_truncation_bounds",
     "toronto_upper_bound_1f1",
     "toronto_marcum_residual",
     "toronto_t",
@@ -242,8 +244,10 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
     return r ** (n - m + 0.5) / math.sqrt(math.pi) * total
 
 
-def toronto_truncation_bound(p: TorontoParams, terms: int) -> BoundReport:
-    """Rounding-based bound on the P-term truncation error, with its slack.
+def toronto_truncation_bounds(p: TorontoParams,
+                              depths: Sequence[int]) -> list[BoundReport]:
+    """Rounding-based bounds on the P-term truncation error at each depth P
+    in depths, with their slack, from one walk of the series.
 
     Rounds m up to the nearest integer and n down to the nearest half-odd
     integer, where the closed form above applies, and subtracts the P-term
@@ -264,17 +268,22 @@ def toronto_truncation_bound(p: TorontoParams, terms: int) -> BoundReport:
     m > n; the reported slack is honest either way and does go negative on
     parts of that regime where rho_0 < 1 (m = 2, n = 1, r = 2: rho_0 = 0.564),
     so treat regime_ok as the claim's domain, not a guarantee.
+    special.truncation_reports walks the terms once for every depth; each
+    value has the bits a separate walk would give.
     """
     mc = float(math.ceil(p.m))
     nf = floor_half(p.n)
     if nf < 0.5:
         raise DomainError(
             f"bound needs floor_half(n) >= 0.5, got n={p.n} -> {nf}")
-    truncated = toronto_series_truncated(p, terms).value
-    bound = toronto_closed_form_half(mc, nf, p.r, p.B) - truncated
-    residual = toronto_series_adaptive(p, tol=ADAPTIVE_TOL_MIN).value - truncated
-    return BoundReport(bound_value=bound, dominated_quantity=residual,
-                       regime_ok=p.m > p.n, slack=bound - residual)
+    return truncation_reports(
+        _terms(p), p, depths, lambda: toronto_closed_form_half(mc, nf, p.r, p.B),
+        p.m > p.n)
+
+
+def toronto_truncation_bound(p: TorontoParams, terms: int) -> BoundReport:
+    """The one-depth toronto_truncation_bounds report."""
+    return toronto_truncation_bounds(p, [terms])[0]
 
 
 def toronto_upper_bound_1f1(m: float, n: float, r: float) -> float:

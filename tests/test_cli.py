@@ -156,15 +156,21 @@ class TestBounds:
         assert dict(zip(header, row))["error"] == "B must be > 0, got 0.0"
 
     def test_out_of_regime_row_excluded(self, capsys):
-        # m <= n has no usable closed reference; row flagged, not asserted
+        # m <= n has no usable closed reference; rows flagged, not asserted
         rc, out = run(capsys, ["bounds", "toronto", "--m", "2,2",
-                               "--n", "0.5,2.5", "--r", "1", "--B", "3",
-                               "--terms", "5", "--format", "json"])
+                               "--n", "0.5,2.5", "--r", "1,1", "--B", "3",
+                               "--terms", "1,5,5", "--format", "json"])
         assert rc == 0
-        rows = [json.loads(l) for l in out.splitlines()]
-        flagged = [r for r in rows if r["type"] == "row" and not r["regime_ok"]]
-        assert len(flagged) == 1
-        assert flagged[0]["slack"] is None
+        rows = [r for r in map(json.loads, out.splitlines())
+                if r["type"] == "row"]
+        # one row per (point, depth), point-major; the point r = 1 repeats
+        assert [(r["n"], r["terms"]) for r in rows] == \
+            [(n, t) for n in (0.5, 2.5) for _ in (1, 2) for t in (1, 5, 5)]
+        flagged = [r for r in rows if not r["regime_ok"]]
+        assert flagged == rows[6:]
+        assert all(r["slack"] is None for r in flagged)
+        assert len({r["error"] for r in flagged}) == 1
+        assert rows[:3] == rows[3:6] and rows[6:9] == rows[9:]
 
     def test_kummer_kind(self, capsys):
         rc, out = run(capsys, ["bounds", "nuttall", "--kind", "kummer",
@@ -230,6 +236,44 @@ class TestGoldenCommand:
                                "--format", "json"])
         assert rc == 2
         assert json.loads(out)["error_type"] == "domain_error"
+
+    def test_unwritable_path_exits_2(self, capsys, tmp_path, monkeypatch):
+        import nuttq.oracle
+
+        plain = tmp_path / "plain.txt"
+        plain.write_text("not a directory\n")
+        target = plain / "x.txt"
+
+        def no_values(*args, **kwargs):
+            raise AssertionError("computed a value for an unwritable path")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(nuttq.oracle, "_evaluate_case", no_values)
+            rc, out = run(capsys, ["golden", "--regenerate", "--path",
+                                   str(target)])
+        assert rc == 2
+        assert out == (f"# error domain_error: cannot write golden file "
+                       f"{str(target)!r}: File exists\n")
+        rc, out = run(capsys, ["golden", "--regenerate", "--path",
+                               str(tmp_path), "--format", "json"])
+        assert rc == 2
+        assert json.loads(out) == {
+            "type": "error", "error_type": "domain_error",
+            "message": f"cannot write golden file {str(tmp_path)!r}: "
+                       "Is a directory"}
+
+    def test_exit_code_holds_every_entry_to_its_own_tol(self, capsys,
+                                                        tmp_path):
+        # entry 1 of golden.txt under a loose tol, entry 3 moved by 1e-10
+        # against its 1e-13 tol
+        path = tmp_path / "g.txt"
+        path.write_text("nuttall 1 0 1 1 1e-6 0.73287980379682016 0\n"
+                        "nuttall 2 1 1 2 1e-13 0.5301469081839657 0\n")
+        rc, out = run(capsys, ["golden", "--path", str(path)])
+        assert rc == 1
+        rows = list(csv.DictReader(l for l in out.splitlines()
+                                   if not l.startswith("#")))
+        assert [r["within_2tol"] for r in rows] == ["true", "false"]
 
     @pytest.mark.parametrize("text, message", [
         ("# comments only\n", "holds no entries"),

@@ -6,6 +6,10 @@ recurrences to a 50-digit series reference over a seeded set of box
 points, count the kernel calls, and pin the edge cases where a running
 term must be recomputed in log domain: terms that underflow before the
 hump, B^2 underflowing to 0, and a term that overflows mid-series.
+
+A truncation-bound report walks its series once for every depth it is
+asked for; the last tests count the walks and hold the reports to the
+bits of one report per depth.
 """
 
 import math
@@ -15,7 +19,8 @@ import pytest
 
 import nuttq.nuttall as nuttall
 import nuttq.toronto as toronto
-from nuttq.errors import NonConvergenceError, TermOverflowError
+from nuttq.cli import main
+from nuttq.errors import DomainError, NonConvergenceError, TermOverflowError
 from nuttq.nuttall import NuttallParams, nuttall_series_adaptive
 from nuttq.special import DEFAULT_MAX_TERMS, LOG_OVERFLOW
 from nuttq.toronto import TorontoParams, toronto_series_adaptive
@@ -190,3 +195,103 @@ def test_overflow_mid_series_raises_at_the_log_domain_index(series, params, inde
     with pytest.raises(TermOverflowError, match=f"overflows at {index} ") as exc:
         series(params)
     assert LOG_OVERFLOW < exc.value.log_term < LOG_OVERFLOW + 1.0
+
+
+FAMILIES = [
+    (nuttall, NuttallParams, NUTTALL_BOX),
+    (toronto, TorontoParams, TORONTO_BOX),
+]
+
+
+def _bound_functions(module):
+    family = module.__name__.rsplit(".", 1)[1]
+    return (getattr(module, f"{family}_truncation_bound"),
+            getattr(module, f"{family}_truncation_bounds"))
+
+
+def _bits(report):
+    return (report.bound_value.hex(), report.dominated_quantity.hex(),
+            report.regime_ok, report.slack.hex())
+
+
+@pytest.mark.parametrize("module, params, box", FAMILIES)
+def test_reports_at_many_depths_have_the_bits_of_one_report_per_depth(
+        module, params, box):
+    # depth 500 lies past every adaptive stop in the box
+    single, many = _bound_functions(module)
+    depths = [1, 5, 5, 20, 500]
+    reported = 0
+    for point in box:
+        p = params(*point)
+        try:
+            reports = many(p, depths)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as one:
+                single(p, depths[0])
+            assert str(one.value) == str(exc)
+            continue
+        assert [_bits(r) for r in reports] == \
+            [_bits(single(p, depth)) for depth in depths], point
+        reported += 1
+    assert reported >= 10
+
+
+@pytest.fixture
+def term_walks(monkeypatch):
+    """Count the term iterators each series module starts."""
+    walks = {"nuttall": 0, "toronto": 0}
+    for module in (nuttall, toronto):
+        family = module.__name__.rsplit(".", 1)[1]
+
+        def counted(p, terms=module._terms, family=family):
+            walks[family] += 1
+            return terms(p)
+
+        monkeypatch.setattr(module, "_terms", counted)
+    return walks
+
+
+@pytest.mark.parametrize("module, point, grid", [
+    (nuttall, NuttallParams(2.0, 1.0, 1.0, 2.0),
+     ["--a", "1,1", "--b", "2"]),
+    (toronto, TorontoParams(3.0, 1.5, 1.0, 2.0),
+     ["--r", "1,0.5", "--B", "2"]),
+])
+def test_one_walk_per_report_and_per_point_of_a_sweep(
+        term_walks, capsys, module, point, grid):
+    family = module.__name__.rsplit(".", 1)[1]
+    single, many = _bound_functions(module)
+    single(point, 20)
+    assert term_walks[family] == 1
+    depths = list(range(1, 16))
+    assert len(many(point, depths)) == 15
+    assert term_walks[family] == 2
+    rc = main(["bounds", family, "--m", str(point.m), "--n", str(point.n),
+               *grid, "--terms", ",".join(map(str, depths))])
+    assert rc == 0
+    assert "rows=30 " in capsys.readouterr().out
+    assert term_walks[family] == 4
+
+
+@pytest.mark.parametrize("module, point", [
+    (nuttall, NuttallParams(2.2, 1.1, 3.0, 2.0)),
+    (toronto, TorontoParams(3.0, 1.5, 1.0, 2.0)),
+])
+def test_bad_depths_are_refused_before_a_term_is_drawn(
+        monkeypatch, module, point):
+    drawn = []
+
+    def terms(_p):
+        while True:
+            drawn.append(1)
+            yield 1.0
+
+    monkeypatch.setattr(module, "_terms", terms)
+    _, many = _bound_functions(module)
+    for depths, bad in (([0], 0), ([5, 501, 0], 501)):
+        with pytest.raises(DomainError,
+                           match=rf"^terms must be in \[1, 500\], got {bad}$"):
+            many(point, depths)
+    with pytest.raises(DomainError, match="at least one depth"):
+        many(point, [])
+    assert not drawn
