@@ -231,20 +231,21 @@ def cmd_eval(args) -> int:
 
 def _oracle_for(function: str, m: float, n: float, p3: float, p4: float,
                 tol: float, scheme: str) -> float:
-    from .oracle import oracle_marcum, oracle_nuttall, oracle_toronto
+    from .oracle import _evaluate_case
 
-    if function == "toronto":
-        return oracle_toronto(m, n, p3, p4, tol=tol, scheme=scheme).value
-    if function == "marcum":
-        return oracle_marcum(m, p3, p4, tol=tol, scheme=scheme).value
-    ov = oracle_nuttall(m, n, p3, p4, tol=tol, scheme=scheme).value
-    return ov if function == "nuttall" else ov / p3 ** n
+    if function == "nuttall_norm":
+        return _evaluate_case("nuttall", m, n, p3, p4, tol,
+                              scheme=scheme).value / p3 ** n
+    return _evaluate_case(function, m, n, p3, p4, tol, scheme=scheme).value
 
 
 def cmd_compare(args) -> int:
     out = Emitter(args.format, sys.stdout)
     fn = args.function
     points, _ = _grid(args)
+    if args.with_bounds:
+        # so that compute() catches only a DomainError of a point's orders
+        check_terms(args.terms)
     out.meta(command="compare", function=fn, method=args.method,
              terms=args.terms, tol=args.tol, oracle_tol=args.oracle_tol,
              scheme=args.scheme, points=len(points))

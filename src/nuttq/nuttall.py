@@ -50,6 +50,7 @@ from .special import (
     check_finite,
     check_terms,
     classify_order,
+    half_odd_bessel_sum,
     kummer_1f1,
     lower_inc_gamma,
     sgn,
@@ -218,10 +219,11 @@ def nuttall_half_integer_closed(p: NuttallParams) -> float:
         c_k = (nu+k)! / (2^k k! (nu-k)!),
 
     where Jm, Jp are binomial sums over incomplete gammas at (b-a)^2/2 and
-    (b+a)^2/2.  sgn(b - a) = 0 at b = a removes the lower-gamma term exactly,
-    so the seam needs no convention.  The gamma of binomial index l is the
-    same in every Jm(mu-k), Jp(mu-k), so each is computed once: 2(mu+1)
-    kernel calls per value.
+    (b+a)^2/2, summed by the closed-form core special.half_odd_bessel_sum
+    with x = y = a and weights 2^((l-1)/2).  sgn(b - a) = 0 at b = a
+    removes the lower-gamma term exactly, so the seam needs no convention.
+    The gamma of binomial index l is the same in every Jm(mu-k), Jp(mu-k),
+    so each is computed once: 2(mu+1) kernel calls per value.
     """
     if classify_order(p.m) != "half-odd" or classify_order(p.n) != "half-odd":
         raise DomainError(
@@ -237,30 +239,11 @@ def nuttall_half_integer_closed(p: NuttallParams) -> float:
     lower_m = [lower_inc_gamma(0.5 * (l + 1), xm) if sm != 0 else 0.0
                for l in range(mu + 1)]
     upper_p = [upper_inc_gamma(0.5 * (l + 1), xp) for l in range(mu + 1)]
-
-    def j_minus(s: int) -> float:
-        acc = 0.0
-        for l in range(s + 1):
-            g = math.gamma(0.5 * (l + 1))
-            if sm != 0:
-                g -= sm ** (l + 1) * lower_m[l]
-            acc += math.comb(s, l) * a ** (s - l) * 2.0 ** (0.5 * (l - 1)) * g
-        return acc
-
-    def j_plus(s: int) -> float:
-        acc = 0.0
-        for l in range(s + 1):
-            acc += (math.comb(s, l) * (-a) ** (s - l) * 2.0 ** (0.5 * (l - 1))
-                    * upper_p[l])
-        return acc
-
-    total = 0.0
-    for k in range(nu + 1):
-        c_k = (math.factorial(nu + k)
-               / (2.0 ** k * math.factorial(k) * math.factorial(nu - k)))
-        total += (c_k * a ** (-k)
-                  * ((-1) ** k * j_minus(mu - k)
-                     + (-1) ** (nu + 1) * j_plus(mu - k)))
+    # lower_m[l] is 0.0 at the seam, so the sgn term drops out exactly
+    minus = [math.gamma(0.5 * (l + 1)) - sm ** (l + 1) * lower_m[l]
+             for l in range(mu + 1)]
+    weights = [2.0 ** (0.5 * (l - 1)) for l in range(mu + 1)]
+    total = half_odd_bessel_sum(nu, mu, a, a, weights, minus, upper_p)
     return total / (a ** p.n * math.sqrt(2.0 * math.pi * a))
 
 

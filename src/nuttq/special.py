@@ -13,7 +13,10 @@ carries its incomplete gamma factor from term to term by a recurrence, so
 the core never calls a kernel itself; it only applies the depth, the
 stopping rule and the limits below.  ``truncation_reports`` forms both
 families' truncation-bound reports on top of the core, at every requested
-depth from one walk of the term iterator.
+depth from one walk of the term iterator.  The closed-form core,
+``half_odd_bessel_sum``, sums the finite double sum that the elementary form
+of I_{nu+1/2} gives; both families' half-odd closed forms pass it their
+incomplete gammas.
 
 Conventions: ``lower_inc_gamma(a, x)`` is the unregularized integral from 0
 to x of t^(a-1) e^(-t) dt, ``upper_inc_gamma`` its complement on [x, inf).
@@ -119,12 +122,16 @@ def sum_adaptive(terms: Iterator[float], p, tol: float,
 
     Stops only after _STOP_RUN consecutive sub-threshold terms, which guards
     against the hump the terms of both series go through (near i ~ a^2/2 for
-    Nuttall, i ~ r^2 for Toronto).  Raises DomainError for tol below
-    ADAPTIVE_TOL_MIN and NonConvergenceError, naming the parameters p and
-    carrying the partial sum, once max_terms terms have been summed.
+    Nuttall, i ~ r^2 for Toronto).  Raises DomainError for a tol that is
+    not finite or is below ADAPTIVE_TOL_MIN and for max_terms below 1, and
+    NonConvergenceError, naming the parameters p and carrying the partial
+    sum, once max_terms terms have been summed.
     """
+    check_finite(tol=tol)
     if tol < ADAPTIVE_TOL_MIN:
         raise DomainError(f"tol must be >= {ADAPTIVE_TOL_MIN}, got {tol}")
+    if max_terms < 1:
+        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
     total = 0.0
     below = 0
     # range first, so zip stops without asking for a term past the cap
@@ -178,6 +185,36 @@ def truncation_reports(terms: Iterator[float], p, depths: Sequence[int],
         reports.append(BoundReport(bound_value=bound, dominated_quantity=residual,
                                    regime_ok=regime_ok, slack=bound - residual))
     return reports
+
+
+def half_odd_bessel_sum(nu: int, top: int, x: float, y: float,
+                        weights: Sequence[float], minus: Sequence[float],
+                        plus: Sequence[float]) -> float:
+    """The finite sum both half-odd closed forms reduce to,
+
+        sum_{k=0}^{nu} c_k x^-k [(-1)^k J(s_k, y, minus)
+                                 + (-1)^(nu+1) J(s_k, -y, plus)],
+        c_k = (nu+k)! / (2^k k! (nu-k)!),   s_k = top - k,
+        J(s, y, g) = sum_{l=0}^{s} C(s,l) y^(s-l) weights[l] g[l],
+
+    from the elementary form of I_{nu+1/2}.  minus, plus and weights hold
+    the per-l factors (at least top + 1 of each); the caller computes the
+    incomplete gammas in them once per value.  Each summand is the product
+    C(s,l) y^(s-l) weights[l] g[l] taken left to right.
+    """
+    total = 0.0
+    for k in range(nu + 1):
+        c_k = (math.factorial(nu + k)
+               / (2.0 ** k * math.factorial(k) * math.factorial(nu - k)))
+        outer = c_k * x ** (-k)
+        s = top - k
+        j_minus = j_plus = 0.0
+        for l in range(s + 1):
+            comb = math.comb(s, l)
+            j_minus += comb * y ** (s - l) * weights[l] * minus[l]
+            j_plus += comb * (-y) ** (s - l) * weights[l] * plus[l]
+        total += outer * ((-1) ** k * j_minus + (-1) ** (nu + 1) * j_plus)
+    return total
 
 
 def check_finite(**values: float) -> None:

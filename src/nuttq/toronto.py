@@ -49,6 +49,7 @@ from .special import (
     check_finite,
     classify_order,
     floor_half,
+    half_odd_bessel_sum,
     kummer_1f1,
     lower_inc_gamma,
     lower_inc_gamma_log,
@@ -186,13 +187,14 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
         P2(s) = sum_l C(s,l) (-r)^(s-l) (1/2) [g((l+1)/2, (B+r)^2)
                                                - g((l+1)/2, r^2)]
 
-    with c_k = (nu+k)!/(2^k k! (nu-k)!) and g the lower incomplete gamma.
-    sgn(B - r) = 0 at B = r drops the first gamma exactly.  Requires
-    m >= 2n (i.e. m >= 2 nu + 1) so every exponent s - l stays nonnegative;
-    below that the elementary split diverges termwise at t = 0.  The gamma
-    of binomial index l is the same in every P1(s), P2(s), and the one at
-    r^2 is shared by both, so each is computed once: 3(m - nu) kernel calls
-    per value (2(m - nu) at B = r).
+    with c_k = (nu+k)!/(2^k k! (nu-k)!) and g the lower incomplete gamma,
+    summed by the closed-form core special.half_odd_bessel_sum with x = 2r,
+    y = r and weights 1/2.  sgn(B - r) = 0 at B = r drops the first gamma
+    exactly.  Requires m >= 2n (i.e. m >= 2 nu + 1) so every exponent
+    s - l stays nonnegative; below that the elementary split diverges
+    termwise at t = 0.  The gamma of binomial index l is the same in every
+    P1(s), P2(s), and the one at r^2 is shared by both, so each is computed
+    once: 3(m - nu) kernel calls per value (2(m - nu) at B = r).
     """
     if classify_order(m) != "integer" or classify_order(n) != "half-odd":
         raise DomainError(
@@ -217,30 +219,12 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
         lower_r.append(lower_inc_gamma(0.5 * (l + 1), xr))
         lower_m.append(lower_inc_gamma(0.5 * (l + 1), xm) if sm != 0 else 0.0)
     lower_p = [lower_inc_gamma(0.5 * (l + 1), xp) for l in range(mi - nu)]
-
-    def p_one(s: int) -> float:
-        acc = 0.0
-        for l in range(s + 1):
-            g = (-1.0) ** l * lower_r[l]
-            if sm != 0:
-                g += sm ** (l + 1) * lower_m[l]
-            acc += math.comb(s, l) * r ** (s - l) * 0.5 * g
-        return acc
-
-    def p_two(s: int) -> float:
-        acc = 0.0
-        for l in range(s + 1):
-            g = lower_p[l] - lower_r[l]
-            acc += math.comb(s, l) * (-r) ** (s - l) * 0.5 * g
-        return acc
-
-    total = 0.0
-    for k in range(nu + 1):
-        c_k = (math.factorial(nu + k)
-               / (2.0 ** k * math.factorial(k) * math.factorial(nu - k)))
-        s = mi - nu - 1 - k
-        total += (c_k * (2.0 * r) ** (-k)
-                  * ((-1) ** k * p_one(s) + (-1) ** (nu + 1) * p_two(s)))
+    # lower_m[l] is 0.0 at the seam, so the sgn term drops out exactly
+    minus = [(-1.0) ** l * lower_r[l] + sm ** (l + 1) * lower_m[l]
+             for l in range(mi - nu)]
+    plus = [gp - gr for gp, gr in zip(lower_p, lower_r)]
+    total = half_odd_bessel_sum(nu, mi - nu - 1, 2.0 * r, r,
+                                [0.5] * (mi - nu), minus, plus)
     return r ** (n - m + 0.5) / math.sqrt(math.pi) * total
 
 

@@ -137,9 +137,14 @@ class TestBounds:
             assert out.startswith("# error domain_error: expected int entries")
 
     def test_depth_outside_range_exits_2(self, capsys):
-        for terms, bad in (("0", "0"), ("1,501", "501")):
-            rc, out = run(capsys, ["bounds", "nuttall", "--m", "2", "--n", "1",
-                                   "--a", "1", "--b", "2", "--terms", terms])
+        bounds = ["bounds", "nuttall", "--m", "2", "--n", "1", "--a", "1",
+                  "--b", "2"]
+        # compare refuses its bound depth before any row, as bounds does
+        compare = ["compare", "toronto", "--m", "2", "--n", "1", "--r", "1",
+                   "--B", "2", "--with-bounds", "--method", "adaptive"]
+        for argv, terms, bad in ((bounds, "0", "0"), (bounds, "1,501", "501"),
+                                 (compare, "0", "0")):
+            rc, out = run(capsys, [*argv, "--terms", terms])
             assert rc == 2
             assert out == ("# error domain_error: terms must be in [1, 500], "
                            f"got {bad}\n")

@@ -133,12 +133,19 @@ class TestSeries:
 
     def test_adaptive_tol_floor(self):
         for p, _, adaptive in SERIES_FAMILIES:
-            with pytest.raises(DomainError, match="tol must be >= 1e-14"):
-                adaptive(p, tol=1e-15)
+            for tol, message in ((1e-15, "tol must be >= 1e-14"),
+                                 (math.nan, "tol must be finite, got nan"),
+                                 (math.inf, "tol must be finite, got inf")):
+                with pytest.raises(DomainError, match=message):
+                    adaptive(p, tol=tol)
             assert adaptive(p, tol=1e-14).converged
 
     def test_adaptive_term_cap(self):
         for p, truncated, adaptive in SERIES_FAMILIES:
+            for cap in (0, -3):
+                with pytest.raises(DomainError,
+                                   match=f"max_terms must be >= 1, got {cap}"):
+                    adaptive(p, tol=1e-12, max_terms=cap)
             with pytest.raises(NonConvergenceError,
                                match=r"series for .* in 5 terms") as exc:
                 adaptive(p, tol=1e-12, max_terms=5)

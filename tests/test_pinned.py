@@ -73,6 +73,9 @@ def test_toronto_closed_form_gamma_calls(gamma_calls, m, n, r, big_b):
     ((6.5, 3.5, 2.5, 2.0), "0x1.e6ecb5e67d4a5p+3"),
     ((5.5, 0.5, 1.0, 1.0), "0x1.9f25d2befbe48p+4"),
     ((2.5, 1.5, 2.0, 3.0), "0x1.b936d082726a9p-2"),
+    # the top of the box: mu = nu = 9 on the b = a seam, then nu < mu
+    ((9.5, 9.5, 6.0, 6.0), "0x1.040831a0157b8p-3"),
+    ((9.5, 4.5, 4.0, 5.0), "0x1.417510b41c784p+9"),
 ])
 def test_nuttall_closed_form_bits(params, bits):
     assert nuttall_half_integer_closed(NuttallParams(*params)).hex() == bits
@@ -83,6 +86,9 @@ def test_nuttall_closed_form_bits(params, bits):
     ((9.0, 4.5, 2.0, 3.0), "0x1.95241a3f0e2bcp-2"),
     ((4.0, 1.5, 1.5, 1.5), "0x1.533fe73044840p-3"),
     ((2.0, 0.5, 1.0, 2.0), "0x1.a29c1cacd964dp-1"),
+    # the top of the box: m = 10 on the B = r seam, then nu = 0
+    ((10.0, 4.5, 3.0, 3.0), "0x1.e2d475827bdbbp-4"),
+    ((10.0, 0.5, 2.0, 3.0), "0x1.e11cc33e196cap+1"),
 ])
 def test_toronto_closed_form_bits(params, bits):
     assert toronto_closed_form_half(*params).hex() == bits

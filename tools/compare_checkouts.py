@@ -17,7 +17,9 @@ The subprocess works in a fresh temporary directory, so the relative
 paths the corpus writes to are the same strings in both runs.  Exit code:
 0 when every invocation matches, 1 otherwise.
 
-It needs two checkouts, so neither pytest nor CI runs it.
+CI runs it on one checkout twice (``python tools/compare_checkouts.py . .``):
+the corpus must then give the same bytes in two fresh processes, which is
+the CLI's determinism contract.  pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -59,8 +61,19 @@ CORPUS: list[list[str]] = [
     ["eval", "nuttall", "--m", "2", "--n", "1", "--a", "7", "--b", "2"],
     ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "1e-160"],
     ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "0"],
-    ["eval", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2",
-     "--tol", "1e-15"],
+    *[["eval", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2", *flag]
+      for flag in (["--tol", "1e-15"], ["--tol", "nan"], ["--tol", "inf"],
+                   ["--max-terms", "0"])],
+    # closed forms that cancel (a wrong value with exit 0) and the seams
+    # b = a, B = r at the top of the box
+    ["eval", "nuttall_norm", "--m", "9.5", "--n", "9.5", "--a", "0.5",
+     "--b", "1", "--method", "closed_half"],
+    ["eval", "toronto", "--m", "10", "--n", "0.5", "--r", "6", "--B", "0.1",
+     "--method", "closed_half"],
+    ["eval", "nuttall_norm", "--m", "9.5", "--n", "9.5", "--a", "6",
+     "--b", "6", "--method", "closed_half"],
+    ["eval", "toronto", "--m", "10", "--n", "4.5", "--r", "3", "--B", "3",
+     "--method", "closed_half"],
     *[["compare", fn, *grid, *extra]
       for fn, grid in (("nuttall", _NUTTALL), ("nuttall_norm", _NUTTALL),
                        ("marcum", _NUTTALL[:2] + _NUTTALL[4:]),
@@ -88,6 +101,7 @@ CORPUS: list[list[str]] = [
      "--b", "2", "--terms", "1,5"],
     ["bounds", "nuttall", "--m", "3.2", "--n", "2.1", "--a", "1.3",
      "--b", "0.6", "--terms", "1,3"],
+    ["bounds", "nuttall", "--m", "9", "--n", "9", "--a", "0.5", "--b", "1"],
     ["bounds", "toronto", "--m", "2", "--n", "1", "--r", "2", "--B", "2"],
     ["bounds", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "0",
      "--terms", "1,2"],
