@@ -40,7 +40,6 @@ from typing import Iterator, Sequence
 from .errors import DomainError, TermOverflowError
 from .special import (
     DEFAULT_MAX_TERMS,
-    LOG_OVERFLOW,
     TERM_MAX,
     TERM_MIN,
     BoundReport,
@@ -50,6 +49,7 @@ from .special import (
     check_finite,
     check_terms,
     classify_order,
+    exp_checked,
     half_odd_bessel_sum,
     kummer_1f1,
     lower_inc_gamma,
@@ -108,15 +108,12 @@ def _log_gamma(p: NuttallParams, l: int) -> float:
 
 
 def _term(p: NuttallParams, l: int, log_gamma: float) -> float:
-    """Term l in log domain from its log gamma factor; TermOverflowError past
-    LOG_OVERFLOW."""
+    """Term l in log domain from its log gamma factor, through the overflow
+    gate special.exp_checked."""
     lg = (2 * l * math.log(p.a) - 0.5 * p.a * p.a + log_gamma
           - math.lgamma(l + 1.0) - math.lgamma(p.n + l + 1.0)
           - 0.5 * (p.n - p.m + 2 * l + 1) * math.log(2.0))
-    if lg > LOG_OVERFLOW:
-        raise TermOverflowError(
-            f"series term overflows at l={l} for {p}", log_term=lg)
-    return math.exp(lg)
+    return exp_checked(lg, "series term overflows at l={} for {}", l, p)
 
 
 def _terms(p: NuttallParams) -> Iterator[float]:
@@ -198,11 +195,8 @@ def nuttall_integer_series(p: NuttallParams, terms: int) -> SeriesResult:
             lg = (a0_log + 2 * l * math.log(p.a) + math.lgamma(big_l + 1.0)
                   - math.lgamma(l + 1.0) - math.lgamma(ni + l + 1.0)
                   - l * math.log(2.0))
-            if lg > LOG_OVERFLOW:
-                raise TermOverflowError(
-                    f"double series term overflows at l={l} for {p}",
-                    log_term=lg)
-            yield math.exp(lg) * inner
+            yield exp_checked(lg, "double series term overflows at l={} for {}",
+                              l, p) * inner
 
     return sum_truncated(double_sum_terms(), terms)
 
@@ -223,7 +217,9 @@ def nuttall_half_integer_closed(p: NuttallParams) -> float:
     with x = y = a and weights 2^((l-1)/2).  sgn(b - a) = 0 at b = a
     removes the lower-gamma term exactly, so the seam needs no convention.
     The gamma of binomial index l is the same in every Jm(mu-k), Jp(mu-k),
-    so each is computed once: 2(mu+1) kernel calls per value.
+    so each is computed once: 2(mu+1) kernel calls per value.  A float
+    overflow on the way (a^-k at a near 1e-200, or a prefactor that
+    underflows to 0) raises TermOverflowError with log_term inf.
     """
     if classify_order(p.m) != "half-odd" or classify_order(p.n) != "half-odd":
         raise DomainError(
@@ -233,18 +229,25 @@ def nuttall_half_integer_closed(p: NuttallParams) -> float:
     if mu < nu:
         raise DomainError(f"closed form needs m >= n, got m={p.m} < n={p.n}")
     a, b = p.a, p.b
-    xm = 0.5 * (b - a) ** 2
-    xp = 0.5 * (b + a) ** 2
-    sm = sgn(b - a)
-    lower_m = [lower_inc_gamma(0.5 * (l + 1), xm) if sm != 0 else 0.0
-               for l in range(mu + 1)]
-    upper_p = [upper_inc_gamma(0.5 * (l + 1), xp) for l in range(mu + 1)]
-    # lower_m[l] is 0.0 at the seam, so the sgn term drops out exactly
-    minus = [math.gamma(0.5 * (l + 1)) - sm ** (l + 1) * lower_m[l]
-             for l in range(mu + 1)]
-    weights = [2.0 ** (0.5 * (l - 1)) for l in range(mu + 1)]
-    total = half_odd_bessel_sum(nu, mu, a, a, weights, minus, upper_p)
-    return total / (a ** p.n * math.sqrt(2.0 * math.pi * a))
+    try:
+        xm = 0.5 * (b - a) ** 2
+        xp = 0.5 * (b + a) ** 2
+        sm = sgn(b - a)
+        lower_m = [lower_inc_gamma(0.5 * (l + 1), xm) if sm != 0 else 0.0
+                   for l in range(mu + 1)]
+        upper_p = [upper_inc_gamma(0.5 * (l + 1), xp) for l in range(mu + 1)]
+        # lower_m[l] is 0.0 at the seam, so the sgn term drops out exactly
+        minus = [math.gamma(0.5 * (l + 1)) - sm ** (l + 1) * lower_m[l]
+                 for l in range(mu + 1)]
+        weights = [2.0 ** (0.5 * (l - 1)) for l in range(mu + 1)]
+        total = half_odd_bessel_sum(nu, mu, a, a, weights, minus, upper_p)
+        return total / (a ** p.n * math.sqrt(2.0 * math.pi * a))
+    except (OverflowError, ZeroDivisionError):
+        # for tiny a, a^-k overflows or the prefactor underflows to 0; far
+        # outside the box, (b +- a)^2 or Gamma((l+1)/2) overflows
+        raise TermOverflowError(
+            f"Nuttall half-odd closed form overflows for {p}",
+            log_term=math.inf) from None
 
 
 def nuttall_truncation_bounds(p: NuttallParams,

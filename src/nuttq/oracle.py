@@ -17,11 +17,16 @@ Two schemes:
 Both integrate against the exponentially scaled Bessel function
 ``ive(n, z) = e^-|z| I_n(z)`` so the integrand never overflows, and the
 dropped upper tail of the Nuttall integral is covered by an explicit log
-domain majorant that must come in under 0.1 * tol.  The adaptive scheme
-calls its integrand once per node with a Python float, so that integrand
-takes ``ive`` from ``scipy.special.cython_special``: the same kernel as the
-``scipy.special.ive`` ufunc the Gauss scheme applies to whole arrays, with
-plain doubles in and out instead of a ufunc dispatch per call.
+domain majorant that must come in under 0.1 * tol.
+
+Each oracle function states its integrand once, as ``f(x, exp, ive)``, and
+``_integrate`` hands it to the scheme asked for, so the two schemes cannot
+referee different integrands.  The adaptive scheme calls it once per node
+with a Python float and its defaults, ``math.exp`` and the ``ive`` of
+``scipy.special.cython_special``: the same kernel as the
+``scipy.special.ive`` ufunc, with plain doubles in and out instead of a
+ufunc dispatch per call.  The Gauss scheme calls it on whole node arrays
+with ``numpy.exp`` and the ufunc.
 
 QUADPACK's error estimate on a single accepted panel is an extrapolation
 from one 21-point rule and can fall far short of the true error, so a
@@ -154,6 +159,23 @@ def _quad_gauss(f_vec, lo: float, hi: float, tol: float):
         value=prev, err_est=math.inf)
 
 
+def _integrate(f, lo: float, hi: float, tol: float, hint: float | None,
+               scheme: str, tail: float = 0.0) -> OracleValue:
+    """The integral of f over [lo, hi] by scheme, within tol less the bound
+    tail on the dropped part of the domain, which abs_err_est includes.
+
+    QUADPACK calls f(x) with its scalar defaults; Gauss-Legendre calls it
+    on node arrays with numpy's exp and the ive ufunc.
+    """
+    if scheme == "adaptive":
+        value, err, subdiv = _quad_adaptive(f, lo, hi, tol - tail, hint)
+    else:
+        value, err, subdiv = _quad_gauss(lambda x: f(x, np.exp, ive), lo, hi,
+                                         tol - tail)
+    return OracleValue(value=value, abs_err_est=err + tail,
+                       subdivisions=subdiv, tail_bound=tail)
+
+
 def _nuttall_tail_log(m: float, a: float, upper: float) -> float:
     # Beyond `upper` the integrand x^m e^(-(x-a)^2/2) ive(n, ax) decays at
     # least like e^(-T(x-upper)/2) once x(x-a) >= 2m, because then
@@ -183,22 +205,12 @@ def oracle_nuttall(m: float, n: float, a: float, b: float,
         raise ToleranceNotMetError(
             f"tail bound exp({log_tail:.2f}) exceeds 0.1*tol", value=math.nan,
             err_est=math.exp(log_tail))
-    tail = math.exp(log_tail)
-    budget = tol - tail
 
-    def f_scalar(x: float) -> float:
-        return x ** m * math.exp(-0.5 * (x - a) ** 2) * ive_scalar(n, a * x)
-
-    def f_vec(x: np.ndarray) -> np.ndarray:
-        return x ** m * np.exp(-0.5 * (x - a) ** 2) * ive(n, a * x)
+    def f(x, exp=math.exp, ive=ive_scalar):
+        return x ** m * exp(-0.5 * (x - a) ** 2) * ive(n, a * x)
 
     hint = 0.5 * (a + math.sqrt(a * a + 4.0 * m))   # mode of x^m e^(-(x-a)^2/2)
-    if scheme == "adaptive":
-        value, err, subdiv = _quad_adaptive(f_scalar, b, upper, budget, hint=hint)
-    else:
-        value, err, subdiv = _quad_gauss(f_vec, b, upper, budget)
-    return OracleValue(value=value, abs_err_est=err + tail,
-                       subdivisions=subdiv, tail_bound=tail)
+    return _integrate(f, b, upper, tol, hint, scheme, math.exp(log_tail))
 
 
 def oracle_toronto(m: float, n: float, r: float, B: float,
@@ -216,20 +228,10 @@ def oracle_toronto(m: float, n: float, r: float, B: float,
 
     c = 2.0 * r ** (n - m + 1.0)
 
-    def f_scalar(t: float) -> float:
-        return (c * t ** (m - n) * math.exp(-((t - r) ** 2))
-                * ive_scalar(n, 2.0 * r * t))
+    def f(t, exp=math.exp, ive=ive_scalar):
+        return c * t ** (m - n) * exp(-((t - r) ** 2)) * ive(n, 2.0 * r * t)
 
-    def f_vec(t: np.ndarray) -> np.ndarray:
-        return c * t ** (m - n) * np.exp(-((t - r) ** 2)) * ive(n, 2.0 * r * t)
-
-    hint = r if r < B else None
-    if scheme == "adaptive":
-        value, err, subdiv = _quad_adaptive(f_scalar, 0.0, B, tol, hint=hint)
-    else:
-        value, err, subdiv = _quad_gauss(f_vec, 0.0, B, tol)
-    return OracleValue(value=value, abs_err_est=err, subdivisions=subdiv,
-                       tail_bound=0.0)
+    return _integrate(f, 0.0, B, tol, r if r < B else None, scheme)
 
 
 def oracle_marcum(m: float, a: float, b: float,

@@ -18,6 +18,11 @@ depth from one walk of the term iterator.  The closed-form core,
 of I_{nu+1/2} gives; both families' half-odd closed forms pass it their
 incomplete gammas.
 
+Every log-domain value that becomes a linear one passes one overflow gate,
+``exp_checked``: past ``LOG_OVERFLOW`` it raises ``TermOverflowError``
+carrying the log value, which both families' terms and the integer double
+series use as well as the kernels here.
+
 Conventions: ``lower_inc_gamma(a, x)`` is the unregularized integral from 0
 to x of t^(a-1) e^(-t) dt, ``upper_inc_gamma`` its complement on [x, inf).
 Orders are real and positive throughout.
@@ -217,6 +222,18 @@ def half_odd_bessel_sum(nu: int, top: int, x: float, y: float,
     return total
 
 
+def exp_checked(lg: float, message: str, *args) -> float:
+    """math.exp(lg), the one overflow gate of the log-domain values.
+
+    Raises TermOverflowError(message.format(*args), log_term=lg) when lg
+    exceeds LOG_OVERFLOW.  The message is formatted only then, so a caller
+    pays nothing on the common path for the parameters it names.
+    """
+    if lg > LOG_OVERFLOW:
+        raise TermOverflowError(message.format(*args), log_term=lg)
+    return math.exp(lg)
+
+
 def check_finite(**values: float) -> None:
     """Raise DomainError naming the first keyword value that is +-inf or nan."""
     for name, value in values.items():
@@ -302,6 +319,15 @@ def _check_gamma_args(a: float, x: float) -> None:
         raise DomainError(f"incomplete gamma argument must be >= 0, got x={x}")
 
 
+def _log_complement(a: float, log_part: float) -> float:
+    # log(Gamma(a) - e^log_part) for the complement branches, where
+    # e^log_part / Gamma(a) is bounded away from 1 so log1p does not cancel
+    frac = math.exp(log_part - math.lgamma(a))
+    if frac >= 1.0:  # roundoff guard, only reachable at the branch seam
+        frac = math.nextafter(1.0, 0.0)
+    return math.lgamma(a) + math.log1p(-frac)
+
+
 def lower_inc_gamma_log(a: float, x: float) -> float:
     """log of the lower incomplete gamma function; -inf at x = 0.
 
@@ -313,11 +339,8 @@ def lower_inc_gamma_log(a: float, x: float) -> float:
         return -math.inf
     if x < a + 1.0:
         return _log_lower_series(a, x)
-    # complement branch: Q(a,x) < ~0.5 here, so no cancellation
-    q = math.exp(_log_upper_cf(a, x) - math.lgamma(a))
-    if q >= 1.0:  # roundoff guard, only reachable at the branch seam
-        q = math.nextafter(1.0, 0.0)
-    return math.lgamma(a) + math.log1p(-q)
+    # complement branch: Q(a,x) < ~0.5 here
+    return _log_complement(a, _log_upper_cf(a, x))
 
 
 def upper_inc_gamma_log(a: float, x: float) -> float:
@@ -328,31 +351,29 @@ def upper_inc_gamma_log(a: float, x: float) -> float:
     if x >= a + 1.0:
         return _log_upper_cf(a, x)
     # complement branch: P(a,x) is bounded away from 1 for x < a + 1
-    p = math.exp(_log_lower_series(a, x) - math.lgamma(a))
-    if p >= 1.0:
-        p = math.nextafter(1.0, 0.0)
-    return math.lgamma(a) + math.log1p(-p)
+    return _log_complement(a, _log_lower_series(a, x))
 
 
 def lower_inc_gamma(a: float, x: float) -> float:
-    lg = lower_inc_gamma_log(a, x)
-    if lg == -math.inf:
-        return 0.0
-    if lg > LOG_OVERFLOW:
-        raise TermOverflowError(
-            f"lower incomplete gamma overflows at a={a}, x={x}", log_term=lg)
-    return math.exp(lg)
+    return exp_checked(lower_inc_gamma_log(a, x),
+                       "lower incomplete gamma overflows at a={}, x={}", a, x)
 
 
 def upper_inc_gamma(a: float, x: float) -> float:
-    lg = upper_inc_gamma_log(a, x)
-    if lg > LOG_OVERFLOW:
-        raise TermOverflowError(
-            f"upper incomplete gamma overflows at a={a}, x={x}", log_term=lg)
-    return math.exp(lg)
+    return exp_checked(upper_inc_gamma_log(a, x),
+                       "upper incomplete gamma overflows at a={}, x={}", a, x)
 
 
 def _log_bessel_i(nu: float, x: float) -> float:
+    # log I_nu(x) for both public forms.  A nan order or an infinite
+    # argument would never meet the stopping rule below, so both are refused.
+    if nu < 0.0:
+        raise DomainError(f"Bessel order must be >= 0, got nu={nu}")
+    if x < 0.0 or math.isnan(x):
+        raise DomainError(f"Bessel argument must be >= 0, got x={x}")
+    check_finite(nu=nu, x=x)
+    if x == 0.0:
+        return 0.0 if nu == 0.0 else -math.inf
     # Ascending series sum_k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)), summed as a
     # ratio recurrence with periodic rescaling so large x stays in range.
     q = 0.25 * x * x
@@ -378,29 +399,14 @@ def _log_bessel_i(nu: float, x: float) -> float:
 
 
 def bessel_i_scaled(nu: float, x: float) -> float:
-    """e^-x I_nu(x) for nu >= 0, x >= 0.  The overflow-safe workhorse."""
-    if nu < 0.0:
-        raise DomainError(f"Bessel order must be >= 0, got nu={nu}")
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"Bessel argument must be >= 0, got x={x}")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
+    """e^-x I_nu(x) for finite nu >= 0, x >= 0.  The overflow-safe workhorse."""
     return math.exp(_log_bessel_i(nu, x) - x)
 
 
 def bessel_i(nu: float, x: float) -> float:
     """I_nu(x); raises TermOverflowError once e^x swamps double range."""
-    if nu < 0.0:
-        raise DomainError(f"Bessel order must be >= 0, got nu={nu}")
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"Bessel argument must be >= 0, got x={x}")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    lg = _log_bessel_i(nu, x)
-    if lg > LOG_OVERFLOW:
-        raise TermOverflowError(
-            f"I_nu overflows at nu={nu}, x={x}; use bessel_i_scaled", log_term=lg)
-    return math.exp(lg)
+    return exp_checked(_log_bessel_i(nu, x),
+                       "I_nu overflows at nu={}, x={}; use bessel_i_scaled", nu, x)
 
 
 def kummer_1f1(a: float, b: float, x: float) -> float:

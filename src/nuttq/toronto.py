@@ -41,13 +41,13 @@ from .errors import DomainError, TermOverflowError
 from .nuttall import marcum_q
 from .special import (
     DEFAULT_MAX_TERMS,
-    LOG_OVERFLOW,
     TERM_MAX,
     TERM_MIN,
     BoundReport,
     SeriesResult,
     check_finite,
     classify_order,
+    exp_checked,
     floor_half,
     half_odd_bessel_sum,
     kummer_1f1,
@@ -107,14 +107,11 @@ def _log_gamma(p: TorontoParams, k: int) -> float:
 
 
 def _term(p: TorontoParams, k: int, log_gamma: float) -> float:
-    """Term k in log domain from its log gamma factor; TermOverflowError past
-    LOG_OVERFLOW."""
+    """Term k in log domain from its log gamma factor, through the overflow
+    gate special.exp_checked."""
     lg = ((2.0 * (p.n + k) - p.m + 1.0) * math.log(p.r) - p.r * p.r
           + log_gamma - math.lgamma(k + 1.0) - math.lgamma(p.n + k + 1.0))
-    if lg > LOG_OVERFLOW:
-        raise TermOverflowError(
-            f"series term overflows at k={k} for {p}", log_term=lg)
-    return math.exp(lg)
+    return exp_checked(lg, "series term overflows at k={} for {}", k, p)
 
 
 def _terms(p: TorontoParams) -> Iterator[float]:
@@ -194,7 +191,9 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
     s - l stays nonnegative; below that the elementary split diverges
     termwise at t = 0.  The gamma of binomial index l is the same in every
     P1(s), P2(s), and the one at r^2 is shared by both, so each is computed
-    once: 3(m - nu) kernel calls per value (2(m - nu) at B = r).
+    once: 3(m - nu) kernel calls per value (2(m - nu) at B = r).  A float
+    overflow on the way ((2r)^-k or r^(n-m+1/2) at r near 1e-200) raises
+    TermOverflowError with log_term inf.
     """
     if classify_order(m) != "integer" or classify_order(n) != "half-odd":
         raise DomainError(
@@ -208,24 +207,31 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
             f"closed form needs m >= 2n, got m={m} < 2n={2 * n}")
     if not (r > 0.0 and B > 0.0):
         raise DomainError(f"need r > 0 and B > 0, got r={r}, B={B}")
-    xm = (B - r) ** 2
-    xp = (B + r) ** 2
-    xr = r * r
-    sm = sgn(B - r)
-    # in the order the k = 0 term asks for them, so a kernel error is the
-    # one the sum would meet first
-    lower_r, lower_m = [], []
-    for l in range(mi - nu):
-        lower_r.append(lower_inc_gamma(0.5 * (l + 1), xr))
-        lower_m.append(lower_inc_gamma(0.5 * (l + 1), xm) if sm != 0 else 0.0)
-    lower_p = [lower_inc_gamma(0.5 * (l + 1), xp) for l in range(mi - nu)]
-    # lower_m[l] is 0.0 at the seam, so the sgn term drops out exactly
-    minus = [(-1.0) ** l * lower_r[l] + sm ** (l + 1) * lower_m[l]
-             for l in range(mi - nu)]
-    plus = [gp - gr for gp, gr in zip(lower_p, lower_r)]
-    total = half_odd_bessel_sum(nu, mi - nu - 1, 2.0 * r, r,
-                                [0.5] * (mi - nu), minus, plus)
-    return r ** (n - m + 0.5) / math.sqrt(math.pi) * total
+    try:
+        xm = (B - r) ** 2
+        xp = (B + r) ** 2
+        xr = r * r
+        sm = sgn(B - r)
+        # in the order the k = 0 term asks for them, so a kernel error is the
+        # one the sum would meet first
+        lower_r, lower_m = [], []
+        for l in range(mi - nu):
+            lower_r.append(lower_inc_gamma(0.5 * (l + 1), xr))
+            lower_m.append(lower_inc_gamma(0.5 * (l + 1), xm) if sm != 0 else 0.0)
+        lower_p = [lower_inc_gamma(0.5 * (l + 1), xp) for l in range(mi - nu)]
+        # lower_m[l] is 0.0 at the seam, so the sgn term drops out exactly
+        minus = [(-1.0) ** l * lower_r[l] + sm ** (l + 1) * lower_m[l]
+                 for l in range(mi - nu)]
+        plus = [gp - gr for gp, gr in zip(lower_p, lower_r)]
+        total = half_odd_bessel_sum(nu, mi - nu - 1, 2.0 * r, r,
+                                    [0.5] * (mi - nu), minus, plus)
+        return r ** (n - m + 0.5) / math.sqrt(math.pi) * total
+    except OverflowError:
+        # for tiny r, (2r)^-k or r^(n-m+1/2) overflows; far outside the
+        # box, (B +- r)^2 does
+        raise TermOverflowError(
+            f"Toronto half-odd closed form overflows at m={m}, n={n}, r={r}, B={B}",
+            log_term=math.inf) from None
 
 
 def toronto_truncation_bounds(p: TorontoParams,

@@ -65,6 +65,16 @@ class TestEval:
         assert rc == 3
         assert "convergence_error" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["nuttall_norm", "--m", "7.5", "--n", "7.5", "--a", "1e-200", "--b", "8"],
+        ["nuttall_norm", "--m", "1.5", "--n", "1.5", "--a", "1e-200", "--b", "2.5"],
+        ["toronto", "--m", "10", "--n", "0.5", "--r", "1e-200", "--B", "2"],
+    ])
+    def test_closed_form_overflow_is_convergence_error(self, capsys, argv):
+        rc, out = run(capsys, ["eval", *argv, "--method", "closed_half"])
+        assert rc == 3
+        assert "half-odd closed form overflows" in out
+
     def test_json_error_is_machine_readable(self, capsys):
         rc, out = run(capsys, ["eval", "nuttall", "--format", "json",
                                "--m", "2", "--n", "1", "--a", "-1", "--b", "1"])

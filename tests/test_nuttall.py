@@ -168,6 +168,13 @@ class TestIntegerSeries:
         with pytest.raises(DomainError):
             nuttall_integer_series(NuttallParams(2.5, 0.5, 1.0, 1.0), 10)
 
+    def test_overflowing_term_raises(self):
+        p = NuttallParams(301.0, 0.0, 40.0, 1.0)
+        with pytest.raises(TermOverflowError) as exc:
+            nuttall_integer_series(p, 500)
+        assert str(exc.value) == f"double series term overflows at l=246 for {p}"
+        assert exc.value.log_term == 700.4694440361073
+
     def test_integer_orders_within_classify_order_tolerance(self):
         # both integer routes accept what classify_order calls 'integer'
         # (within 1e-9, either side) and refuse anything further off
@@ -204,6 +211,19 @@ class TestClosedForm:
             nuttall_half_integer_closed(NuttallParams(1.5, 1.0, 1.0, 1.0))
         with pytest.raises(DomainError):
             nuttall_half_integer_closed(NuttallParams(0.5, 1.5, 1.0, 1.0))
+
+    def test_tiny_a_overflow_is_typed(self):
+        # a^-k overflows at (7.5, 7.5); a^n sqrt(2 pi a) underflows to 0 at
+        # (1.5, 1.5): both raise TermOverflowError, so the CLI exits 3
+        for m, b in ((7.5, 8.0), (1.5, 2.5)):
+            p = NuttallParams(m, m, 1e-200, b)
+            with pytest.raises(TermOverflowError) as exc:
+                nuttall_half_integer_closed(p)
+            assert str(exc.value) == (
+                f"Nuttall half-odd closed form overflows for {p}")
+            assert exc.value.log_term == math.inf
+            with pytest.raises(TermOverflowError):
+                nuttall_truncation_bound(p, 5)
 
 
 class TestTruncationBound:

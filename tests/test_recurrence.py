@@ -187,6 +187,10 @@ def test_underflowed_limit_is_nonconvergence_without_kernel_calls(kernel_calls):
     assert kernel_calls["toronto"] == 0
 
 
+# the log-domain term each overflow below carries, bit for bit
+_OVERFLOW_LOG_TERMS = {"l=248": 700.9233079486386, "k=80": 700.9699571548065}
+
+
 @pytest.mark.parametrize("series, params, index", [
     (nuttall_series_adaptive, NuttallParams(300.0, 0.0, 40.0, 1.0), "l=248"),
     (toronto_series_adaptive, TorontoParams(1300.0, 0.0, 10.0, 20.0), "k=80"),
@@ -195,6 +199,8 @@ def test_overflow_mid_series_raises_at_the_log_domain_index(series, params, inde
     with pytest.raises(TermOverflowError, match=f"overflows at {index} ") as exc:
         series(params)
     assert LOG_OVERFLOW < exc.value.log_term < LOG_OVERFLOW + 1.0
+    assert str(exc.value) == f"series term overflows at {index} for {params}"
+    assert exc.value.log_term == _OVERFLOW_LOG_TERMS[index]
 
 
 FAMILIES = [

@@ -49,7 +49,8 @@ class TestIncompleteGamma:
         assert abs(lower_inc_gamma_log(510.5, 450.0) - 2664.5711556838650) < 1e-10
 
     def test_zero_x(self):
-        assert lower_inc_gamma(3.0, 0.0) == 0.0
+        for a in (0.5, 3.0, 510.5):
+            assert lower_inc_gamma(a, 0.0) == 0.0
         assert rel(upper_inc_gamma(3.0, 0.0), math.gamma(3.0)) < 1e-15
 
     def test_complement_grid(self):
@@ -73,8 +74,16 @@ class TestIncompleteGamma:
                 assert rel(lhs, rhs) < 1e-12
 
     def test_linear_overflow_raises(self):
-        with pytest.raises(TermOverflowError):
-            upper_inc_gamma(510.5, 200.0)
+        # the message and the log-domain value carried by each kernel
+        for kernel, x, message, log_term in (
+                (lower_inc_gamma, 600.0, "lower incomplete gamma overflows "
+                 "at a=510.5, x=600.0", 2670.4682437957267),
+                (upper_inc_gamma, 200.0, "upper incomplete gamma overflows "
+                 "at a=510.5, x=200.0", 2670.468326950246)):
+            with pytest.raises(TermOverflowError) as exc:
+                kernel(510.5, x)
+            assert str(exc.value) == message
+            assert exc.value.log_term == log_term
 
     def test_invalid_order(self):
         with pytest.raises(DomainError):
@@ -105,14 +114,30 @@ class TestBesselI:
         v = bessel_i_scaled(0.0, 800.0)
         assert 0.0 < v < 1.0
         assert rel(v, 1.0 / math.sqrt(2 * math.pi * 800.0)) < 1e-2
+        with pytest.raises(TermOverflowError) as exc:
+            bessel_i(0.0, 800.0)
+        assert str(exc.value) == (
+            "I_nu overflows at nu=0.0, x=800.0; use bessel_i_scaled")
+        assert exc.value.log_term == 795.738911950745
 
     def test_zero_argument(self):
-        assert bessel_i(0.0, 0.0) == 1.0
-        assert bessel_i(1.5, 0.0) == 0.0
+        for bessel in (bessel_i, bessel_i_scaled):
+            assert bessel(0.0, 0.0) == 1.0
+            assert bessel(1.5, 0.0) == 0.0
 
     def test_negative_order_rejected(self):
-        with pytest.raises(DomainError):
-            bessel_i(-0.5, 1.0)
+        # with a nan order or an infinite argument the series never stops
+        for bessel in (bessel_i, bessel_i_scaled):
+            for nu, x, message in (
+                    (-0.5, 1.0, "Bessel order must be >= 0, got nu=-0.5"),
+                    (1.0, -1.0, "Bessel argument must be >= 0, got x=-1.0"),
+                    (1.0, math.nan, "Bessel argument must be >= 0, got x=nan"),
+                    (math.nan, 1.0, "nu must be finite, got nan"),
+                    (math.inf, 1.0, "nu must be finite, got inf"),
+                    (1.0, math.inf, "x must be finite, got inf")):
+                with pytest.raises(DomainError) as exc:
+                    bessel(nu, x)
+                assert str(exc.value) == message
 
 
 class TestKummer1F1:

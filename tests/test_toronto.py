@@ -113,6 +113,14 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             toronto_closed_form_half(2.0, 1.5, 1.0, 2.0)  # needs m >= 2n
 
+    def test_tiny_r_overflow_is_typed(self):
+        # r^(n-m+1/2) overflows at r = 1e-200, so the CLI exits 3
+        with pytest.raises(TermOverflowError) as exc:
+            toronto_closed_form_half(10.0, 0.5, 1e-200, 2.0)
+        assert str(exc.value) == ("Toronto half-odd closed form overflows at "
+                                  "m=10.0, n=0.5, r=1e-200, B=2.0")
+        assert exc.value.log_term == math.inf
+
 
 class TestTruncationBound:
     def test_exact_at_native_orders(self):

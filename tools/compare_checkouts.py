@@ -8,14 +8,19 @@ The script prints
 - the code lines of each src/nuttq/*.py in both checkouts, counting no
   blank line, no comment-only line and no docstring line;
 - every invocation of a fixed CLI corpus whose stdout, exit code or
-  written file differs between the two.
+  written file differs between the two;
+- every call of a seeded library corpus whose result differs: its repr,
+  or for an exception its type, message and attributes (log_term,
+  partial_value, ...).  The calls cover the special-function kernels at
+  their branch seams and edges, both series, the integer double series,
+  both closed forms, the bound reports and the oracle in both schemes.
 
-Each checkout runs the whole corpus in one subprocess that imports nuttq
-from that checkout's src/ and calls nuttq.cli.main in-process, with stdout
+Each checkout runs both corpora in one subprocess that imports nuttq from
+that checkout's src/ and calls nuttq.cli.main in-process, with stdout
 captured and an uncaught exception recorded as its last traceback line.
 The subprocess works in a fresh temporary directory, so the relative
 paths the corpus writes to are the same strings in both runs.  Exit code:
-0 when every invocation matches, 1 otherwise.
+0 when every invocation and call matches, 1 otherwise.
 
 CI runs it on one checkout twice (``python tools/compare_checkouts.py . .``):
 the corpus must then give the same bytes in two fresh processes, which is
@@ -28,7 +33,9 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -74,6 +81,20 @@ CORPUS: list[list[str]] = [
      "--b", "6", "--method", "closed_half"],
     ["eval", "toronto", "--m", "10", "--n", "4.5", "--r", "3", "--B", "3",
      "--method", "closed_half"],
+    # closed forms at a, r = 1e-200: a^-k or r^(n-m+1/2) overflows, or the
+    # Nuttall prefactor underflows to 0; at (4.5, 0.5, 1e-200, 1) the sum
+    # cancels instead.  compare nuttall_norm divides by a^n = 0 there.
+    *[[command, fn, "--m", m, "--n", m, "--a", "1e-200", "--b", b, *extra]
+      for m, b in (("7.5", "8"), ("1.5", "2.5"))
+      for command, fn, extra in (
+          ("eval", "nuttall_norm", ["--method", "closed_half"]),
+          ("bounds", "nuttall", []),
+          ("compare", "nuttall", ["--with-bounds"]),
+          ("compare", "nuttall_norm", []))],
+    ["eval", "toronto", "--m", "10", "--n", "0.5", "--r", "1e-200", "--B", "2",
+     "--method", "closed_half"],
+    ["eval", "nuttall_norm", "--m", "4.5", "--n", "0.5", "--a", "1e-200",
+     "--b", "1", "--method", "closed_half"],
     *[["compare", fn, *grid, *extra]
       for fn, grid in (("nuttall", _NUTTALL), ("nuttall_norm", _NUTTALL),
                        ("marcum", _NUTTALL[:2] + _NUTTALL[4:]),
@@ -152,6 +173,149 @@ _FILES = {
 _OUTPUTS = ("f4.csv", "out/golden.txt")
 
 
+LIBRARY_SEED = 14
+
+
+def library_corpus() -> list[str]:
+    """The library calls, each a Python expression over the names of
+    nuttq.__all__ (and nan, inf), drawn from random.Random(LIBRARY_SEED).
+
+    Points are mostly inside the box (m, n in [0, 10], a, r in (0, 6],
+    b, B in [0, 8]), plus the edges where a rule decides the outcome: the
+    incomplete gamma branch seam x = a + 1, x = 0, overflow past
+    LOG_OVERFLOW, non-finite arguments, high orders with a large scale
+    parameter, and a, r = 1e-200 for the closed forms.
+    """
+    rng = random.Random(LIBRARY_SEED)
+    u = rng.uniform
+    calls = []
+
+    def add(template: str, *args) -> None:
+        calls.append(template.format(*(repr(a) for a in args)))
+
+    # kernels: the gamma branch seam and its complement, zero, overflow,
+    # refused arguments; Bessel I at zero, overflow and refused arguments
+    orders = [0.5, 1.0, 2.5, 7.0, 60.0, 510.5] + [u(0.05, 100.0) for _ in range(40)]
+    for a in orders:
+        xs = [0.0, a + 1.0, a + 1.0 - 1e-12, a + 1.0 + 1e-12,
+              math.nextafter(a + 1.0, 0.0), 2000.0, math.nan, -1.0,
+              u(0.0, 2.0 * a + 5.0), u(0.0, 2.0 * a + 5.0)]
+        for x in xs:
+            for kernel in ("lower_inc_gamma", "upper_inc_gamma",
+                           "lower_inc_gamma_log", "upper_inc_gamma_log"):
+                add(kernel + "({}, {})", a, x)
+    for nu in [0.0, 0.5, 1.5, 2.5, 7.5, 40.0] + [u(0.0, 20.0) for _ in range(20)]:
+        for x in (0.0, 1e-300, u(0.0, 3.0), u(0.0, 60.0), 700.0, 800.0,
+                  2000.0, -1.0, math.nan):
+            add("bessel_i({}, {})", nu, x)
+            add("bessel_i_scaled({}, {})", nu, x)
+    for nu, x in ((-0.5, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+        add("bessel_i({}, {})", nu, x)
+        add("bessel_i_scaled({}, {})", nu, x)
+    for _ in range(60):
+        add("kummer_1f1({}, {}, {})", u(0.1, 10.0), u(0.5, 11.0), u(0.0, 40.0))
+    for a, b, x in ((2.0, 2.0, 800.0), (1.0, -3.0, 2.0), (math.nan, 1.0, 1.0),
+                    (1.0, 2.0, -1.0)):
+        add("kummer_1f1({}, {}, {})", a, b, x)
+
+    # both series, in the box and at high orders with a large scale
+    def nuttall_point():
+        return (u(0.0, 10.0), u(0.0, 10.0), u(0.01, 6.0), u(0.0, 8.0))
+
+    def toronto_point():
+        n = u(0.0, 10.0)
+        return (u(max(0.0, n - 0.99), 10.0), n, u(0.01, 6.0), u(0.01, 8.0))
+
+    for family, point in (("nuttall", nuttall_point),
+                          ("toronto", toronto_point)):
+        params = family.capitalize() + "Params({}, {}, {}, {})"
+        for _ in range(150):
+            pt = point()
+            add(f"{family}_series_adaptive({params}, tol={{}})", *pt,
+                rng.choice([1e-14, 1e-12, 1e-10, 1e-6]))
+            add(f"{family}_series_truncated({params}, {{}})", *pt,
+                rng.choice([1, 5, 20, 60, 500]))
+        for m in (60.0, 200.0, 400.0):
+            add(f"{family}_series_adaptive({params})", m, 0.5 * m, 60.0, 30.0)
+    for pt in ((300.0, 0.0, 40.0, 1.0), (1300.0, 0.0, 10.0, 20.0)):
+        add("nuttall_series_adaptive(NuttallParams({}, {}, {}, {}))", *pt)
+        add("toronto_series_adaptive(TorontoParams({}, {}, {}, {}))", *pt)
+    add("toronto_series_adaptive(TorontoParams({}, {}, {}, {}))",
+        2.0, 1.0, 1.0, 1e-200)
+    for _ in range(60):
+        m = float(rng.randrange(0, 11))
+        n = float(rng.randrange(0, 11))
+        add("nuttall_integer_series(NuttallParams({}, {}, {}, {}), {})",
+            m, n, u(0.01, 6.0), u(0.0, 8.0), rng.choice([1, 5, 20, 60]))
+    add("nuttall_integer_series(NuttallParams({}, {}, {}, {}), {})",
+        301.0, 0.0, 40.0, 1.0, 500)
+
+    # closed forms, with their seams b = a and B = r and a, r = 1e-200
+    for _ in range(120):
+        nu = rng.randrange(0, 10)
+        mu = rng.randrange(nu, 10)
+        a = u(0.01, 6.0)
+        b = rng.choice([a, u(0.0, 8.0)])
+        add("nuttall_half_integer_closed(NuttallParams({}, {}, {}, {}))",
+            mu + 0.5, nu + 0.5, a, b)
+        m = rng.randrange(2 * nu + 1, 2 * nu + 11)
+        r = u(0.01, 6.0)
+        add("toronto_closed_form_half({}, {}, {}, {})",
+            float(m), nu + 0.5, r, rng.choice([r, u(0.01, 8.0)]))
+    for m, n, b in ((7.5, 7.5, 8.0), (1.5, 1.5, 2.5), (4.5, 0.5, 1.0)):
+        add("nuttall_half_integer_closed(NuttallParams({}, {}, {}, {}))",
+            m, n, 1e-200, b)
+    add("toronto_closed_form_half({}, {}, {}, {})", 10.0, 0.5, 1e-200, 2.0)
+
+    # bound reports: truncation bounds at several depths, the 1F1 bounds,
+    # the recursion and Marcum residuals
+    for _ in range(100):
+        depths = sorted(rng.sample([1, 2, 5, 20, 60, 500], rng.randrange(1, 4)))
+        add("nuttall_truncation_bounds(NuttallParams({}, {}, {}, {}), {})",
+            *nuttall_point(), depths)
+        add("toronto_truncation_bounds(TorontoParams({}, {}, {}, {}), {})",
+            *toronto_point(), depths)
+        add("nuttall_upper_bound_1f1({}, {}, {})", u(0.01, 10.0),
+            u(0.0, 10.0), u(0.01, 6.0))
+        add("toronto_upper_bound_1f1({}, {}, {})", *toronto_point()[:3])
+    for _ in range(20):
+        add("nuttall_recursion_residual(NuttallParams({}, {}, {}, {}))",
+            float(rng.randrange(2, 11)), float(rng.randrange(0, 11)),
+            u(0.01, 6.0), u(0.0, 8.0))
+        add("toronto_marcum_residual({}, {}, {})", u(1.0, 10.0), u(0.01, 6.0),
+            u(0.01, 8.0))
+        add("marcum_q({}, {}, {})", u(1.0, 10.0), u(0.01, 6.0), u(0.0, 8.0))
+
+    # the oracle, in both schemes
+    for scheme in ("adaptive", "gauss"):
+        for _ in range(50):
+            tol = rng.choice([1e-12, 1e-10, 1e-8])
+            add("oracle_nuttall({}, {}, {}, {}, tol={}, scheme={})",
+                *nuttall_point(), tol, scheme)
+            add("oracle_toronto({}, {}, {}, {}, tol={}, scheme={})",
+                *toronto_point(), tol, scheme)
+            add("oracle_marcum({}, {}, {}, tol={}, scheme={})", u(1.0, 10.0),
+                u(0.01, 6.0), u(0.0, 8.0), tol, scheme)
+    return calls
+
+
+def _run_library() -> list[str]:
+    """Evaluate library_corpus() against the nuttq on sys.path: each call's
+    repr, or its exception's type, message and attributes."""
+    import nuttq
+
+    names = {name: getattr(nuttq, name) for name in nuttq.__all__}
+    names.update(nan=math.nan, inf=math.inf)
+    results = []
+    for call in library_corpus():
+        try:
+            results.append(repr(eval(call, names)))  # noqa: S307 - our corpus
+        except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+            results.append(f"{type(exc).__name__}: {exc} "
+                           f"{sorted(vars(exc).items())!r}")
+    return results
+
+
 def code_lines(path: Path) -> int:
     """Lines of path holding code: no blank, comment-only or docstring line."""
     source = path.read_text()
@@ -196,7 +360,8 @@ def _run_corpus() -> dict:
                         "stderr": err.getvalue()})
     files = {name: Path(name).read_text() if Path(name).is_file() else None
              for name in _OUTPUTS}
-    return {"nuttq": nuttq.__file__, "records": records, "files": files}
+    return {"nuttq": nuttq.__file__, "records": records, "files": files,
+            "library": _run_library()}
 
 
 def _corpus_of(checkout: Path) -> dict:
@@ -247,9 +412,15 @@ def main(argv: list[str]) -> int:
         if before["files"][name] != after["files"][name]:
             differ += 1
             print(f"DIFFERS: written file {name}")
+    calls = library_corpus()
+    calls_differ = 0
+    for call, old, new in zip(calls, before["library"], after["library"]):
+        if old != new:
+            calls_differ += 1
+            print(f"DIFFERS: {call}\n    {old}\n -> {new}")
     print(f"{len(CORPUS)} invocations, {len(_OUTPUTS)} written files, "
-          f"{differ} differ")
-    return 1 if differ else 0
+          f"{differ} differ; {len(calls)} library calls, {calls_differ} differ")
+    return 1 if differ or calls_differ else 0
 
 
 if __name__ == "__main__":
