@@ -55,6 +55,8 @@ from .toronto import (
 
 FUNCTIONS = ("nuttall", "nuttall_norm", "marcum", "toronto")
 SLACK_GATE = -1e-8
+# the oracle tolerance of compare (its --oracle-tol default) and figure f1
+ORACLE_TOL = 1e-10
 
 
 def _fmt(x: Any) -> str:
@@ -114,13 +116,6 @@ def _number_list(text: str, kind) -> list:
     return values
 
 
-def _float_list(text: str) -> list[float]:
-    values = _number_list(text, float)
-    if not values:
-        raise DomainError(f"empty value list: {text!r}")
-    return values
-
-
 def _scale(function: str, n: float, p3: float) -> float:
     """Normalized value -> output scale: a^n for nuttall, 1 otherwise."""
     return p3 ** n if function == "nuttall" else 1.0
@@ -166,29 +161,31 @@ def _truncation_bounds(function: str, m: float, n: float, p3: float,
 
 
 def _grid(args, depths: str | None = None) -> tuple[list[tuple], list]:
-    """The (m, n, p3, p4) points of a compare or bounds grid and the depths
-    each is reported at, from its comma lists (depths [None] without a
-    depth list); refuses a depth outside [1, MAX_TRUNC_TERMS], an empty
-    grid, one over 10^4 rows (points times depths), and points outside the
-    box (every request stays inside the window the oracle is validated on,
-    so each emitted value is cross-checkable)."""
+    """The (m, n, p3, p4) points of an eval, compare or bounds grid and the
+    depths each is reported at, from its comma lists (depths [None] without
+    a depth list); marcum takes n = m - 1.  Refuses a missing or blank
+    parameter list, a depth outside [1, MAX_TRUNC_TERMS], an empty grid,
+    one over 10^4 rows (points times depths), and points outside the box
+    (every request stays inside the window the oracle is validated on, so
+    each emitted value is cross-checkable)."""
     fn = args.function
-    ms = _float_list(args.m)
-    if fn == "marcum":
-        pairs = [(mv, mv - 1.0) for mv in ms]
-    else:
-        ns = _float_list(args.n)
-        if len(ms) != len(ns):
-            raise DomainError(
-                f"--m and --n must pair up, got {len(ms)} vs {len(ns)} values")
-        pairs = list(zip(ms, ns))
-    p3s, p4s = [_float_list(getattr(args, name)) for name in _names(fn)]
+    required = _names(fn) if fn == "marcum" else ("n", *_names(fn))
+    missing = [f"--{nm}" for nm in required if not getattr(args, nm).strip()]
+    if missing:
+        raise DomainError(f"{fn} needs {', '.join(missing)}")
+    ms = _number_list(args.m, float)
+    ns = ([mv - 1.0 for mv in ms] if fn == "marcum"
+          else _number_list(args.n, float))
+    if len(ms) != len(ns):
+        raise DomainError(
+            f"--m and --n must pair up, got {len(ms)} vs {len(ns)} values")
+    p3s, p4s = [_number_list(getattr(args, name), float) for name in _names(fn)]
     ds = [None]
     if depths is not None:
         ds = _number_list(depths, int)
         for d in ds:
             check_terms(d)
-    points = [(m, n, p3, p4) for (m, n) in pairs for p3 in p3s for p4 in p4s]
+    points = [(m, n, p3, p4) for m, n in zip(ms, ns) for p3 in p3s for p4 in p4s]
     rows = len(points) * len(ds)
     if not rows:
         raise DomainError("empty grid")
@@ -202,13 +199,10 @@ def _grid(args, depths: str | None = None) -> tuple[list[tuple], list]:
 def cmd_eval(args) -> int:
     out = Emitter(args.format, sys.stdout)
     fn = args.function
-    required = _names(fn) if fn == "marcum" else ("n", *_names(fn))
-    missing = [f"--{nm}" for nm in required if getattr(args, nm) is None]
-    if missing:
-        raise DomainError(f"{fn} needs {', '.join(missing)}")
-    m, n = args.m, (args.m - 1.0 if fn == "marcum" else args.n)
-    p3, p4 = [getattr(args, name) for name in _names(fn)]
-    check_box(m, n, p3, p4)
+    points, _ = _grid(args)
+    if len(points) > 1:
+        raise DomainError("eval takes one point; use compare for a grid")
+    [(m, n, p3, p4)] = points
     point = _point(fn, m, n, p3, p4)
     out.meta(command="eval", function=fn, method=args.method, **point,
              terms=args.terms, tol=args.tol)
@@ -230,13 +224,19 @@ def cmd_eval(args) -> int:
 
 
 def _oracle_for(function: str, m: float, n: float, p3: float, p4: float,
-                tol: float, scheme: str) -> float:
+                tol: float, scheme: str = "adaptive") -> float:
+    """The oracle value of function at a point.  nuttall_norm divides the
+    nuttall value by a^n, and raises TermOverflowError where a^n underflows
+    to 0."""
     from .oracle import _evaluate_case
 
-    if function == "nuttall_norm":
-        return _evaluate_case("nuttall", m, n, p3, p4, tol,
-                              scheme=scheme).value / p3 ** n
-    return _evaluate_case(function, m, n, p3, p4, tol, scheme=scheme).value
+    kind, scale = (("nuttall", p3 ** n) if function == "nuttall_norm"
+                   else (function, 1.0))
+    if scale == 0.0:
+        raise TermOverflowError("normalized oracle value overflows: a^n "
+                                f"underflows to 0 at a={p3}, n={n}",
+                                log_term=math.inf)
+    return _evaluate_case(kind, m, n, p3, p4, tol, scheme=scheme).value / scale
 
 
 def cmd_compare(args) -> int:
@@ -324,18 +324,17 @@ def cmd_bounds(args) -> int:
 
 # Figure parameter sets are repo-chosen; each block documents its own grid in
 # the emitted metadata so the data files are self-describing.
-def _figure_rows(figure: str, oracle_tol: float) -> tuple[dict, list[dict]]:
+def _figure_rows(figure: str) -> tuple[dict, list[dict]]:
     rows: list[dict] = []
     if figure == "f1":
         meta = {"figure": "f1", "curves": "normalized nuttall vs b",
                 "params": "(m,n,a) in {(1,0,1),(2,1,1),(3,0.5,2)}",
                 "b": "0..6 step 0.25"}
-        from .oracle import oracle_nuttall
         for (m, n, a) in [(1.0, 0.0, 1.0), (2.0, 1.0, 1.0), (3.0, 0.5, 2.0)]:
             for i in range(0, 25):
                 b = 0.25 * i
                 series = nuttall_series_adaptive(NuttallParams(m, n, a, b)).value
-                oracle = oracle_nuttall(m, n, a, b, tol=oracle_tol).value / a ** n
+                oracle = _oracle_for("nuttall_norm", m, n, a, b, ORACLE_TOL)
                 rows.append({"m": m, "n": n, "a": a, "b": b,
                              "series_value": series, "oracle_value": oracle})
     elif figure == "f2":
@@ -381,14 +380,19 @@ def _figure_rows(figure: str, oracle_tol: float) -> tuple[dict, list[dict]]:
 
 
 def cmd_figure(args) -> int:
-    meta, rows = _figure_rows(args.figure, args.oracle_tol)
-    with (contextlib.nullcontext(sys.stdout) if args.output == "-"
-          else open(args.output, "w")) as fh:
-        out = Emitter(args.format, fh)
-        out.meta(command="figure", **meta)
-        for rec in rows:
-            out.row(rec)
-        out.summary(rows=len(rows))
+    # the rows come first, so a refused row leaves no file behind
+    meta, rows = _figure_rows(args.figure)
+    try:
+        with (contextlib.nullcontext(sys.stdout) if args.output == "-"
+              else open(args.output, "w")) as fh:
+            out = Emitter(args.format, fh)
+            out.meta(command="figure", **meta)
+            for rec in rows:
+                out.row(rec)
+            out.summary(rows=len(rows))
+    except OSError as exc:
+        raise DomainError(f"cannot write figure file {args.output!r}: "
+                          f"{exc.strerror}") from None
     return 0
 
 
@@ -435,10 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("function", choices=FUNCTIONS)
     pe.add_argument("--method", default="adaptive",
                     choices=("truncated", "adaptive", "closed_half", "bound_1f1"))
-    pe.add_argument("--m", type=float, required=True)
-    pe.add_argument("--n", type=float)
-    for name in _names("nuttall") + _names("toronto"):
-        pe.add_argument(f"--{name}", type=float)
+    pe.add_argument("--m", required=True)
+    for name in ("n", *_names("nuttall"), *_names("toronto")):
+        pe.add_argument(f"--{name}", default="")
     pe.add_argument("--terms", type=int, default=20)
     pe.add_argument("--tol", type=float, default=1e-12)
     pe.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
@@ -455,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         pc.add_argument(f"--{name}", default="")
     pc.add_argument("--terms", type=int, default=20)
     pc.add_argument("--tol", type=float, default=1e-12)
-    pc.add_argument("--oracle-tol", type=float, default=1e-10)
+    pc.add_argument("--oracle-tol", type=float, default=ORACLE_TOL)
     pc.add_argument("--scheme", choices=("adaptive", "gauss"), default="adaptive")
     pc.add_argument("--with-bounds", action="store_true")
     pc.add_argument("--assert-rel-err", type=float, default=None,
@@ -479,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit figure-reproduction data files")
     pf.add_argument("figure", choices=("f1", "f2", "f3", "f4"))
     pf.add_argument("--output", default="-", help="path or - for stdout")
-    pf.add_argument("--oracle-tol", type=float, default=1e-10)
     pf.set_defaults(func=cmd_figure)
 
     pg = sub.add_parser("golden", parents=[common],

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, NonConvergenceError, TermOverflowError
@@ -170,9 +170,9 @@ def truncation_reports(terms: Iterator[float], p, depths: Sequence[int],
 
     Every depth is checked first.  The first max(depths) terms are then
     drawn once and kept; A sums them and then the rest of the walk, and
-    each S_P sums the first P of them, the same additions in the same
-    order as a separate walk per sum.  The head of the walk comes before
-    closed(), so an error in it is the one raised.
+    each S_P is read off one running sum over them, the same additions in
+    the same order as a separate walk per sum.  The head of the walk comes
+    before closed(), so an error in it is the one raised.
     """
     if not depths:
         raise DomainError("truncation reports need at least one depth")
@@ -182,11 +182,11 @@ def truncation_reports(terms: Iterator[float], p, depths: Sequence[int],
     exact = closed()
     limit = sum_adaptive(chain(head, terms), p, ADAPTIVE_TOL_MIN,
                          DEFAULT_MAX_TERMS).value
+    prefix = list(accumulate(head))
     reports = []
     for depth in depths:
-        partial = sum_truncated(iter(head), depth).value
-        bound = exact - partial
-        residual = limit - partial
+        bound = exact - prefix[depth - 1]
+        residual = limit - prefix[depth - 1]
         reports.append(BoundReport(bound_value=bound, dominated_quantity=residual,
                                    regime_ok=regime_ok, slack=bound - residual))
     return reports
@@ -317,6 +317,8 @@ def _check_gamma_args(a: float, x: float) -> None:
         raise DomainError(f"incomplete gamma order must be positive, got a={a}")
     if x < 0.0 or math.isnan(x):
         raise DomainError(f"incomplete gamma argument must be >= 0, got x={x}")
+    # an infinite order or argument never meets the kernels' stopping rules
+    check_finite(a=a, x=x)
 
 
 def _log_complement(a: float, log_part: float) -> float:

@@ -83,6 +83,27 @@ class TestEval:
         assert err["type"] == "error"
         assert err["error_type"] == "domain_error"
 
+    def test_non_numeric_parameter_is_json_error_record(self, capsys):
+        rc, out = run(capsys, ["eval", "nuttall", "--format", "json",
+                               "--m", "abc", "--n", "1", "--a", "1", "--b", "2"])
+        assert rc == 2
+        assert json.loads(out) == {
+            "type": "error", "error_type": "domain_error",
+            "message": "expected float entries, got 'abc' in 'abc'"}
+
+    def test_more_than_one_point_is_refused(self, capsys):
+        rc, out = run(capsys, ["eval", "nuttall", "--m", "2,3", "--n", "1,1",
+                               "--a", "1", "--b", "2"])
+        assert rc == 2
+        assert out == ("# error domain_error: eval takes one point; "
+                       "use compare for a grid\n")
+
+    def test_blank_parameter_counts_as_missing(self, capsys):
+        rc, out = run(capsys, ["eval", "nuttall", "--m", "2", "--n", " ",
+                               "--a", "", "--b", "2"])
+        assert rc == 2
+        assert out == "# error domain_error: nuttall needs --n, --a\n"
+
 
 class TestCompare:
     def test_grid_and_summary(self, capsys):
@@ -103,8 +124,35 @@ class TestCompare:
 
     def test_empty_grid_exits_2(self, capsys):
         rc, out = run(capsys, ["compare", "nuttall", "--m", "1", "--n", "0",
+                               "--a", ",", "--b", "1"])
+        assert rc == 2
+        assert out == "# error domain_error: empty grid\n"
+
+    def test_blank_list_counts_as_missing(self, capsys):
+        rc, out = run(capsys, ["compare", "nuttall", "--m", "1", "--n", "0",
                                "--a", "", "--b", "1"])
         assert rc == 2
+        assert out == "# error domain_error: nuttall needs --a\n"
+
+    def test_refused_truncation_bound_leaves_its_cell_empty(self, capsys):
+        # n = 0.2 admits no closed form for the truncation bound; the 1F1
+        # bound and the row itself stay
+        rc, out = run(capsys, ["compare", "toronto", "--m", "2", "--n", "0.2",
+                               "--r", "1", "--B", "2", "--with-bounds"])
+        assert rc == 0
+        [row] = csv.DictReader(l for l in out.splitlines()
+                               if not l.startswith("#"))
+        assert float(row["bound_1f1"]) > float(row["series_value"])
+        assert row["trunc_bound"] == ""
+
+    def test_normalized_oracle_underflow_is_convergence_error(self, capsys):
+        # a^n underflows to 0 at a = 1e-200, so oracle / a^n has no value
+        rc, out = run(capsys, ["compare", "nuttall_norm", "--m", "7.5",
+                               "--n", "7.5", "--a", "1e-200", "--b", "8"])
+        assert rc == 3
+        assert out.splitlines()[-1] == (
+            "# error convergence_error: normalized oracle value overflows: "
+            "a^n underflows to 0 at a=1e-200, n=7.5")
 
     def test_mismatched_order_lists_exit_2(self, capsys):
         rc, out = run(capsys, ["compare", "nuttall", "--m", "1,2", "--n", "0",
@@ -210,6 +258,34 @@ class TestFigure:
         rc, out = run(capsys, ["figure", "f1"])
         assert rc == 0
         assert "series_value,oracle_value" in out
+
+    def test_unwritable_path_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing_dir" / "f4.csv"
+        rc, out = run(capsys, ["figure", "f4", "--output", str(target)])
+        assert rc == 2
+        assert out == (f"# error domain_error: cannot write figure file "
+                       f"{str(target)!r}: No such file or directory\n")
+        rc, out = run(capsys, ["figure", "f4", "--output", str(tmp_path),
+                               "--format", "json"])
+        assert rc == 2
+        assert json.loads(out) == {
+            "type": "error", "error_type": "domain_error",
+            "message": f"cannot write figure file {str(tmp_path)!r}: "
+                       "Is a directory"}
+
+    def test_refused_row_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        import nuttq.cli
+        from nuttq.errors import DomainError
+
+        def refused(figure):
+            raise DomainError("refused row")
+
+        monkeypatch.setattr(nuttq.cli, "_figure_rows", refused)
+        target = tmp_path / "f4.csv"
+        rc, out = run(capsys, ["figure", "f4", "--output", str(target)])
+        assert rc == 2
+        assert out == "# error domain_error: refused row\n"
+        assert not target.exists()
 
 
 class TestDeterminism:

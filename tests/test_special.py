@@ -90,6 +90,17 @@ class TestIncompleteGamma:
             lower_inc_gamma(0.0, 1.0)
         with pytest.raises(DomainError):
             upper_inc_gamma(-1.0, 1.0)
+        # non-finite input is refused at once, not summed to the step cap
+        for kernel in (lower_inc_gamma, upper_inc_gamma, lower_inc_gamma_log,
+                       upper_inc_gamma_log):
+            with pytest.raises(DomainError, match="^x must be finite, got inf$"):
+                kernel(2.5, math.inf)
+            with pytest.raises(DomainError, match="^a must be finite, got inf$"):
+                kernel(math.inf, 1.0)
+            with pytest.raises(DomainError, match="order must be positive"):
+                kernel(math.nan, 1.0)
+            with pytest.raises(DomainError, match="argument must be >= 0"):
+                kernel(2.5, math.nan)
 
 
 class TestBesselI:

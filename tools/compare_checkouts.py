@@ -66,6 +66,12 @@ CORPUS: list[list[str]] = [
     ["eval", "toronto", "--m", "2", "--r", "1", "--format", "json"],
     ["eval", "marcum", "--m", "2", "--a", "1", "--b", "2", "--max-terms", "3"],
     ["eval", "nuttall", "--m", "2", "--n", "1", "--a", "7", "--b", "2"],
+    # eval reads its point through the grid driver: a parse error is an
+    # error record, a grid is refused and a blank value counts as missing
+    ["eval", "nuttall", "--format", "json", "--m", "abc", "--n", "1",
+     "--a", "1", "--b", "2"],
+    ["eval", "nuttall", "--m", "2,3", "--n", "1,1", "--a", "1", "--b", "2"],
+    ["eval", "nuttall", "--m", "2", "--n", "1", "--a", "", "--b", "2"],
     ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "1e-160"],
     ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "0"],
     *[["eval", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2", *flag]
@@ -107,6 +113,10 @@ CORPUS: list[list[str]] = [
     ["compare", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "2",
      "--with-bounds", "--method", "adaptive", "--terms", "0"],
     ["compare", "nuttall", "--m", "2", "--n", "1", "--a", "", "--b", "1"],
+    ["compare", "nuttall", "--m", "2", "--n", "1", "--a", ",", "--b", "1"],
+    # the truncation bound refuses n = 0.2; the 1F1 bound is kept
+    ["compare", "toronto", "--m", "2", "--n", "0.2", "--r", "1", "--B", "2",
+     "--with-bounds"],
     ["compare", "nuttall", "--m", "2,3", "--n", "1", "--a", "1", "--b", "1"],
     ["compare", "nuttall", "--m", "2", "--n", "1", "--a", "1,x", "--b", "1"],
     ["compare", "nuttall", "--m", "2", "--n", "1",
@@ -144,6 +154,8 @@ CORPUS: list[list[str]] = [
     *[["figure", fig, *fmt] for fig in ("f1", "f2", "f3", "f4")
       for fmt in ([], ["--format", "json"])],
     ["figure", "f4", "--output", "f4.csv"],
+    ["figure", "f4", "--output", "missing_dir/f4.csv"],
+    ["figure", "f4", "--output", "plain.txt/f4.csv", "--format", "json"],
     ["golden"],
     ["golden", "--format", "json"],
     ["golden", "--path", "mixed_tol.txt"],
@@ -183,8 +195,9 @@ def library_corpus() -> list[str]:
     Points are mostly inside the box (m, n in [0, 10], a, r in (0, 6],
     b, B in [0, 8]), plus the edges where a rule decides the outcome: the
     incomplete gamma branch seam x = a + 1, x = 0, overflow past
-    LOG_OVERFLOW, non-finite arguments, high orders with a large scale
-    parameter, and a, r = 1e-200 for the closed forms.
+    LOG_OVERFLOW, non-finite arguments (an infinite gamma order or
+    argument included), high orders with a large scale parameter, and
+    a, r = 1e-200 for the closed forms.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -209,6 +222,10 @@ def library_corpus() -> list[str]:
                   2000.0, -1.0, math.nan):
             add("bessel_i({}, {})", nu, x)
             add("bessel_i_scaled({}, {})", nu, x)
+    # non-finite gamma input, refused before the kernels' step caps
+    for a, x in ((2.5, math.inf), (math.inf, 1.0)):
+        for kernel in ("lower_inc_gamma", "upper_inc_gamma", "upper_inc_gamma_log"):
+            add(kernel + "({}, {})", a, x)
     for nu, x in ((-0.5, 1.0), (math.nan, 1.0), (1.0, math.inf)):
         add("bessel_i({}, {})", nu, x)
         add("bessel_i_scaled({}, {})", nu, x)
