@@ -8,7 +8,9 @@ echo the inputs, and a trailing summary carries grid-level aggregates.  JSON
 mode emits one object per line with a "type" tag (meta, row, summary).
 
 Exit codes: 0 success, 1 assertion failure (--assert-rel-err or a violated
-bound), 2 domain error, 3 non-convergence or unmet tolerance.
+bound), 2 domain error, 3 non-convergence or unmet tolerance, 141 (128 +
+SIGPIPE, as a shell reports a process a broken pipe ends) when the reader
+of stdout closes it early, as `nuttq ... | head` does; that ends quietly.
 
 Only the subcommands that need an oracle value (compare, figure f1, golden)
 import the quadrature oracle and with it numpy and scipy; eval, bounds and
@@ -23,6 +25,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import Any, Iterable
 
@@ -55,6 +58,8 @@ from .toronto import (
 
 FUNCTIONS = ("nuttall", "nuttall_norm", "marcum", "toronto")
 SLACK_GATE = -1e-8
+# exit code on a closed stdout: 128 + SIGPIPE
+EXIT_CLOSED_STDOUT = 141
 # the oracle tolerance of compare (its --oracle-tol default) and figure f1
 ORACLE_TOL = 1e-10
 
@@ -227,7 +232,9 @@ def _oracle_for(function: str, m: float, n: float, p3: float, p4: float,
                 tol: float, scheme: str = "adaptive") -> float:
     """The oracle value of function at a point.  nuttall_norm divides the
     nuttall value by a^n, and raises TermOverflowError where a^n underflows
-    to 0."""
+    to 0.  Every oracle integrand is positive on its interval, so a value
+    of exactly 0 is an underflow of the integrand, not a result: it raises
+    ToleranceNotMetError."""
     from .oracle import _evaluate_case
 
     kind, scale = (("nuttall", p3 ** n) if function == "nuttall_norm"
@@ -236,7 +243,14 @@ def _oracle_for(function: str, m: float, n: float, p3: float, p4: float,
         raise TermOverflowError("normalized oracle value overflows: a^n "
                                 f"underflows to 0 at a={p3}, n={n}",
                                 log_term=math.inf)
-    return _evaluate_case(kind, m, n, p3, p4, tol, scheme=scheme).value / scale
+    ov = _evaluate_case(kind, m, n, p3, p4, tol, scheme=scheme)
+    if ov.value == 0.0:
+        p3_name, p4_name = _names(kind)
+        raise ToleranceNotMetError(
+            f"{kind} oracle value underflows to 0 at m={m}, n={n}, "
+            f"{p3_name}={p3}, {p4_name}={p4}", value=0.0,
+            err_est=ov.abs_err_est)
+    return ov.value / scale
 
 
 def cmd_compare(args) -> int:
@@ -390,6 +404,8 @@ def cmd_figure(args) -> int:
             for rec in rows:
                 out.row(rec)
             out.summary(rows=len(rows))
+    except BrokenPipeError:
+        raise  # a closed stdout, not an unwritable file; see main
     except OSError as exc:
         raise DomainError(f"cannot write figure file {args.output!r}: "
                           f"{exc.strerror}") from None
@@ -494,7 +510,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Iterable[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        try:
+            return _run(build_parser().parse_args(argv))
+        finally:
+            # inside the try, so a reader that already left is seen here and
+            # not in the interpreter's last flush
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`nuttq ... | head`): end quietly, with
+        # the rest of the buffered output sent to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except DomainError as exc:

@@ -154,6 +154,16 @@ class TestCompare:
             "# error convergence_error: normalized oracle value overflows: "
             "a^n underflows to 0 at a=1e-200, n=7.5")
 
+    def test_underflowed_oracle_value_is_convergence_error(self, capsys):
+        # a^n = 1e-320 is still positive, but the unnormalized integrand
+        # underflows everywhere, so the quadrature returns exactly 0
+        rc, out = run(capsys, ["compare", "nuttall_norm", "--m", "2",
+                               "--n", "2", "--a", "1e-160", "--b", "1"])
+        assert rc == 3
+        assert out.splitlines()[-1] == (
+            "# error convergence_error: nuttall oracle value underflows to 0 "
+            "at m=2.0, n=2.0, a=1e-160, b=1.0")
+
     def test_mismatched_order_lists_exit_2(self, capsys):
         rc, out = run(capsys, ["compare", "nuttall", "--m", "1,2", "--n", "0",
                                "--a", "1", "--b", "1"])
@@ -386,12 +396,17 @@ class TestGoldenCommand:
         assert target.read_bytes() == golden_path().read_bytes()
 
 
-def run_python(*argv):
+def _src_env():
+    """The environment with the checkout's src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def run_python(*argv):
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=_src_env())
 
 
 def test_console_script_wiring():
@@ -399,6 +414,22 @@ def test_console_script_wiring():
                       "--m", "1", "--a", "1", "--b", "1")
     assert proc.returncode == 0
     assert "0.7328798037968" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    # the whole output waits in the buffer for the last flush
+    ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "2"],
+    # over 8 kB: the pipe breaks while the figure file '-' is written
+    ["figure", "f1", "--format", "json"],
+])
+def test_closed_stdout_ends_quietly(argv):
+    proc = subprocess.Popen([sys.executable, "-m", "nuttq.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_src_env())
+    proc.stdout.close()  # before the interpreter is up: every write fails
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert stderr == b""
 
 
 # Runs in a fresh interpreter: this test process has already imported the

@@ -1,17 +1,21 @@
 """The recurrences that carry both series from term to term.
 
-Each series makes one incomplete gamma kernel call per Nuttall value and
-one per block of Toronto terms, and steps the rest.  These tests hold the
+The Nuttall series makes one incomplete gamma kernel call per value.  The
+Toronto series makes one for term 0 and one per block of 32 later terms,
+and steps the rest down from each block's top.  These tests hold the
 recurrences to a 50-digit series reference over a seeded set of box
-points, count the kernel calls, and pin the edge cases where a running
-term must be recomputed in log domain: terms that underflow before the
-hump, B^2 underflowing to 0, and a term that overflows mid-series.
+points and over long descents at large B and r, count the kernel calls
+exactly, check the Toronto-Marcum identity on figure f3's rows, and pin
+the edge cases where a running term must be recomputed in log domain:
+terms that underflow before the hump, B^2 underflowing to 0, and a term
+that overflows mid-series.
 
 A truncation-bound report walks its series once for every depth it is
 asked for; the last tests count the walks and hold the reports to the
 bits of one report per depth.
 """
 
+import json
 import math
 import random
 
@@ -133,6 +137,28 @@ def test_toronto_recurrence_matches_50_digit_reference():
         assert abs(got - want) <= 10 * TOL * want, (m, n, r, big_b)
 
 
+def _long_descents(seed, count):
+    """count seeded Toronto points with B in [6, 8] and r in [3, 6]: the
+    hump lies past k ~ r^2 and each block's descent crosses s ~ B^2."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        n = _order(rng, i % 3)
+        m = _order(rng, (i // 3) % 3)
+        while not m - n > -1.0:
+            m = _order(rng, (i // 3) % 3)
+        points.append((m, n, rng.uniform(3.0, 6.0), rng.uniform(6.0, 8.0)))
+    return points
+
+
+def test_toronto_long_descents_match_50_digit_reference():
+    mp = pytest.importorskip("mpmath")
+    for m, n, r, big_b in _long_descents(16, 40):
+        want = _toronto_reference(mp, m, n, r, big_b)
+        got = toronto_series_adaptive(TorontoParams(m, n, r, big_b), tol=TOL).value
+        assert abs(got - want) <= 10 * TOL * want, (m, n, r, big_b)
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Count the incomplete gamma kernel calls each series module makes."""
@@ -161,13 +187,22 @@ def test_nuttall_value_makes_one_kernel_call(kernel_calls):
 
 
 def test_toronto_value_makes_one_kernel_call_per_block(kernel_calls):
+    # term 0 has its own call; each later block of _BLOCK terms one more.
+    # No term of the box leaves the normal range, so none is recomputed.
     for tol in (TOL, 1e-12, 1e-6):
         for m, n, r, big_b in TORONTO_BOX:
             kernel_calls["toronto"] = 0
             res = toronto_series_adaptive(TorontoParams(m, n, r, big_b), tol=tol)
             assert (kernel_calls["toronto"]
-                    <= 1 + math.ceil(res.terms_used / toronto._BLOCK)), \
+                    == 1 + math.ceil((res.terms_used - 1) / toronto._BLOCK)), \
                 (m, n, r, big_b, tol)
+
+
+def test_toronto_box_kernel_call_total(kernel_calls):
+    # blocks of 8 made 275 calls here
+    for point in TORONTO_BOX:
+        toronto_series_adaptive(TorontoParams(*point), tol=1e-12)
+    assert kernel_calls["toronto"] == 146
 
 
 def test_terms_underflowing_before_the_hump_are_recomputed():
@@ -185,6 +220,17 @@ def test_underflowed_limit_is_nonconvergence_without_kernel_calls(kernel_calls):
     assert exc.value.partial_value == 0.0
     assert exc.value.terms == DEFAULT_MAX_TERMS
     assert kernel_calls["toronto"] == 0
+
+
+def test_figure_f3_rows_meet_the_marcum_identity(capsys):
+    # T_B(3, 1, r) = 1 - Q_2(r sqrt 2, B sqrt 2), row by row
+    assert main(["figure", "f3", "--format", "json"]) == 0
+    rows = [rec for rec in map(json.loads, capsys.readouterr().out.splitlines())
+            if rec["type"] == "row"]
+    assert len(rows) == 45
+    for rec in rows:
+        assert rec["identity_residual"] <= 1e-12, rec
+        assert abs(rec["toronto_value"] - rec["one_minus_marcum"]) <= 1e-12, rec
 
 
 # the log-domain term each overflow below carries, bit for bit

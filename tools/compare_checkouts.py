@@ -13,7 +13,11 @@ The script prints
   or for an exception its type, message and attributes (log_term,
   partial_value, ...).  The calls cover the special-function kernels at
   their branch seams and edges, both series, the integer double series,
-  both closed forms, the bound reports and the oracle in both schemes.
+  both closed forms, the bound reports and the oracle in both schemes;
+- a summary line per library function and per CLI subcommand and
+  function with differences: how many differ, how many of those differ
+  only in float fields (every other character, integers included, the
+  same), and the largest relative difference among those floats.
 
 Each checkout runs both corpora in one subprocess that imports nuttq from
 that checkout's src/ and calls nuttq.cli.main in-process, with stdout
@@ -36,6 +40,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -101,6 +106,9 @@ CORPUS: list[list[str]] = [
      "--method", "closed_half"],
     ["eval", "nuttall_norm", "--m", "4.5", "--n", "0.5", "--a", "1e-200",
      "--b", "1", "--method", "closed_half"],
+    # a^n = 1e-320 does not underflow, but the oracle's integrand does
+    ["compare", "nuttall_norm", "--m", "2", "--n", "2", "--a", "1e-160",
+     "--b", "1"],
     *[["compare", fn, *grid, *extra]
       for fn, grid in (("nuttall", _NUTTALL), ("nuttall_norm", _NUTTALL),
                        ("marcum", _NUTTALL[:2] + _NUTTALL[4:]),
@@ -381,6 +389,23 @@ def _run_corpus() -> dict:
             "library": _run_library()}
 
 
+# a decimal with a point or an exponent: the fields a change of value moves
+_FLOAT = re.compile(r"[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)")
+
+
+def _float_only(old: str, new: str) -> float | None:
+    """The largest relative difference between the floats of old and new if
+    nothing else in them differs, else None."""
+    if _FLOAT.split(old) != _FLOAT.split(new):
+        return None
+    worst = 0.0
+    for a, b in zip(map(float, _FLOAT.findall(old)),
+                    map(float, _FLOAT.findall(new))):
+        if a != b:
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+    return worst
+
+
 def _corpus_of(checkout: Path) -> dict:
     src = (checkout / "src").resolve()
     env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
@@ -417,6 +442,20 @@ def main(argv: list[str]) -> int:
     print(f"{'total':<16}{totals[0]:>8}{totals[1]:>8}")
 
     before, after = _corpus_of(parent), _corpus_of(change)
+    # name -> [differ, differ only in floats, largest relative difference]
+    summary: dict[str, list] = {}
+
+    def tally(name: str, old: str, new: str) -> None:
+        counts = summary.setdefault(name, [0, 0, 0.0])
+        counts[0] += 1
+        worst = _float_only(old, new)
+        if worst is not None:
+            counts[1] += 1
+            counts[2] = max(counts[2], worst)
+
+    def record_text(rec: dict) -> str:
+        return f"{rec['code']}\n{rec['stdout']}\n{rec['stderr']}"
+
     differ = 0
     for old, new in zip(before["records"], after["records"]):
         fields = [k for k in ("code", "stdout", "stderr") if old[k] != new[k]]
@@ -425,16 +464,24 @@ def main(argv: list[str]) -> int:
             print(f"DIFFERS ({', '.join(fields)}): nuttq {' '.join(old['argv'])}")
             if "code" in fields:
                 print(f"    exit {old['code']} -> {new['code']}")
+            tally("nuttq " + " ".join(old["argv"][:2]), record_text(old),
+                  record_text(new))
     for name in _OUTPUTS:
-        if before["files"][name] != after["files"][name]:
+        old, new = before["files"][name], after["files"][name]
+        if old != new:
             differ += 1
             print(f"DIFFERS: written file {name}")
+            tally(f"written file {name}", str(old), str(new))
     calls = library_corpus()
     calls_differ = 0
     for call, old, new in zip(calls, before["library"], after["library"]):
         if old != new:
             calls_differ += 1
             print(f"DIFFERS: {call}\n    {old}\n -> {new}")
+            tally(call.split("(", 1)[0], old, new)
+    for name, (n, floats, worst) in sorted(summary.items()):
+        print(f"SUMMARY {name}: {n} differ, {floats} only in float fields, "
+              f"largest relative difference {worst:.2g}")
     print(f"{len(CORPUS)} invocations, {len(_OUTPUTS)} written files, "
           f"{differ} differ; {len(calls)} library calls, {calls_differ} differ")
     return 1 if differ or calls_differ else 0
