@@ -45,7 +45,7 @@ from .nuttall import (
     nuttall_truncation_bounds,
     nuttall_upper_bound_1f1,
 )
-from .special import DEFAULT_MAX_TERMS, BoundReport, check_terms
+from .special import BoundReport, check_terms
 from .toronto import (
     TorontoParams,
     toronto_closed_form_half,
@@ -138,16 +138,15 @@ def _point(function: str, m: float, n: float, p3: float, p4: float) -> dict:
 
 
 def _norm_series(function: str, m: float, n: float, method: str,
-                 terms: int, tol: float, p3: float, p4: float,
-                 max_terms: int = DEFAULT_MAX_TERMS):
+                 terms: int, tol: float, p3: float, p4: float):
     """Series result on the normalized scale; see _scale."""
     if function == "toronto":
         p = TorontoParams(m, n, p3, p4)
         return (toronto_series_truncated(p, terms) if method == "truncated"
-                else toronto_series_adaptive(p, tol=tol, max_terms=max_terms))
+                else toronto_series_adaptive(p, tol=tol))
     p = NuttallParams(m, n, p3, p4)
     return (nuttall_series_truncated(p, terms) if method == "truncated"
-            else nuttall_series_adaptive(p, tol=tol, max_terms=max_terms))
+            else nuttall_series_adaptive(p, tol=tol))
 
 
 def _bound_1f1(function: str, m: float, n: float, p3: float) -> float:
@@ -169,12 +168,13 @@ def _grid(args, depths: str | None = None) -> tuple[list[tuple], list]:
     """The (m, n, p3, p4) points of an eval, compare or bounds grid and the
     depths each is reported at, from its comma lists (depths [None] without
     a depth list); marcum takes n = m - 1.  Refuses a missing or blank
-    parameter list, a depth outside [1, MAX_TRUNC_TERMS], an empty grid,
+    parameter list (the CLI's one missing-argument rule: every point option
+    defaults to ""), a depth outside [1, MAX_TRUNC_TERMS], an empty grid,
     one over 10^4 rows (points times depths), and points outside the box
     (every request stays inside the window the oracle is validated on, so
     each emitted value is cross-checkable)."""
     fn = args.function
-    required = _names(fn) if fn == "marcum" else ("n", *_names(fn))
+    required = ("m", *_names(fn)) if fn == "marcum" else ("m", "n", *_names(fn))
     missing = [f"--{nm}" for nm in required if not getattr(args, nm).strip()]
     if missing:
         raise DomainError(f"{fn} needs {', '.join(missing)}")
@@ -214,8 +214,7 @@ def cmd_eval(args) -> int:
     record: dict[str, Any] = {"function_id": fn, "method": args.method, **point}
     scale = _scale(fn, n, p3)
     if args.method in ("truncated", "adaptive"):
-        res = _norm_series(fn, m, n, args.method, args.terms, args.tol,
-                           p3, p4, max_terms=args.max_terms)
+        res = _norm_series(fn, m, n, args.method, args.terms, args.tol, p3, p4)
         record.update(value=res.value * scale, terms_used=res.terms_used,
                       last_term_abs=res.last_term_abs, converged=res.converged)
     elif args.method == "closed_half":
@@ -448,32 +447,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluators with quadrature cross-checks.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
+    # a grid command's points: comma lists, --m paired with --n; _grid says
+    # which ones a function needs
+    grid = argparse.ArgumentParser(add_help=False, parents=[common])
+    for name in ("m", "n", *_names("nuttall"), *_names("toronto")):
+        grid.add_argument(f"--{name}", default="")
+    series = argparse.ArgumentParser(add_help=False, parents=[grid])
+    series.add_argument("function", choices=FUNCTIONS)
+    series.add_argument("--terms", type=int, default=20)
+    series.add_argument("--tol", type=float, default=1e-12)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("eval", parents=[common],
+    pe = sub.add_parser("eval", parents=[series],
                         help="evaluate one point by a chosen method")
-    pe.add_argument("function", choices=FUNCTIONS)
     pe.add_argument("--method", default="adaptive",
                     choices=("truncated", "adaptive", "closed_half", "bound_1f1"))
-    pe.add_argument("--m", required=True)
-    for name in ("n", *_names("nuttall"), *_names("toronto")):
-        pe.add_argument(f"--{name}", default="")
-    pe.add_argument("--terms", type=int, default=20)
-    pe.add_argument("--tol", type=float, default=1e-12)
-    pe.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
-                    help="adaptive-summation term cap")
     pe.set_defaults(func=cmd_eval)
 
-    pc = sub.add_parser("compare", parents=[common],
+    pc = sub.add_parser("compare", parents=[series],
                         help="series vs oracle over a cartesian grid")
-    pc.add_argument("function", choices=FUNCTIONS)
     pc.add_argument("--method", default="truncated",
                     choices=("truncated", "adaptive"))
-    pc.add_argument("--m", required=True, help="comma list; pairs with --n")
-    for name in ("n", *_names("nuttall"), *_names("toronto")):
-        pc.add_argument(f"--{name}", default="")
-    pc.add_argument("--terms", type=int, default=20)
-    pc.add_argument("--tol", type=float, default=1e-12)
     pc.add_argument("--oracle-tol", type=float, default=ORACLE_TOL)
     pc.add_argument("--scheme", choices=("adaptive", "gauss"), default="adaptive")
     pc.add_argument("--with-bounds", action="store_true")
@@ -481,15 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exit 1 if any row's rel_error exceeds this")
     pc.set_defaults(func=cmd_compare)
 
-    pb = sub.add_parser("bounds", parents=[common],
+    pb = sub.add_parser("bounds", parents=[grid],
                         help="bound reports over a grid; exit 1 on violations")
     pb.add_argument("function", choices=("nuttall", "toronto"))
     pb.add_argument("--kind", choices=("truncation", "kummer"),
                     default="truncation")
-    pb.add_argument("--m", required=True)
-    pb.add_argument("--n", required=True)
-    for name in _names("nuttall") + _names("toronto"):
-        pb.add_argument(f"--{name}", default="")
     pb.add_argument("--terms", default="5",
                     help="comma list of truncation depths (truncation kind)")
     pb.set_defaults(func=cmd_bounds)

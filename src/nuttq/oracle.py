@@ -49,8 +49,7 @@ from scipy.integrate import quad
 from scipy.special import ive
 from scipy.special.cython_special import ive as ive_scalar
 
-# the box limits are unused here but stay importable from this module
-from .box import LIMIT_MAX, ORDER_MAX, SCALE_MAX, check_box  # noqa: F401
+from .box import check_box
 from .errors import DomainError, ToleranceNotMetError
 
 __all__ = [

@@ -1,6 +1,7 @@
 """Command line behaviour: record formats, exit codes, determinism."""
 
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import nuttq
+from nuttq import cli
 from nuttq.cli import main
+from nuttq.nuttall import nuttall_series_adaptive
 
 # the checkout's src/, for the subprocesses
 SRC = Path(nuttq.__file__).resolve().parent.parent
@@ -19,6 +22,17 @@ SRC = Path(nuttq.__file__).resolve().parent.parent
 def run(capsys, argv):
     rc = main(argv)
     return rc, capsys.readouterr().out
+
+
+def csv_rows(out):
+    return list(csv.DictReader(l for l in out.splitlines()
+                               if not l.startswith("#")))
+
+
+# a != 1 and n != 0, so the unnormalized nuttall value a^n Q differs from
+# the normalized one; half-odd orders so closed_half answers too
+SCALED_POINT = ["--m", "2.5", "--n", "1.5", "--a", "2.5", "--b", "1"]
+SCALE = 2.5 ** 1.5
 
 
 class TestEval:
@@ -58,12 +72,35 @@ class TestEval:
                                "--a", "-1", "--b", "1"])
         assert rc == 2
 
-    def test_term_cap_is_convergence_error(self, capsys):
+    def test_term_cap_is_convergence_error(self, capsys, monkeypatch):
+        # the library's term cap, hit in the real summation core
+        monkeypatch.setattr(cli, "nuttall_series_adaptive", functools.partial(
+            nuttall_series_adaptive, max_terms=3))
         rc, out = run(capsys, ["eval", "nuttall", "--method", "adaptive",
-                               "--max-terms", "3", "--m", "2", "--n", "1",
-                               "--a", "3", "--b", "1"])
+                               "--m", "2", "--n", "1", "--a", "3", "--b", "1"])
         assert rc == 3
         assert "convergence_error" in out
+        assert out.endswith("in 3 terms\n")
+
+    def test_max_terms_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "nuttall", "--m", "2", "--n", "1", "--a", "1",
+                  "--b", "2", "--max-terms", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-terms 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["truncated", "adaptive", "closed_half",
+                                        "bound_1f1"])
+    def test_nuttall_is_a_to_the_n_times_nuttall_norm(self, capsys, method):
+        values = []
+        for fn in ("nuttall", "nuttall_norm"):
+            rc, out = run(capsys, ["eval", fn, *SCALED_POINT,
+                                   "--method", method])
+            assert rc == 0
+            [row] = csv_rows(out)
+            values.append(float(row["value"]))
+        unnormalized, normalized = values
+        assert unnormalized == normalized * SCALE
 
     @pytest.mark.parametrize("argv", [
         ["nuttall_norm", "--m", "7.5", "--n", "7.5", "--a", "1e-200", "--b", "8"],
@@ -176,6 +213,19 @@ class TestCompare:
         assert out == ("# error domain_error: expected float entries, "
                        "got 'x' in '1,x'\n")
 
+    def test_nuttall_is_a_to_the_n_times_nuttall_norm(self, capsys):
+        rows = []
+        for fn in ("nuttall", "nuttall_norm"):
+            rc, out = run(capsys, ["compare", fn, *SCALED_POINT,
+                                   "--with-bounds"])
+            assert rc == 0
+            [row] = csv_rows(out)
+            rows.append(row)
+        unnormalized, normalized = rows
+        for column in ("series_value", "bound_1f1", "trunc_bound"):
+            assert float(unnormalized[column]) == \
+                float(normalized[column]) * SCALE, column
+
     def test_oversized_grid_exits_2(self, capsys):
         many = ",".join(["1"] * 25)
         rc, out = run(capsys, ["compare", "nuttall", "--m", many, "--n", many,
@@ -190,6 +240,14 @@ class TestBounds:
                                "--a", "1", "--b", "2", "--terms", "1,5,10"])
         assert rc == 0
         assert "violations=0" in out
+
+    def test_meta_counts_points_times_depths(self, capsys):
+        rc, out = run(capsys, ["bounds", "nuttall", "--m", "2", "--n", "1",
+                               "--a", "1,2", "--b", "2", "--terms", "1,5,10"])
+        assert rc == 0
+        assert out.splitlines()[0] == ("# command=bounds function=nuttall "
+                                       "kind=truncation terms=1,5,10 points=6")
+        assert len(csv_rows(out)) == 6
 
     def test_violation_exits_1(self, capsys):
         rc, out = run(capsys, ["bounds", "toronto", "--m", "2", "--n", "1",
@@ -251,6 +309,21 @@ class TestBounds:
                                "--b", "0.25"])
         assert rc == 0
         assert "violations=0" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "nuttall", "--n", "1", "--a", "1", "--b", "1"], "nuttall needs --m"),
+    (["eval", "marcum", "--a", "1", "--b", "1"], "marcum needs --m"),
+    (["compare", "nuttall", "--n", "1", "--a", "1", "--b", "1"], "nuttall needs --m"),
+    (["bounds", "toronto", "--n", "1", "--r", "1", "--B", "1"], "toronto needs --m"),
+    (["bounds", "nuttall", "--m", "2", "--a", "1", "--b", "1"], "nuttall needs --n"),
+])
+def test_missing_order_is_json_error_record(capsys, argv, message):
+    # the grid driver is the one missing-argument rule: no usage message
+    rc, out = run(capsys, [*argv, "--format", "json"])
+    assert rc == 2
+    assert json.loads(out) == {"type": "error", "error_type": "domain_error",
+                               "message": message}
 
 
 class TestFigure:

@@ -2,9 +2,12 @@
 cross-checks, and limit behaviour of the defining integrals."""
 
 import contextlib
+import itertools
 import math
 
 import pytest
+from scipy.integrate import quad
+from scipy.special import ive
 
 from nuttq.box import check_box
 from nuttq.cli import main
@@ -12,6 +15,7 @@ from nuttq.errors import DomainError, ToleranceNotMetError
 from nuttq.oracle import (
     GOLDEN_CASES,
     GOLDEN_TOL,
+    _nuttall_tail_log,
     golden_path,
     oracle_marcum,
     oracle_nuttall,
@@ -88,6 +92,32 @@ class TestOracleValues:
         assert ov.abs_err_est <= 1e-10
         assert ov.tail_bound <= 1e-10
         assert ov.subdivisions >= 1
+
+    def test_nuttall_tail_majorant_covers_the_dropped_tail(self):
+        # the log of the integral of x^m e^(-(x-a)^2/2) ive(n, ax) over
+        # [upper, inf), by quad with the Gaussian-polynomial factor at upper
+        # divided out, so that it stays far from underflow
+        for m, n, a, d in itertools.product((0.0, 1.0, 4.5, 10.0),
+                                            (0.0, 2.5, 10.0),
+                                            (0.05, 1.0, 3.0, 6.0), range(2, 11)):
+            upper = a + math.sqrt(2.0 * m) + d
+            log_peak = m * math.log(upper) - 0.5 * (upper - a) ** 2
+
+            def f(x):
+                return math.exp(m * math.log(x) - 0.5 * (x - a) ** 2
+                                - log_peak) * ive(n, a * x)
+
+            scaled, err = quad(f, upper, math.inf, epsabs=0.0, epsrel=1e-10,
+                               limit=200)
+            assert err <= 1e-9 * scaled
+            log_tail = log_peak + math.log(scaled)
+            assert log_tail > math.log(1e-290)
+            assert _nuttall_tail_log(m, a, upper) >= log_tail, (m, n, a, d)
+
+    def test_nuttall_tail_majorant_refuses_an_upper_inside_its_validity(self):
+        # x (x - a) >= 2m fails at upper = a + 1 for m = 10, a = 1
+        with pytest.raises(ToleranceNotMetError, match="tail majorant invalid"):
+            _nuttall_tail_log(10.0, 1.0, 2.0)
 
     @pytest.mark.parametrize("oracle, args", [
         # QUADPACK accepts one 21-point panel at both points, with an

@@ -177,6 +177,9 @@ CORPUS: list[list[str]] = [
     ["--help"],
     ["eval", "nuttall"],
     ["bounds", "marcum", "--m", "2", "--n", "1"],
+    # a missing order is an error record from the grid driver
+    ["compare", "nuttall", "--n", "1", "--a", "1", "--b", "1", "--format", "json"],
+    ["bounds", "nuttall", "--m", "2", "--a", "1", "--b", "1", "--format", "json"],
 ]
 
 # Files the corpus reads, written to the working directory first.  Entry 3
