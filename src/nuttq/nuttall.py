@@ -18,9 +18,11 @@ The terms come from one log-domain kernel call for Gamma((m+n+1)/2, b^2/2)
 per value; every later gamma factor is stepped upward by
 Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x.  Upward is the stable direction
 for the upper incomplete gamma: the step only adds positive quantities, so
-rounding errors stay relative and never cancel (_terms carries the ratio
-form of it).  special.sum_adaptive/sum_truncated sum what _terms yields,
-and special.truncation_reports forms the truncation-bound reports from it.
+rounding errors stay relative and never cancel (_walk carries the ratio
+form of it).  _walk sums the terms in the loop that makes them and applies
+the stopping rule there; the truncated and adaptive sums and
+special.truncation_reports's truncation-bound reports read its
+checkpoints, one walk per value or per report.
 
 Also here: the finite closed form for half-odd-integer orders (whose
 incomplete gammas depend on the binomial index alone, so each is computed
@@ -42,6 +44,7 @@ from .special import (
     DEFAULT_MAX_TERMS,
     TERM_MAX,
     TERM_MIN,
+    _STOP_RUN,
     BoundReport,
     SeriesResult,
     bessel_i_scaled,
@@ -53,12 +56,14 @@ from .special import (
     half_odd_bessel_sum,
     kummer_1f1,
     lower_inc_gamma,
+    not_converged,
     sgn,
-    sum_adaptive,
     sum_truncated,
     truncation_reports,
     upper_inc_gamma,
     upper_inc_gamma_log,
+    walk_adaptive,
+    walk_truncated,
 )
 
 __all__ = [
@@ -116,8 +121,10 @@ def _term(p: NuttallParams, l: int, log_gamma: float) -> float:
     return exp_checked(lg, "series term overflows at l={} for {}", l, p)
 
 
-def _terms(p: NuttallParams) -> Iterator[float]:
-    """The series terms l = 0, 1, ... from one incomplete gamma kernel call.
+def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
+          max_terms: int) -> Iterator:
+    """The series summed from l = 0 in one loop, with one incomplete gamma
+    kernel call per value; yields the checkpoints of special.Walk.
 
     With x = b^2/2, s = (m+n+1)/2 and h_l = x^(s+l) e^-x / Gamma(s+l, x),
     Gamma(s+l+1, x) = (s+l+h_l) Gamma(s+l, x) gives
@@ -137,28 +144,56 @@ def _terms(p: NuttallParams) -> Iterator[float]:
     log_gamma = _log_gamma(p, 0)
     t = _term(p, 0, log_gamma)
     h = math.exp(s * math.log(x) - x - log_gamma) if x > 0.0 else 0.0
+    marks = iter(depths)
+    mark = next(marks, 0) - 1
+    last = max_terms - 1
+    lo, hi = TERM_MIN, TERM_MAX
+    total = 0.0
+    below = 0
+    stop = None
     l = 0
     while True:
-        yield t
-        t *= half_a2 * (s + l + h) / ((l + 1) * (n + l + 1))
-        h = x * h / (s + l + h)
+        total += t
+        if l == mark:
+            yield total, t
+            mark = next(marks, 0) - 1
+            if stop is not None and mark < 0:
+                yield stop
+                return
+        if t < tol * total:
+            below += 1
+            if below == _STOP_RUN and stop is None:
+                stop = SeriesResult(value=total, terms_used=l + 1,
+                                    last_term_abs=t, converged=True)
+                if mark < 0:
+                    yield stop
+                    return
+        else:
+            below = 0
+        if l == last:
+            raise not_converged(p, tol, max_terms, total)
+        step = s + l + h
+        t *= half_a2 * step / ((l + 1) * (n + l + 1))
+        h = x * h / step
         l += 1
-        if not TERM_MIN <= t <= TERM_MAX:
+        if not lo <= t <= hi:
             t = _term(p, l, _log_gamma(p, l))
 
 
 def nuttall_series_truncated(p: NuttallParams, terms: int) -> SeriesResult:
-    """Plain P-term partial sum (l = 0..P-1) by special.sum_truncated."""
-    return sum_truncated(_terms(p), terms)
+    """Plain P-term partial sum (l = 0..P-1), read off the walk by
+    special.walk_truncated."""
+    return walk_truncated(_walk, p, terms)
 
 
 def nuttall_series_adaptive(p: NuttallParams, tol: float = 1e-12,
                             max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
     """Sum the series until terms stay below tol * partial sum.
 
-    special.sum_adaptive's stop rule outlasts the term hump near l ~ a^2/2.
+    The walk's stop rule (special.walk_adaptive) outlasts the term hump
+    near l ~ a^2/2.
     """
-    return sum_adaptive(_terms(p), p, tol, max_terms)
+    return walk_adaptive(_walk, p, tol, max_terms)
 
 
 def nuttall_integer_series(p: NuttallParams, terms: int) -> SeriesResult:
@@ -271,7 +306,7 @@ def nuttall_truncation_bounds(p: NuttallParams,
         raise DomainError(
             f"bound needs ceil_half(m) >= ceil_half(n), got {mc} < {nc}")
     return truncation_reports(
-        _terms(p), p, depths,
+        _walk, p, depths,
         lambda: nuttall_half_integer_closed(NuttallParams(mc, nc, p.a, p.b)),
         p.b > 0.0)
 

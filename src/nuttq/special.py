@@ -1,22 +1,27 @@
-"""Scalar special-function kernels and the summation core of the series
-evaluators.
+"""Scalar special-function kernels and what the series evaluators share.
 
 Everything here is hand-rolled on top of ``math`` so the series routes stay
 fully independent of the scipy-based quadrature oracle.  The kernels cover
 exactly what the evaluators need: incomplete gamma functions (linear and log
 domain), the modified Bessel function of the first kind, Kummer's confluent
 hypergeometric function, and the half-odd-integer rounding helpers.  The
-summation core (``sum_truncated``, ``sum_adaptive``) sums the positive-term
-series of both function families, Nuttall Q and incomplete Toronto, from an
-iterator that yields the terms in index order.  Each family's iterator
-carries its incomplete gamma factor from term to term by a recurrence, so
-the core never calls a kernel itself; it only applies the depth, the
-stopping rule and the limits below.  ``truncation_reports`` forms both
-families' truncation-bound reports on top of the core, at every requested
-depth from one walk of the term iterator.  The closed-form core,
-``half_odd_bessel_sum``, sums the finite double sum that the elementary form
-of I_{nu+1/2} gives; both families' half-odd closed forms pass it their
-incomplete gammas.
+incomplete gamma and Bessel kernels refuse, before they start, an argument
+so large that their iterations would stall (``_GAMMA_X_MAX``,
+``_BESSEL_X_MAX``).
+
+Each series family, Nuttall Q and incomplete Toronto, sums its positive
+terms in one loop of its own, its walk: the loop makes each term by the
+family's recurrence, adds it to the running sum and applies the stopping
+rule, and yields only at checkpoints (see ``Walk``).  What the walks share
+lives here: the argument checks, the stopping rule's constants
+(``ADAPTIVE_TOL_MIN``, ``_STOP_RUN``), the ``NonConvergenceError`` they
+raise (``not_converged``), and the readers ``walk_truncated``,
+``walk_adaptive`` and ``truncation_reports``, which forms both families'
+truncation-bound reports at every requested depth from one walk.
+``sum_truncated`` sums a plain term iterator, for the integer double
+series.  The closed-form core, ``half_odd_bessel_sum``, sums the finite
+double sum that the elementary form of I_{nu+1/2} gives; both families'
+half-odd closed forms pass it their incomplete gammas.
 
 Every log-domain value that becomes a linear one passes one overflow gate,
 ``exp_checked``: past ``LOG_OVERFLOW`` it raises ``TermOverflowError``
@@ -33,7 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, NonConvergenceError, TermOverflowError
@@ -63,6 +68,13 @@ TERM_MIN = sys.float_info.min
 TERM_MAX = math.exp(LOG_OVERFLOW)
 _EPS = 1e-17
 _MAX_KERNEL_TERMS = 500_000
+# Largest argument each kernel accepts.  Past 2^53 the continued fraction's
+# step b += 2 starts to round away (it stalls from about x = 2^54 on); the
+# Bessel series peaks near term x/2 and, past x of about 9.9e5, cannot
+# finish within _MAX_KERNEL_TERMS.  Both kernels refuse larger x at once
+# with DomainError rather than spin to the cap.
+_GAMMA_X_MAX = 2.0 ** 53
+_BESSEL_X_MAX = 9e5
 _ORDER_TOL = 1e-9
 _KUMMER_RTOL = 1e-16
 _KUMMER_MAX_TERMS = 10_000
@@ -73,6 +85,15 @@ DEFAULT_MAX_TERMS = 10_000
 ADAPTIVE_TOL_MIN = 1e-14
 # consecutive below-threshold terms required before an adaptive sum stops
 _STOP_RUN = 3
+
+# A family's walk(p, depths, tol, max_terms) sums its series from term 0 in
+# one loop and yields only at checkpoints: (S_P, t_{P-1}) at each depth P of
+# depths (distinct, increasing, none above max_terms), in order; then, once
+# no depth is left, the SeriesResult at the first index where the stop rule
+# held, _STOP_RUN consecutive terms t < tol * (running sum).  It raises
+# not_converged(p, tol, max_terms, sum) when max_terms terms are summed
+# without the rule holding.  No term past the checkpoint being read is made.
+Walk = Callable[..., Iterator]
 
 
 @dataclass(frozen=True)
@@ -121,72 +142,81 @@ def sum_truncated(terms: Iterator[float], count: int) -> SeriesResult:
                         converged=True)
 
 
-def sum_adaptive(terms: Iterator[float], p, tol: float,
-                 max_terms: int) -> SeriesResult:
-    """Sum the terms yielded by terms until they stay below tol * sum.
-
-    Stops only after _STOP_RUN consecutive sub-threshold terms, which guards
-    against the hump the terms of both series go through (near i ~ a^2/2 for
-    Nuttall, i ~ r^2 for Toronto).  Raises DomainError for a tol that is
-    not finite or is below ADAPTIVE_TOL_MIN and for max_terms below 1, and
-    NonConvergenceError, naming the parameters p and carrying the partial
-    sum, once max_terms terms have been summed.
-    """
-    check_finite(tol=tol)
-    if tol < ADAPTIVE_TOL_MIN:
-        raise DomainError(f"tol must be >= {ADAPTIVE_TOL_MIN}, got {tol}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
-    total = 0.0
-    below = 0
-    # range first, so zip stops without asking for a term past the cap
-    for i, t in zip(range(max_terms), terms):
-        total += t
-        if t < tol * total:
-            below += 1
-            if below >= _STOP_RUN:
-                return SeriesResult(value=total, terms_used=i + 1,
-                                    last_term_abs=t, converged=True)
-        else:
-            below = 0
-    raise NonConvergenceError(
+def not_converged(p, tol: float, max_terms: int,
+                  partial: float) -> NonConvergenceError:
+    """The error a walk raises once max_terms terms are summed without the
+    stop rule holding: it names the parameters p and carries the partial
+    sum."""
+    return NonConvergenceError(
         f"series for {p} did not meet tol={tol} in {max_terms} terms",
-        partial_value=total, terms=max_terms)
+        partial_value=partial, terms=max_terms)
 
 
-def truncation_reports(terms: Iterator[float], p, depths: Sequence[int],
+def walk_truncated(walk: Walk, p, terms: int) -> SeriesResult:
+    """Plain partial sum of the first terms terms, read off the walk's one
+    checkpoint.
+
+    For a positive-term series its distance to the limit is exactly the
+    tail, so the result is reported converged at the requested depth.
+    """
+    check_terms(terms)
+    total, last = next(walk(p, (terms,), ADAPTIVE_TOL_MIN, DEFAULT_MAX_TERMS))
+    return SeriesResult(value=total, terms_used=terms, last_term_abs=last,
+                        converged=True)
+
+
+def walk_adaptive(walk: Walk, p, tol: float, max_terms: int) -> SeriesResult:
+    """Sum the series until its terms stay below tol * sum: the walk's stop
+    checkpoint.
+
+    The stop rule waits for _STOP_RUN consecutive sub-threshold terms, which
+    guards against the hump the terms of both series go through (near
+    i ~ a^2/2 for Nuttall, i ~ r^2 for Toronto).  Raises DomainError for a
+    tol that is not finite or is below ADAPTIVE_TOL_MIN and for max_terms
+    below 1, before any term is made, and the walk's not_converged error
+    once max_terms terms have been summed.
+    """
+    if not (ADAPTIVE_TOL_MIN <= tol < math.inf and max_terms >= 1):
+        check_finite(tol=tol)
+        if tol < ADAPTIVE_TOL_MIN:
+            raise DomainError(f"tol must be >= {ADAPTIVE_TOL_MIN}, got {tol}")
+        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
+    return next(walk(p, (), tol, max_terms))
+
+
+def truncation_reports(walk: Walk, p, depths: Sequence[int],
                        closed: Callable[[], float],
                        regime_ok: bool) -> list[BoundReport]:
     """Truncation-bound reports at each depth P in depths, from one walk of
-    the positive-term series that terms yields:
+    the positive-term series:
 
         bound  = closed() - S_P
         actual = A - S_P
 
     S_P is the P-term partial sum and A the sum to ADAPTIVE_TOL_MIN, whose
-    NonConvergenceError names p.  closed() is the closed-form value the
+    not_converged error names p.  closed() is the closed-form value the
     bound rests on, and regime_ok is copied into every report; the slack
     bound - actual = closed() - A does not depend on P.
 
-    Every depth is checked first.  The first max(depths) terms are then
-    drawn once and kept; A sums them and then the rest of the walk, and
-    each S_P is read off one running sum over them, the same additions in
-    the same order as a separate walk per sum.  The head of the walk comes
-    before closed(), so an error in it is the one raised.
+    Every depth is checked first.  The walk then yields S_P at each
+    distinct depth in increasing order, and A last, all off one running
+    sum: the same additions in the same order as a separate walk per sum.
+    The head of the walk, up to the deepest P, comes before closed(), so an
+    error in it is the one raised; the rest of the walk comes after.
     """
     if not depths:
         raise DomainError("truncation reports need at least one depth")
     for depth in depths:
         check_terms(depth)
-    head = list(islice(terms, max(depths)))
+    distinct = sorted(set(depths))
+    checkpoints = walk(p, distinct, ADAPTIVE_TOL_MIN, DEFAULT_MAX_TERMS)
+    partial = {depth: next(checkpoints)[0] for depth in distinct}
     exact = closed()
-    limit = sum_adaptive(chain(head, terms), p, ADAPTIVE_TOL_MIN,
-                         DEFAULT_MAX_TERMS).value
-    prefix = list(accumulate(head))
+    limit = next(checkpoints).value
     reports = []
     for depth in depths:
-        bound = exact - prefix[depth - 1]
-        residual = limit - prefix[depth - 1]
+        bound = exact - partial[depth]
+        residual = limit - partial[depth]
         reports.append(BoundReport(bound_value=bound, dominated_quantity=residual,
                                    regime_ok=regime_ok, slack=bound - residual))
     return reports
@@ -313,12 +343,15 @@ def _log_upper_cf(a: float, x: float) -> float:
 
 
 def _check_gamma_args(a: float, x: float) -> None:
+    if 0.0 < a < math.inf and 0.0 <= x <= _GAMMA_X_MAX:
+        return
     if not (a > 0.0):
         raise DomainError(f"incomplete gamma order must be positive, got a={a}")
     if x < 0.0 or math.isnan(x):
         raise DomainError(f"incomplete gamma argument must be >= 0, got x={x}")
     # an infinite order or argument never meets the kernels' stopping rules
     check_finite(a=a, x=x)
+    raise DomainError(f"incomplete gamma argument must be <= 2^53, got x={x}")
 
 
 def _log_complement(a: float, log_part: float) -> float:
@@ -334,7 +367,8 @@ def lower_inc_gamma_log(a: float, x: float) -> float:
     """log of the lower incomplete gamma function; -inf at x = 0.
 
     Stays finite for large orders where the linear value would underflow
-    (e.g. a ~ 500, x ~ 60).
+    (e.g. a ~ 500, x ~ 60).  Both gamma kernels take a finite order a > 0
+    and 0 <= x <= 2^53, and raise DomainError otherwise.
     """
     _check_gamma_args(a, x)
     if x == 0.0:
@@ -367,13 +401,17 @@ def upper_inc_gamma(a: float, x: float) -> float:
 
 
 def _log_bessel_i(nu: float, x: float) -> float:
-    # log I_nu(x) for both public forms.  A nan order or an infinite
-    # argument would never meet the stopping rule below, so both are refused.
-    if nu < 0.0:
-        raise DomainError(f"Bessel order must be >= 0, got nu={nu}")
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"Bessel argument must be >= 0, got x={x}")
-    check_finite(nu=nu, x=x)
+    # log I_nu(x) for both public forms.  A nan order or an infinite or
+    # huge argument would never meet the stopping rule below, so all are
+    # refused.
+    if not (0.0 <= nu < math.inf and 0.0 <= x <= _BESSEL_X_MAX):
+        if nu < 0.0:
+            raise DomainError(f"Bessel order must be >= 0, got nu={nu}")
+        if x < 0.0 or math.isnan(x):
+            raise DomainError(f"Bessel argument must be >= 0, got x={x}")
+        check_finite(nu=nu, x=x)
+        raise DomainError(
+            f"Bessel argument must be <= {_BESSEL_X_MAX:g}, got x={x}")
     if x == 0.0:
         return 0.0 if nu == 0.0 else -math.inf
     # Ascending series sum_k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)), summed as a
@@ -401,7 +439,8 @@ def _log_bessel_i(nu: float, x: float) -> float:
 
 
 def bessel_i_scaled(nu: float, x: float) -> float:
-    """e^-x I_nu(x) for finite nu >= 0, x >= 0.  The overflow-safe workhorse."""
+    """e^-x I_nu(x) for finite nu >= 0 and 0 <= x <= 9e5 (DomainError
+    otherwise).  The overflow-safe workhorse."""
     return math.exp(_log_bessel_i(nu, x) - x)
 
 

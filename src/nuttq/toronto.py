@@ -16,16 +16,17 @@ partial sums increase monotonically and the truncation error is the tail.
 The lower incomplete gamma is stable only downward:
 gamma(s, x) = (gamma(s+1, x) + x^s e^-x) / s adds positive quantities,
 while the upward step gamma(s+1, x) = s gamma(s, x) - x^s e^-x cancels
-once s passes x = B^2.  So _terms makes one log-domain kernel call at the
+once s passes x = B^2.  So _walk makes one log-domain kernel call at the
 top of each block of _BLOCK = 32 indices, steps the gamma ratio down
-through the block, and carries the terms upward with those ratios; the sum
-still sees the terms in index order.  The kernel call dominates a value's
-cost, so a value of P terms costs 1 + ceil((P - 1) / 32) calls, plus one
-for each running term recomputed in log domain.  Smaller blocks make more
-calls; larger ones make barely fewer (2.1 a value at 64 against 2.4 at 32
-on the seeded box of tests/test_recurrence.py at tol 1e-12) and are no
-faster.  special.sum_adaptive/sum_truncated sum what _terms yields, and
-special.truncation_reports forms the truncation-bound reports from it.
+through the block, and carries the terms upward with those ratios, adding
+each to the running sum in index order as it is made.  The kernel call
+dominates a value's cost, so a value of P terms costs 1 + ceil((P - 1) /
+32) calls, plus one for each running term recomputed in log domain.
+Smaller blocks make more calls; larger ones make barely fewer (2.1 a value
+at 64 against 2.4 at 32 on the seeded box of tests/test_recurrence.py at
+tol 1e-12) and are no faster.  The truncated and adaptive sums and
+special.truncation_reports's truncation-bound reports read the walk's
+checkpoints, one walk per value or per report.
 
 Also here: the finite closed form for integer m with half-odd-integer n
 (each of its incomplete gammas computed once per value, as in the Nuttall
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator, Sequence
 
 from .errors import DomainError, TermOverflowError
@@ -47,6 +47,7 @@ from .special import (
     DEFAULT_MAX_TERMS,
     TERM_MAX,
     TERM_MIN,
+    _STOP_RUN,
     BoundReport,
     SeriesResult,
     check_finite,
@@ -57,13 +58,14 @@ from .special import (
     kummer_1f1,
     lower_inc_gamma,
     lower_inc_gamma_log,
+    not_converged,
     sgn,
-    sum_adaptive,
-    sum_truncated,
     truncation_reports,
+    walk_adaptive,
+    walk_truncated,
 )
 
-# terms per incomplete gamma kernel call of the recurrence (see _terms)
+# terms per incomplete gamma kernel call of the recurrence (see _walk)
 _BLOCK = 32
 
 __all__ = [
@@ -118,9 +120,11 @@ def _term(p: TorontoParams, k: int, log_gamma: float) -> float:
     return exp_checked(lg, "series term overflows at k={} for {}", k, p)
 
 
-def _terms(p: TorontoParams) -> Iterator[float]:
-    """The series terms k = 0, 1, ...: one incomplete gamma kernel call for
-    term 0 and one per block of _BLOCK later terms.
+def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
+          max_terms: int) -> Iterator:
+    """The series summed from k = 0 in one loop, with one incomplete gamma
+    kernel call for term 0 and one per block of _BLOCK later terms; yields
+    the checkpoints of special.Walk.
 
     With x = B^2, c = (m+1)/2 and v_s = x^s e^-x / gamma(s, x), the ratio
     gamma(s+1, x) / gamma(s, x) = s x / (x + v_{s+1}) gives
@@ -130,53 +134,85 @@ def _terms(p: TorontoParams) -> Iterator[float]:
     v cannot be stepped upward: gamma(s+1, x) = s gamma(s, x) - x^s e^-x
     cancels once s passes x.  Downward, v_s = s v_{s+1} / (x + v_{s+1})
     adds only positive quantities, so it shrinks the relative error of v.
-    So each block of _BLOCK indices takes v from one kernel call at its top
-    and steps it down; the terms themselves still come out in upward order.
-    Term 0 keeps a kernel call of its own, although one more step of the
-    first block's descent would give v_c: log gamma(c, x) = c log x - x -
-    log v_c loses eps |c log x - x| to cancellation, up to about 60 eps at
-    B = 8.
+    So each block of _BLOCK steps takes v from one kernel call at its top
+    and steps it down, when the block's first step is due; the terms still
+    come out in upward order.  Term 0 keeps a kernel call of its own,
+    although one more step of the first block's descent would give v_c:
+    log gamma(c, x) = c log x - x - log v_c loses eps |c log x - x| to
+    cancellation, up to about 60 eps at B = 8.
     A running term outside [TERM_MIN, TERM_MAX] is recomputed in log domain,
-    as in the Nuttall series.  If B^2 underflows to 0 every term is 0, and
-    no kernel is asked for log gamma(s, 0).
+    as in the Nuttall series.  If B^2 underflows to 0 every term is 0.0: the
+    partial sums are 0.0, no tol is met, and no kernel is asked for
+    log gamma(s, 0).
     """
     x = p.B * p.B
     if x == 0.0:
-        yield from repeat(0.0)  # endless: nothing below runs
+        for _ in depths:
+            yield 0.0, 0.0
+        raise not_converged(p, tol, max_terms, 0.0)
     c = 0.5 * (p.m + 1.0)
     n = p.n
     r2 = p.r * p.r
     log_x = math.log(x)
     t = _term(p, 0, _log_gamma(p, 0))
-    yield t
+    marks = iter(depths)
+    mark = next(marks, 0) - 1
+    last = max_terms - 1
+    lo, hi = TERM_MIN, TERM_MAX
+    total = 0.0
+    below = 0
+    stop = None
+    # v[j] = v_{c+k+1} for the step from term k, j = k mod _BLOCK
+    v = [0.0] * _BLOCK
+    j = _BLOCK - 1
     k = 0
     while True:
-        # v[j] = v_{c+k+1+j}, from the kernel at the block's top index
-        top = k + _BLOCK
-        v = [0.0] * _BLOCK
-        v[-1] = math.exp((c + top) * log_x - x - _log_gamma(p, top))
-        for j in range(_BLOCK - 2, -1, -1):
-            v[j] = (c + k + 1 + j) * v[j + 1] / (x + v[j + 1])
-        for vs in v:
-            t *= r2 / ((k + 1) * (n + k + 1)) * (c + k) * x / (x + vs)
-            k += 1
-            if not TERM_MIN <= t <= TERM_MAX:
-                t = _term(p, k, _log_gamma(p, k))
-            yield t
+        total += t
+        if k == mark:
+            yield total, t
+            mark = next(marks, 0) - 1
+            if stop is not None and mark < 0:
+                yield stop
+                return
+        if t < tol * total:
+            below += 1
+            if below == _STOP_RUN and stop is None:
+                stop = SeriesResult(value=total, terms_used=k + 1,
+                                    last_term_abs=t, converged=True)
+                if mark < 0:
+                    yield stop
+                    return
+        else:
+            below = 0
+        if k == last:
+            raise not_converged(p, tol, max_terms, total)
+        j += 1
+        if j == _BLOCK:
+            top = k + _BLOCK
+            w = v[-1] = math.exp((c + top) * log_x - x - _log_gamma(p, top))
+            for i in range(_BLOCK - 2, -1, -1):
+                w = v[i] = (c + k + 1 + i) * w / (x + w)
+            j = 0
+        t *= r2 / ((k + 1) * (n + k + 1)) * (c + k) * x / (x + v[j])
+        k += 1
+        if not lo <= t <= hi:
+            t = _term(p, k, _log_gamma(p, k))
 
 
 def toronto_series_truncated(p: TorontoParams, terms: int) -> SeriesResult:
-    """Plain P-term partial sum (k = 0..P-1) by special.sum_truncated."""
-    return sum_truncated(_terms(p), terms)
+    """Plain P-term partial sum (k = 0..P-1), read off the walk by
+    special.walk_truncated."""
+    return walk_truncated(_walk, p, terms)
 
 
 def toronto_series_adaptive(p: TorontoParams, tol: float = 1e-12,
                             max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
     """Sum the series until terms stay below tol * partial sum.
 
-    special.sum_adaptive's stop rule outlasts the term hump near k ~ r^2.
+    The walk's stop rule (special.walk_adaptive) outlasts the term hump
+    near k ~ r^2.
     """
-    return sum_adaptive(_terms(p), p, tol, max_terms)
+    return walk_adaptive(_walk, p, tol, max_terms)
 
 
 def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
@@ -275,7 +311,7 @@ def toronto_truncation_bounds(p: TorontoParams,
         raise DomainError(
             f"bound needs floor_half(n) >= 0.5, got n={p.n} -> {nf}")
     return truncation_reports(
-        _terms(p), p, depths, lambda: toronto_closed_form_half(mc, nf, p.r, p.B),
+        _walk, p, depths, lambda: toronto_closed_form_half(mc, nf, p.r, p.B),
         p.m > p.n)
 
 

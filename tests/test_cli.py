@@ -73,7 +73,7 @@ class TestEval:
         assert rc == 2
 
     def test_term_cap_is_convergence_error(self, capsys, monkeypatch):
-        # the library's term cap, hit in the real summation core
+        # the library's term cap, hit in the real series walk
         monkeypatch.setattr(cli, "nuttall_series_adaptive", functools.partial(
             nuttall_series_adaptive, max_terms=3))
         rc, out = run(capsys, ["eval", "nuttall", "--method", "adaptive",

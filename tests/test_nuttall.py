@@ -35,10 +35,10 @@ def rel(x, y):
     return abs(x - y) / abs(y)
 
 
-# (params, truncated, adaptive) per family.  Both families are summed by
-# the same core (special.sum_truncated, special.sum_adaptive), so its
-# contract is tested on each.  a = r = 3 puts the term hump near index 4.5
-# or 9, so five terms cannot meet any tol.
+# (params, truncated, adaptive) per family.  Each family sums its series in
+# a walk of its own, read by the same special.walk_truncated and
+# special.walk_adaptive, so their contract is tested on each.  a = r = 3
+# puts the term hump near index 4.5 or 9, so five terms cannot meet any tol.
 SERIES_FAMILIES = [
     (NuttallParams(2.0, 1.0, 3.0, 1.0), nuttall_series_truncated,
      nuttall_series_adaptive),

@@ -11,8 +11,10 @@ terms that underflow before the hump, B^2 underflowing to 0, and a term
 that overflows mid-series.
 
 A truncation-bound report walks its series once for every depth it is
-asked for; the last tests count the walks and hold the reports to the
-bits of one report per depth.
+asked for; later tests count the walks and hold the reports to the bits
+of one report per depth.  The last ones pin the walk's contract: the stop
+rule counts from term 0, and a cap ends the walk with that depth's
+partial sum and makes no term past it.
 """
 
 import json
@@ -25,9 +27,17 @@ import nuttq.nuttall as nuttall
 import nuttq.toronto as toronto
 from nuttq.cli import main
 from nuttq.errors import DomainError, NonConvergenceError, TermOverflowError
-from nuttq.nuttall import NuttallParams, nuttall_series_adaptive
+from nuttq.nuttall import (
+    NuttallParams,
+    nuttall_series_adaptive,
+    nuttall_series_truncated,
+)
 from nuttq.special import DEFAULT_MAX_TERMS, LOG_OVERFLOW
-from nuttq.toronto import TorontoParams, toronto_series_adaptive
+from nuttq.toronto import (
+    TorontoParams,
+    toronto_series_adaptive,
+    toronto_series_truncated,
+)
 
 TOL = 1e-14
 POINTS = 60
@@ -214,11 +224,23 @@ def test_terms_underflowing_before_the_hump_are_recomputed():
 
 
 def test_underflowed_limit_is_nonconvergence_without_kernel_calls(kernel_calls):
-    # B^2 = 1e-400 underflows to 0: every term is 0, so no tol is met
-    with pytest.raises(NonConvergenceError) as exc:
-        toronto_series_adaptive(TorontoParams(2.0, 1.0, 1.0, 1e-200))
-    assert exc.value.partial_value == 0.0
-    assert exc.value.terms == DEFAULT_MAX_TERMS
+    # B^2 underflows to 0: every term is 0, so no tol is met, and every
+    # partial sum is 0
+    for big_b in (1e-200, 1e-170):
+        p = TorontoParams(2.0, 1.0, 1.0, big_b)
+        with pytest.raises(NonConvergenceError) as exc:
+            toronto_series_adaptive(p)
+        assert exc.value.partial_value == 0.0
+        assert exc.value.terms == DEFAULT_MAX_TERMS
+        assert str(exc.value) == (f"series for {p} did not meet tol=1e-12 "
+                                  f"in {DEFAULT_MAX_TERMS} terms")
+        for depth in (1, 20, 500):
+            res = toronto_series_truncated(p, depth)
+            assert (res.value, res.terms_used, res.last_term_abs) == \
+                (0.0, depth, 0.0)
+        with pytest.raises(NonConvergenceError,
+                           match="tol=1e-14 in 10000 terms"):
+            toronto.toronto_truncation_bounds(p, [3, 1])
     assert kernel_calls["toronto"] == 0
 
 
@@ -269,38 +291,39 @@ def _bits(report):
 @pytest.mark.parametrize("module, params, box", FAMILIES)
 def test_reports_at_many_depths_have_the_bits_of_one_report_per_depth(
         module, params, box):
-    # depth 500 lies past every adaptive stop in the box
+    # depth 500 lies past every adaptive stop in the box; unsorted and
+    # duplicate depths are reported in the order asked for
     single, many = _bound_functions(module)
-    depths = [1, 5, 5, 20, 500]
-    reported = 0
-    for point in box:
-        p = params(*point)
-        try:
-            reports = many(p, depths)
-        except DomainError as exc:
-            with pytest.raises(DomainError) as one:
-                single(p, depths[0])
-            assert str(one.value) == str(exc)
-            continue
-        assert [_bits(r) for r in reports] == \
-            [_bits(single(p, depth)) for depth in depths], point
-        reported += 1
-    assert reported >= 10
+    for depths in ([1, 5, 5, 20, 500], [20, 5, 20], [500, 2, 60, 2, 1]):
+        reported = 0
+        for point in box:
+            p = params(*point)
+            try:
+                reports = many(p, depths)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as one:
+                    single(p, depths[0])
+                assert str(one.value) == str(exc)
+                continue
+            assert [_bits(r) for r in reports] == \
+                [_bits(single(p, depth)) for depth in depths], (point, depths)
+            reported += 1
+        assert reported >= 10, depths
 
 
 @pytest.fixture
-def term_walks(monkeypatch):
-    """Count the term iterators each series module starts."""
-    walks = {"nuttall": 0, "toronto": 0}
+def walks(monkeypatch):
+    """Count the walks each series module starts."""
+    started = {"nuttall": 0, "toronto": 0}
     for module in (nuttall, toronto):
         family = module.__name__.rsplit(".", 1)[1]
 
-        def counted(p, terms=module._terms, family=family):
-            walks[family] += 1
-            return terms(p)
+        def counted(*args, walk=module._walk, family=family):
+            started[family] += 1
+            return walk(*args)
 
-        monkeypatch.setattr(module, "_terms", counted)
-    return walks
+        monkeypatch.setattr(module, "_walk", counted)
+    return started
 
 
 @pytest.mark.parametrize("module, point, grid", [
@@ -310,19 +333,19 @@ def term_walks(monkeypatch):
      ["--r", "1,0.5", "--B", "2"]),
 ])
 def test_one_walk_per_report_and_per_point_of_a_sweep(
-        term_walks, capsys, module, point, grid):
+        walks, capsys, module, point, grid):
     family = module.__name__.rsplit(".", 1)[1]
     single, many = _bound_functions(module)
     single(point, 20)
-    assert term_walks[family] == 1
+    assert walks[family] == 1
     depths = list(range(1, 16))
     assert len(many(point, depths)) == 15
-    assert term_walks[family] == 2
+    assert walks[family] == 2
     rc = main(["bounds", family, "--m", str(point.m), "--n", str(point.n),
                *grid, "--terms", ",".join(map(str, depths))])
     assert rc == 0
     assert "rows=30 " in capsys.readouterr().out
-    assert term_walks[family] == 4
+    assert walks[family] == 4
 
 
 @pytest.mark.parametrize("module, point", [
@@ -331,14 +354,13 @@ def test_one_walk_per_report_and_per_point_of_a_sweep(
 ])
 def test_bad_depths_are_refused_before_a_term_is_drawn(
         monkeypatch, module, point):
-    drawn = []
+    started = []
 
-    def terms(_p):
-        while True:
-            drawn.append(1)
-            yield 1.0
+    def walk(*_args):
+        started.append(1)
+        return iter(())
 
-    monkeypatch.setattr(module, "_terms", terms)
+    monkeypatch.setattr(module, "_walk", walk)
     _, many = _bound_functions(module)
     for depths, bad in (([0], 0), ([5, 501, 0], 501)):
         with pytest.raises(DomainError,
@@ -346,4 +368,67 @@ def test_bad_depths_are_refused_before_a_term_is_drawn(
             many(point, depths)
     with pytest.raises(DomainError, match="at least one depth"):
         many(point, [])
-    assert not drawn
+    assert not started
+
+
+# A walk sums its terms and applies the stop rule in the loop that makes
+# them.  The tests below pin its contract: the stop rule counts from term
+# 0, and a cap ends the walk with the partial sum of that depth and makes
+# no term past it.
+
+# (terms_used, value.hex()) at tol 0.5, 1 and 2; at tol 2 term 0 already
+# counts as below tol * sum, so three terms are the least a sum can take
+_LARGE_TOL_PINS = {
+    NuttallParams(2.0, 1.0, 3.0, 1.0): [
+        (6, "0x1.66e6e037d7759p-1"), (4, "0x1.5c8456268f484p-2"),
+        (3, "0x1.5f8f22a909c04p-3")],
+    NuttallParams(2.5, 1.5, 0.5, 2.0): [
+        (4, "0x1.27a61a4a5d59bp-1"), (4, "0x1.27a61a4a5d59bp-1"),
+        (3, "0x1.2781950c221ffp-1")],
+    TorontoParams(2.0, 1.0, 3.0, 1.0): [
+        (5, "0x1.15f708c63adb3p-10"), (4, "0x1.048ecf2c1ab48p-10"),
+        (3, "0x1.a796edd905475p-11")],
+    TorontoParams(3.0, 1.5, 1.0, 2.0): [
+        (4, "0x1.efe1ce7c6cfe5p-2"), (4, "0x1.efe1ce7c6cfe5p-2"),
+        (3, "0x1.e532740f1b93bp-2")],
+}
+
+
+def _series(point):
+    if isinstance(point, NuttallParams):
+        return nuttall_series_truncated, nuttall_series_adaptive
+    return toronto_series_truncated, toronto_series_adaptive
+
+
+@pytest.mark.parametrize("point", list(_LARGE_TOL_PINS))
+def test_stop_rule_counts_from_term_zero(point):
+    truncated, adaptive = _series(point)
+    for tol, (terms, value) in zip((0.5, 1.0, 2.0), _LARGE_TOL_PINS[point]):
+        res = adaptive(point, tol=tol)
+        assert (res.terms_used, res.value.hex()) == (terms, value), tol
+        assert res.value == truncated(point, terms).value
+
+
+@pytest.mark.parametrize("point, calls", [
+    # a = 60: every term before the hump underflows and is recomputed with
+    # a kernel call of its own, so each term made shows as one call
+    (NuttallParams(2.0, 1.0, 60.0, 1.0), [1, 2, 3]),
+    (NuttallParams(2.0, 1.0, 3.0, 1.0), [1, 1, 1]),
+    # term 1 needs the first block's kernel call; term 0 has its own
+    (TorontoParams(2.0, 1.0, 3.0, 1.0), [1, 2, 2]),
+])
+def test_cap_ends_the_walk_with_the_partial_sum(kernel_calls, point, calls):
+    truncated, adaptive = _series(point)
+    family = "nuttall" if isinstance(point, NuttallParams) else "toronto"
+    for cap, want in zip((1, 2, 3), calls):
+        kernel_calls[family] = 0
+        with pytest.raises(NonConvergenceError) as exc:
+            adaptive(point, max_terms=cap)
+        assert kernel_calls[family] == want, cap
+        assert exc.value.terms == cap
+        assert str(exc.value) == (
+            f"series for {point} did not meet tol=1e-12 in {cap} terms")
+        assert exc.value.partial_value.hex() == truncated(point, cap).value.hex()
+        kernel_calls[family] = 0
+        assert truncated(point, cap).terms_used == cap
+        assert kernel_calls[family] == want, cap

@@ -5,6 +5,7 @@ arithmetic and frozen here.
 """
 
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,6 +103,22 @@ class TestIncompleteGamma:
             with pytest.raises(DomainError, match="argument must be >= 0"):
                 kernel(2.5, math.nan)
 
+    def test_huge_argument_refused_at_once(self):
+        # the continued fraction stalls from x ~ 2^54 on; refusing at once
+        # spares a run to its 500,000-step cap (0.4 s at x = 1e308)
+        start = time.perf_counter()
+        for kernel in (lower_inc_gamma, upper_inc_gamma, lower_inc_gamma_log,
+                       upper_inc_gamma_log):
+            for a, x in ((2.5, 1e308), (100.0, 1e18), (2.5, 2.0 ** 53 * 1.5)):
+                with pytest.raises(DomainError) as exc:
+                    kernel(a, x)
+                assert str(exc.value) == (
+                    f"incomplete gamma argument must be <= 2^53, got x={x}")
+        assert time.perf_counter() - start < 0.1
+        # 2^53 itself is still summed
+        assert upper_inc_gamma_log(2.5, 2.0 ** 53) == -9007199254740937.0
+        assert lower_inc_gamma_log(2.5, 2.0 ** 53) == math.lgamma(2.5)
+
 
 class TestBesselI:
     def test_frozen_values(self):
@@ -149,6 +166,22 @@ class TestBesselI:
                 with pytest.raises(DomainError) as exc:
                     bessel(nu, x)
                 assert str(exc.value) == message
+
+    def test_huge_argument_refused_at_once(self):
+        # the series peaks near term x/2, so past x ~ 9.9e5 it cannot end
+        # within its 500,000-term cap; refusing at once spares the run
+        # there (0.24 s at x = 1e150)
+        start = time.perf_counter()
+        for bessel in (bessel_i, bessel_i_scaled):
+            for x in (1e150, 1.2e6, 900000.5):
+                with pytest.raises(DomainError) as exc:
+                    bessel(0.0, x)
+                assert str(exc.value) == (
+                    f"Bessel argument must be <= 900000, got x={x}")
+        assert time.perf_counter() - start < 0.1
+        # the limit itself is still summed
+        assert rel(bessel_i_scaled(2.5, 9e5),
+                   1.0 / math.sqrt(2 * math.pi * 9e5)) < 1e-5
 
 
 class TestKummer1F1:

@@ -208,7 +208,10 @@ def library_corpus() -> list[str]:
     incomplete gamma branch seam x = a + 1, x = 0, overflow past
     LOG_OVERFLOW, non-finite arguments (an infinite gamma order or
     argument included), high orders with a large scale parameter, and
-    a, r = 1e-200 for the closed forms.
+    a, r = 1e-200 for the closed forms.  The last calls draw nothing: the
+    series walks' edges (caps, large tols, unsorted and duplicate depths,
+    a B whose square underflows) and kernel arguments past the kernels'
+    limits.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -324,6 +327,34 @@ def library_corpus() -> list[str]:
                 *toronto_point(), tol, scheme)
             add("oracle_marcum({}, {}, {}, tol={}, scheme={})", u(1.0, 10.0),
                 u(0.01, 6.0), u(0.0, 8.0), tol, scheme)
+
+    # Edge calls that draw nothing, so the seeded calls above keep their
+    # arguments: adaptive caps of 1 to 3 terms beside the partial sums of
+    # that depth, tols so large that the stop rule holds from term 0,
+    # unsorted and duplicate depth lists, a Toronto B whose square
+    # underflows to 0, and kernel arguments far past where the kernels'
+    # iterations can finish.
+    for family, pt in (("nuttall", (2.0, 1.0, 3.0, 1.0)),
+                       ("nuttall", (4.5, 2.5, 0.5, 2.0)),
+                       ("nuttall", (2.0, 1.0, 60.0, 1.0)),
+                       ("toronto", (2.0, 1.0, 3.0, 1.0)),
+                       ("toronto", (3.0, 1.5, 1.0, 2.0)),
+                       ("toronto", (2.0, 1.0, 1.0, 1e-170))):
+        params = family.capitalize() + "Params({}, {}, {}, {})"
+        for cap in (1, 2, 3):
+            add(f"{family}_series_adaptive({params}, max_terms={{}})", *pt, cap)
+            add(f"{family}_series_truncated({params}, {{}})", *pt, cap)
+        for tol in (0.5, 1.0, 2.0):
+            add(f"{family}_series_adaptive({params}, tol={{}})", *pt, tol)
+        for depths in ([20, 5, 20], [5, 1, 1], [500, 2, 60, 2], [1]):
+            add(f"{family}_truncation_bounds({params}, {{}})", *pt, depths)
+    for kernel in ("lower_inc_gamma", "upper_inc_gamma",
+                   "lower_inc_gamma_log", "upper_inc_gamma_log"):
+        for a, x in ((2.5, 1e308), (100.0, 1e18), (2.5, 2.0 ** 53)):
+            add(kernel + "({}, {})", a, x)
+    for kernel in ("bessel_i", "bessel_i_scaled"):
+        for nu, x in ((0.0, 1e150), (0.0, 1.2e6), (2.5, 9e5)):
+            add(kernel + "({}, {})", nu, x)
     return calls
 
 
