@@ -82,7 +82,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NuttallParams:
     """Arguments of Q_{m,n}(a, b), validated once at construction.
 
@@ -96,6 +96,13 @@ class NuttallParams:
     b: float
 
     def __post_init__(self):
+        # the common case in one test, four floats in range; anything
+        # else meets the checks below, which name the first field that fails
+        m, n, a, b = self.m, self.n, self.a, self.b
+        if (type(m) is type(n) is type(a) is type(b) is float
+                and 0.0 <= m < math.inf and 0.0 <= n < math.inf
+                and 0.0 < a < math.inf and 0.0 <= b < math.inf):
+            return
         check_finite(m=self.m, n=self.n, a=self.a, b=self.b)
         if not (self.m >= 0.0):
             raise DomainError(f"m must be >= 0, got {self.m}")
@@ -141,7 +148,7 @@ def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
     s = 0.5 * (p.m + p.n + 1)
     n = p.n
     half_a2 = 0.5 * p.a * p.a
-    log_gamma = _log_gamma(p, 0)
+    log_gamma = upper_inc_gamma_log(s, x)
     t = _term(p, 0, log_gamma)
     h = math.exp(s * math.log(x) - x - log_gamma) if x > 0.0 else 0.0
     marks = iter(depths)
@@ -163,8 +170,7 @@ def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
         if t < tol * total:
             below += 1
             if below == _STOP_RUN and stop is None:
-                stop = SeriesResult(value=total, terms_used=l + 1,
-                                    last_term_abs=t, converged=True)
+                stop = SeriesResult(total, l + 1, t, True)
                 if mark < 0:
                     yield stop
                     return

@@ -81,7 +81,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorontoParams:
     """Arguments of T_B(m, n, r), validated once at construction.
 
@@ -95,6 +95,14 @@ class TorontoParams:
     B: float
 
     def __post_init__(self):
+        # the common case in one test, four floats in range (m - n is
+        # finite only if m and n are); anything else meets the checks
+        # below, which name the first field that fails
+        m, n, r, big_b = self.m, self.n, self.r, self.B
+        if (type(m) is type(n) is type(r) is type(big_b) is float
+                and 0.0 <= n and -1.0 < m - n < math.inf
+                and 0.0 < r < math.inf and 0.0 < big_b < math.inf):
+            return
         check_finite(m=self.m, n=self.n, r=self.r, B=self.B)
         if not (self.n >= 0.0):
             raise DomainError(f"n must be >= 0, got {self.n}")
@@ -154,7 +162,7 @@ def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
     n = p.n
     r2 = p.r * p.r
     log_x = math.log(x)
-    t = _term(p, 0, _log_gamma(p, 0))
+    t = _term(p, 0, lower_inc_gamma_log(c, x))
     marks = iter(depths)
     mark = next(marks, 0) - 1
     last = max_terms - 1
@@ -177,8 +185,7 @@ def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
         if t < tol * total:
             below += 1
             if below == _STOP_RUN and stop is None:
-                stop = SeriesResult(value=total, terms_used=k + 1,
-                                    last_term_abs=t, converged=True)
+                stop = SeriesResult(total, k + 1, t, True)
                 if mark < 0:
                     yield stop
                     return
@@ -188,8 +195,8 @@ def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
             raise not_converged(p, tol, max_terms, total)
         j += 1
         if j == _BLOCK:
-            top = k + _BLOCK
-            w = v[-1] = math.exp((c + top) * log_x - x - _log_gamma(p, top))
+            top = c + (k + _BLOCK)
+            w = v[-1] = math.exp(top * log_x - x - lower_inc_gamma_log(top, x))
             for i in range(_BLOCK - 2, -1, -1):
                 w = v[i] = (c + k + 1 + i) * w / (x + w)
             j = 0

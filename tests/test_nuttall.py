@@ -6,9 +6,13 @@ defining integral.
 """
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from nuttq import nuttall
 from nuttq.errors import DomainError, NonConvergenceError, TermOverflowError
 from nuttq.nuttall import (
     NuttallParams,
@@ -23,7 +27,7 @@ from nuttq.nuttall import (
     nuttall_truncation_bound,
     nuttall_upper_bound_1f1,
 )
-from nuttq.special import upper_inc_gamma
+from nuttq.special import check_finite, upper_inc_gamma
 from nuttq.toronto import (
     TorontoParams,
     toronto_series_adaptive,
@@ -45,6 +49,37 @@ SERIES_FAMILIES = [
     (TorontoParams(2.0, 1.0, 3.0, 1.0), toronto_series_truncated,
      toronto_series_adaptive),
 ]
+
+
+# Field values where a parameter check decides: the non-finite ones, both
+# zeros, the smallest subnormal and a tiny negative, and the largest double.
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e-300,
+               1e308]
+# Fields that are not floats: the constructors leave them to the full checks
+OTHER_VALUES = [2, True, None, "2", 2j, Decimal("NaN"), Fraction(1, 3),
+                np.float64(2.0), np.array([2.0])]
+
+
+def outcome(make, *args):
+    """None if make(*args) returns, else the type and text of its error."""
+    try:
+        make(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+    return None
+
+
+def nuttall_full_checks(m, n, a, b):
+    """NuttallParams's full checks on (m, n, a, b), in their order."""
+    check_finite(m=m, n=n, a=a, b=b)
+    if not m >= 0.0:
+        raise DomainError(f"m must be >= 0, got {m}")
+    if not n >= 0.0:
+        raise DomainError(f"n must be >= 0, got {n}")
+    if not a > 0.0:
+        raise DomainError(f"a must be > 0, got {a}")
+    if not b >= 0.0:
+        raise DomainError(f"b must be >= 0, got {b}")
 
 
 def golden_value(entries, kind, m, n, p3, p4):
@@ -73,6 +108,28 @@ class TestParams:
             args[field] = bad
             with pytest.raises(DomainError, match="must be finite"):
                 NuttallParams(*args)
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    @pytest.mark.parametrize("field", range(4))
+    def test_fast_path_matches_full_checks(self, monkeypatch, field, value):
+        # the constructor's one test accepts exactly what the full checks
+        # accept, without entering them; a refusal keeps their text
+        args = [2.0, 1.0, 1.0, 2.0]
+        args[field] = value
+        slow = []
+        monkeypatch.setattr(nuttall, "check_finite",
+                            lambda **kw: slow.append(kw) or check_finite(**kw))
+        want = outcome(nuttall_full_checks, *args)
+        assert outcome(NuttallParams, *args) == want
+        assert bool(slow) == (want is not None)
+
+    @pytest.mark.parametrize("value", OTHER_VALUES, ids=repr)
+    @pytest.mark.parametrize("field", range(4))
+    def test_other_types_meet_full_checks(self, field, value):
+        args = [2.0, 1.0, 1.0, 2.0]
+        args[field] = value
+        assert (outcome(NuttallParams, *args)
+                == outcome(nuttall_full_checks, *args))
 
     def test_terms_range(self):
         for p, truncated, _ in SERIES_FAMILIES:

@@ -12,7 +12,8 @@ that overflows mid-series.
 
 A truncation-bound report walks its series once for every depth it is
 asked for; later tests count the walks and hold the reports to the bits
-of one report per depth.  The last ones pin the walk's contract: the stop
+of one report per depth, and check that an adaptive sum reads its walk
+to the end.  The last ones pin the walk's contract: the stop
 rule counts from term 0, and a cap ends the walk with that depth's
 partial sum and makes no term past it.
 """
@@ -369,6 +370,26 @@ def test_bad_depths_are_refused_before_a_term_is_drawn(
     with pytest.raises(DomainError, match="at least one depth"):
         many(point, [])
     assert not started
+
+
+@pytest.mark.parametrize("module, point", [
+    (nuttall, NuttallParams(2.2, 1.1, 3.0, 2.0)),
+    (toronto, TorontoParams(3.0, 1.5, 1.0, 2.0)),
+])
+def test_adaptive_sum_reads_its_walk_to_the_end(monkeypatch, module, point):
+    # a walk left suspended at its stop checkpoint costs a GeneratorExit
+    # when it is dropped; read to its end, it returns
+    started = []
+
+    def walk(*args, original=module._walk):
+        started.append(original(*args))
+        return started[-1]
+
+    monkeypatch.setattr(module, "_walk", walk)
+    _, adaptive = _series(point)
+    adaptive(point)
+    assert len(started) == 1
+    assert started[0].gi_frame is None
 
 
 # A walk sums its terms and applies the stop rule in the loop that makes

@@ -5,12 +5,16 @@ the defining finite integral.
 """
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from nuttq import toronto
 from nuttq.errors import DomainError, TermOverflowError
 from nuttq.nuttall import marcum_q
-from nuttq.special import lower_inc_gamma
+from nuttq.special import check_finite, lower_inc_gamma
 from nuttq.toronto import (
     TorontoParams,
     toronto_closed_form_half,
@@ -25,6 +29,48 @@ from nuttq.toronto import (
 
 def rel(x, y):
     return abs(x - y) / abs(y)
+
+
+# Field values where a parameter check decides: the non-finite ones, both
+# zeros, the smallest subnormal and a tiny negative, and the largest double.
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e-300,
+               1e308]
+# (m, n) at the integrability edge m - n = -1: exactly on it, and one
+# representable step of 2^-40 inside it
+INTEGRABILITY_EDGES = [(1.0, 2.0), (1.0 + 2.0 ** -40, 2.0), (-0.0, 1.0),
+                       (2.0 ** -40, 1.0)]
+# Fields that are not floats: the constructors leave them to the full checks
+OTHER_VALUES = [2, True, None, "2", 2j, Decimal("NaN"), Fraction(1, 3),
+                np.float64(2.0), np.array([2.0])]
+
+
+def with_field(field, value):
+    """(2, 1, 1, 2) with value in place of field."""
+    args = [2.0, 1.0, 1.0, 2.0]
+    args[field] = value
+    return tuple(args)
+
+
+def outcome(make, *args):
+    """None if make(*args) returns, else the type and text of its error."""
+    try:
+        make(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+    return None
+
+
+def toronto_full_checks(m, n, r, big_b):
+    """TorontoParams's full checks on (m, n, r, B), in their order."""
+    check_finite(m=m, n=n, r=r, B=big_b)
+    if not n >= 0.0:
+        raise DomainError(f"n must be >= 0, got {n}")
+    if not m - n > -1.0:
+        raise DomainError(f"need m - n > -1 for integrability, got {m - n}")
+    if not r > 0.0:
+        raise DomainError(f"r must be > 0, got {r}")
+    if not big_b > 0.0:
+        raise DomainError(f"B must be > 0, got {big_b}")
 
 
 def golden_value(entries, m, n, r, big_b):
@@ -52,6 +98,26 @@ class TestParams:
             args[field] = bad
             with pytest.raises(DomainError, match="must be finite"):
                 TorontoParams(*args)
+
+    @pytest.mark.parametrize("args", [
+        *[with_field(field, value) for field in range(4) for value in EDGE_VALUES],
+        *[(m, n, 1.0, 2.0) for m, n in INTEGRABILITY_EDGES]])
+    def test_fast_path_matches_full_checks(self, monkeypatch, args):
+        # the constructor's one test accepts exactly what the full checks
+        # accept, without entering them; a refusal keeps their text
+        slow = []
+        monkeypatch.setattr(toronto, "check_finite",
+                            lambda **kw: slow.append(kw) or check_finite(**kw))
+        want = outcome(toronto_full_checks, *args)
+        assert outcome(TorontoParams, *args) == want
+        assert bool(slow) == (want is not None)
+
+    @pytest.mark.parametrize("value", OTHER_VALUES, ids=repr)
+    @pytest.mark.parametrize("field", range(4))
+    def test_other_types_meet_full_checks(self, field, value):
+        args = with_field(field, value)
+        assert (outcome(TorontoParams, *args)
+                == outcome(toronto_full_checks, *args))
 
 
 class TestSeries:

@@ -210,8 +210,9 @@ def library_corpus() -> list[str]:
     argument included), high orders with a large scale parameter, and
     a, r = 1e-200 for the closed forms.  The last calls draw nothing: the
     series walks' edges (caps, large tols, unsorted and duplicate depths,
-    a B whose square underflows) and kernel arguments past the kernels'
-    limits.
+    a B whose square underflows), kernel arguments past the kernels'
+    limits, and the parameter records' constructors at the values where
+    their checks decide and with fields that are not floats.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -355,6 +356,19 @@ def library_corpus() -> list[str]:
     for kernel in ("bessel_i", "bessel_i_scaled"):
         for nu, x in ((0.0, 1e150), (0.0, 1.2e6), (2.5, 9e5)):
             add(kernel + "({}, {})", nu, x)
+    # Constructor edges, drawing nothing either: each value where a check
+    # decides in each field of both parameter records, fields that are not
+    # floats, and Toronto's integrability edge m - n = -1, on it and 2^-40
+    # inside it.
+    for record in ("NuttallParams", "TorontoParams"):
+        base = (2.0, 1.0, 1.0, 2.0)
+        for field in range(4):
+            for value in (math.nan, math.inf, -math.inf, -0.0, 0.0, -1e-300,
+                          3, None, "2", 2j):
+                add(record + "({}, {}, {}, {})",
+                    *base[:field], value, *base[field + 1:])
+    for m in (1.0, 1.0 + 2.0 ** -40):
+        add("TorontoParams({}, {}, {}, {})", m, 2.0, 1.0, 2.0)
     return calls
 
 
