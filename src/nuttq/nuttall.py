@@ -20,9 +20,9 @@ Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x.  Upward is the stable direction
 for the upper incomplete gamma: the step only adds positive quantities, so
 rounding errors stay relative and never cancel (_walk carries the ratio
 form of it).  _walk sums the terms in the loop that makes them and applies
-the stopping rule there; the truncated and adaptive sums and
-special.truncation_reports's truncation-bound reports read its
-checkpoints, one walk per value or per report.
+the stopping rule there; each checkpoint it yields is a SeriesResult, and
+the truncated and adaptive sums and special.truncation_reports's
+truncation-bound reports read them, one walk per value or per report.
 
 Also here: the finite closed form for half-odd-integer orders (whose
 incomplete gammas depend on the binomial index alone, so each is computed
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterator, Sequence
 
 from .errors import DomainError, TermOverflowError
@@ -58,7 +57,6 @@ from .special import (
     lower_inc_gamma,
     not_converged,
     sgn,
-    sum_truncated,
     truncation_reports,
     upper_inc_gamma,
     upper_inc_gamma_log,
@@ -114,11 +112,6 @@ class NuttallParams:
             raise DomainError(f"b must be >= 0, got {self.b}")
 
 
-def _log_gamma(p: NuttallParams, l: int) -> float:
-    """log Gamma((m+n+1)/2 + l, b^2/2): one incomplete gamma kernel call."""
-    return upper_inc_gamma_log(0.5 * (p.m + p.n + 2 * l + 1), 0.5 * p.b * p.b)
-
-
 def _term(p: NuttallParams, l: int, log_gamma: float) -> float:
     """Term l in log domain from its log gamma factor, through the overflow
     gate special.exp_checked."""
@@ -129,7 +122,7 @@ def _term(p: NuttallParams, l: int, log_gamma: float) -> float:
 
 
 def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
-          max_terms: int) -> Iterator:
+          max_terms: int) -> Iterator[SeriesResult]:
     """The series summed from l = 0 in one loop, with one incomplete gamma
     kernel call per value; yields the checkpoints of special.Walk.
 
@@ -141,7 +134,8 @@ def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
 
     Every quantity is positive, so each step adds relative rounding error
     and never cancels.  A running term outside [TERM_MIN, TERM_MAX] is
-    recomputed in log domain: that keeps terms which underflow before the
+    recomputed in log domain, from its own kernel call for
+    Gamma((m+n+1)/2 + l, x): that keeps terms which underflow before the
     hump (large a) and decides overflow exactly as the log-domain term does.
     """
     x = 0.5 * p.b * p.b
@@ -162,7 +156,7 @@ def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
     while True:
         total += t
         if l == mark:
-            yield total, t
+            yield SeriesResult(total, l + 1, t, True)
             mark = next(marks, 0) - 1
             if stop is not None and mark < 0:
                 yield stop
@@ -183,7 +177,7 @@ def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
         h = x * h / step
         l += 1
         if not lo <= t <= hi:
-            t = _term(p, l, _log_gamma(p, l))
+            t = _term(p, l, upper_inc_gamma_log(0.5 * (p.m + p.n + 2 * l + 1), x))
 
 
 def nuttall_series_truncated(p: NuttallParams, terms: int) -> SeriesResult:
@@ -224,22 +218,21 @@ def nuttall_integer_series(p: NuttallParams, terms: int) -> SeriesResult:
         raise DomainError(f"integer route needs m+n odd, got m+n={mi + ni}")
     a0_log = 0.5 * (p.m - p.n - 1) * math.log(2.0) - 0.5 * (p.a ** 2 + p.b ** 2)
     half_b2 = 0.5 * p.b * p.b
-
-    def double_sum_terms() -> Iterator[float]:
-        for l in count():
-            big_l = (mi + ni - 1) // 2 + l
-            inner = 1.0
-            u = 1.0
-            for k in range(1, big_l + 1):
-                u *= half_b2 / k
-                inner += u
-            lg = (a0_log + 2 * l * math.log(p.a) + math.lgamma(big_l + 1.0)
-                  - math.lgamma(l + 1.0) - math.lgamma(ni + l + 1.0)
-                  - l * math.log(2.0))
-            yield exp_checked(lg, "double series term overflows at l={} for {}",
-                              l, p) * inner
-
-    return sum_truncated(double_sum_terms(), terms)
+    total = 0.0
+    for l in range(terms):
+        big_l = (mi + ni - 1) // 2 + l
+        inner = 1.0
+        u = 1.0
+        for k in range(1, big_l + 1):
+            u *= half_b2 / k
+            inner += u
+        lg = (a0_log + 2 * l * math.log(p.a) + math.lgamma(big_l + 1.0)
+              - math.lgamma(l + 1.0) - math.lgamma(ni + l + 1.0)
+              - l * math.log(2.0))
+        term = exp_checked(lg, "double series term overflows at l={} for {}",
+                           l, p) * inner
+        total += term
+    return SeriesResult(total, terms, term, True)
 
 
 def nuttall_half_integer_closed(p: NuttallParams) -> float:

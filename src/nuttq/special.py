@@ -12,14 +12,14 @@ so large that their iterations would stall (``_GAMMA_X_MAX``,
 Each series family, Nuttall Q and incomplete Toronto, sums its positive
 terms in one loop of its own, its walk: the loop makes each term by the
 family's recurrence, adds it to the running sum and applies the stopping
-rule, and yields only at checkpoints (see ``Walk``).  What the walks share
-lives here: the argument checks, the stopping rule's constants
-(``ADAPTIVE_TOL_MIN``, ``_STOP_RUN``), the ``NonConvergenceError`` they
-raise (``not_converged``), and the readers ``walk_truncated``,
+rule, and yields only at checkpoints (see ``Walk``).  Every checkpoint,
+each P-term partial sum S_P as well as the stop, is a ``SeriesResult``.  What
+the walks share lives here: the argument checks, the stopping rule's
+constants (``ADAPTIVE_TOL_MIN``, ``_STOP_RUN``), the ``NonConvergenceError``
+they raise (``not_converged``), and the readers ``walk_truncated``,
 ``walk_adaptive`` and ``truncation_reports``, which forms both families'
-truncation-bound reports at every requested depth from one walk.
-``sum_truncated`` sums a plain term iterator, for the integer double
-series.  The closed-form core, ``half_odd_bessel_sum``, sums the finite
+truncation-bound reports at every requested depth from one walk.  The
+closed-form core, ``half_odd_bessel_sum``, sums the finite
 double sum that the elementary form of I_{nu+1/2} gives; both families'
 half-odd closed forms pass it their incomplete gammas.
 
@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError, NonConvergenceError, TermOverflowError
@@ -92,13 +91,14 @@ ADAPTIVE_TOL_MIN = 1e-14
 _STOP_RUN = 3
 
 # A family's walk(p, depths, tol, max_terms) sums its series from term 0 in
-# one loop and yields only at checkpoints: (S_P, t_{P-1}) at each depth P of
-# depths (distinct, increasing, none above max_terms), in order; then, once
-# no depth is left, the SeriesResult at the first index where the stop rule
-# held, _STOP_RUN consecutive terms t < tol * (running sum).  It raises
+# one loop and yields only at checkpoints, each a SeriesResult: the partial
+# sum SeriesResult(S_P, P, t_{P-1}, True) at each depth P of depths
+# (distinct, increasing, none above max_terms), in order; then, once no
+# depth is left, the sum at the first index where the stop rule held,
+# _STOP_RUN consecutive terms t < tol * (running sum).  It raises
 # not_converged(p, tol, max_terms, sum) when max_terms terms are summed
 # without the rule holding.  No term past the checkpoint being read is made.
-Walk = Callable[..., Iterator]
+Walk = Callable[..., Iterator["SeriesResult"]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,20 +132,6 @@ def check_terms(terms: int) -> None:
         raise DomainError(f"terms must be in [1, {MAX_TRUNC_TERMS}], got {terms}")
 
 
-def sum_truncated(terms: Iterator[float], count: int) -> SeriesResult:
-    """Plain partial sum of the first count terms yielded by terms.
-
-    For a positive-term series its distance to the limit is exactly the
-    tail, so the result is reported converged at the requested depth.
-    """
-    check_terms(count)
-    total = 0.0
-    last = 0.0
-    for last in islice(terms, count):
-        total += last
-    return SeriesResult(total, count, last, True)
-
-
 def not_converged(p, tol: float, max_terms: int,
                   partial: float) -> NonConvergenceError:
     """The error a walk raises once max_terms terms are summed without the
@@ -157,15 +143,14 @@ def not_converged(p, tol: float, max_terms: int,
 
 
 def walk_truncated(walk: Walk, p, terms: int) -> SeriesResult:
-    """Plain partial sum of the first terms terms, read off the walk's one
-    checkpoint.
+    """Plain partial sum of the first terms terms: the walk's first
+    checkpoint, as it is.
 
     For a positive-term series its distance to the limit is exactly the
     tail, so the result is reported converged at the requested depth.
     """
     check_terms(terms)
-    total, last = next(walk(p, (terms,), ADAPTIVE_TOL_MIN, DEFAULT_MAX_TERMS))
-    return SeriesResult(total, terms, last, True)
+    return next(walk(p, (terms,), ADAPTIVE_TOL_MIN, DEFAULT_MAX_TERMS))
 
 
 def walk_adaptive(walk: Walk, p, tol: float, max_terms: int) -> SeriesResult:
@@ -217,7 +202,7 @@ def truncation_reports(walk: Walk, p, depths: Sequence[int],
         check_terms(depth)
     distinct = sorted(set(depths))
     checkpoints = walk(p, distinct, ADAPTIVE_TOL_MIN, DEFAULT_MAX_TERMS)
-    partial = {depth: next(checkpoints)[0] for depth in distinct}
+    partial = {depth: next(checkpoints).value for depth in distinct}
     exact = closed()
     limit = next(checkpoints).value
     reports = []
@@ -351,7 +336,11 @@ def _log_upper_cf(a: float, x: float) -> float:
 
 def _check_gamma_args(a: float, x: float) -> None:
     if 0.0 < a < math.inf and 0.0 <= x <= _GAMMA_X_MAX:
-        return
+        # a one-element array passes the comparisons, but in the lower
+        # series its sum and term would be one array that never stops
+        if type(a) is float or not getattr(a, "ndim", 0):
+            return
+        raise TypeError(f"incomplete gamma order must be a scalar, got a={a!r}")
     if not (a > 0.0):
         raise DomainError(f"incomplete gamma order must be positive, got a={a}")
     if x < 0.0 or math.isnan(x):

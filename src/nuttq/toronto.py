@@ -24,9 +24,10 @@ dominates a value's cost, so a value of P terms costs 1 + ceil((P - 1) /
 32) calls, plus one for each running term recomputed in log domain.
 Smaller blocks make more calls; larger ones make barely fewer (2.1 a value
 at 64 against 2.4 at 32 on the seeded box of tests/test_recurrence.py at
-tol 1e-12) and are no faster.  The truncated and adaptive sums and
-special.truncation_reports's truncation-bound reports read the walk's
-checkpoints, one walk per value or per report.
+tol 1e-12) and are no faster.  Each checkpoint the walk yields is a
+SeriesResult; the truncated and adaptive sums and
+special.truncation_reports's truncation-bound reports read them, one walk
+per value or per report.
 
 Also here: the finite closed form for integer m with half-odd-integer n
 (each of its incomplete gammas computed once per value, as in the Nuttall
@@ -115,11 +116,6 @@ class TorontoParams:
             raise DomainError(f"B must be > 0, got {self.B}")
 
 
-def _log_gamma(p: TorontoParams, k: int) -> float:
-    """log gamma((m+1)/2 + k, B^2): one incomplete gamma kernel call."""
-    return lower_inc_gamma_log(0.5 * (p.m + 1.0) + k, p.B * p.B)
-
-
 def _term(p: TorontoParams, k: int, log_gamma: float) -> float:
     """Term k in log domain from its log gamma factor, through the overflow
     gate special.exp_checked."""
@@ -129,7 +125,7 @@ def _term(p: TorontoParams, k: int, log_gamma: float) -> float:
 
 
 def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
-          max_terms: int) -> Iterator:
+          max_terms: int) -> Iterator[SeriesResult]:
     """The series summed from k = 0 in one loop, with one incomplete gamma
     kernel call for term 0 and one per block of _BLOCK later terms; yields
     the checkpoints of special.Walk.
@@ -148,15 +144,15 @@ def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
     although one more step of the first block's descent would give v_c:
     log gamma(c, x) = c log x - x - log v_c loses eps |c log x - x| to
     cancellation, up to about 60 eps at B = 8.
-    A running term outside [TERM_MIN, TERM_MAX] is recomputed in log domain,
-    as in the Nuttall series.  If B^2 underflows to 0 every term is 0.0: the
-    partial sums are 0.0, no tol is met, and no kernel is asked for
-    log gamma(s, 0).
+    A running term outside [TERM_MIN, TERM_MAX] is recomputed in log domain
+    from its own kernel call for gamma(c + k, x), as in the Nuttall series.
+    If B^2 underflows to 0 every term is 0.0: the partial sums are 0.0, no
+    tol is met, and no kernel is asked for log gamma(s, 0).
     """
     x = p.B * p.B
     if x == 0.0:
-        for _ in depths:
-            yield 0.0, 0.0
+        for depth in depths:
+            yield SeriesResult(0.0, depth, 0.0, True)
         raise not_converged(p, tol, max_terms, 0.0)
     c = 0.5 * (p.m + 1.0)
     n = p.n
@@ -177,7 +173,7 @@ def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
     while True:
         total += t
         if k == mark:
-            yield total, t
+            yield SeriesResult(total, k + 1, t, True)
             mark = next(marks, 0) - 1
             if stop is not None and mark < 0:
                 yield stop
@@ -203,7 +199,7 @@ def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
         t *= r2 / ((k + 1) * (n + k + 1)) * (c + k) * x / (x + v[j])
         k += 1
         if not lo <= t <= hi:
-            t = _term(p, k, _log_gamma(p, k))
+            t = _term(p, k, lower_inc_gamma_log(c + k, x))
 
 
 def toronto_series_truncated(p: TorontoParams, terms: int) -> SeriesResult:

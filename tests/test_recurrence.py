@@ -13,7 +13,8 @@ that overflows mid-series.
 A truncation-bound report walks its series once for every depth it is
 asked for; later tests count the walks and hold the reports to the bits
 of one report per depth, and check that an adaptive sum reads its walk
-to the end.  The last ones pin the walk's contract: the stop
+to the end.  The last ones pin the walk's contract: every checkpoint is
+a SeriesResult, the one at depth P is the P-term truncated sum, the stop
 rule counts from term 0, and a cap ends the walk with that depth's
 partial sum and makes no term past it.
 """
@@ -33,7 +34,12 @@ from nuttq.nuttall import (
     nuttall_series_adaptive,
     nuttall_series_truncated,
 )
-from nuttq.special import DEFAULT_MAX_TERMS, LOG_OVERFLOW
+from nuttq.special import (
+    ADAPTIVE_TOL_MIN,
+    DEFAULT_MAX_TERMS,
+    LOG_OVERFLOW,
+    SeriesResult,
+)
 from nuttq.toronto import (
     TorontoParams,
     toronto_series_adaptive,
@@ -393,9 +399,43 @@ def test_adaptive_sum_reads_its_walk_to_the_end(monkeypatch, module, point):
 
 
 # A walk sums its terms and applies the stop rule in the loop that makes
-# them.  The tests below pin its contract: the stop rule counts from term
-# 0, and a cap ends the walk with the partial sum of that depth and makes
-# no term past it.
+# them.  The tests below pin its contract: every checkpoint is a
+# SeriesResult, the stop rule counts from term 0, and a cap ends the walk
+# with the partial sum of that depth and makes no term past it.
+
+
+def _result_bits(res):
+    return (res.value.hex(), res.terms_used, res.last_term_abs.hex(),
+            res.converged)
+
+
+@pytest.mark.parametrize("module, params, box", FAMILIES)
+def test_every_checkpoint_is_the_series_result_of_its_depth(module, params, box):
+    # the depth-P checkpoint is the P-term truncated sum, the stop comes
+    # last; where B^2 underflows the walk yields its partial sums, then
+    # raises not_converged
+    family = module.__name__.rsplit(".", 1)[1]
+    truncated = getattr(module, f"{family}_series_truncated")
+    depths = (1, 5, 20, 500)
+    points = list(box)
+    if module is toronto:
+        points.append((2.0, 1.0, 1.0, 1e-170))
+    for point in points:
+        p = params(*point)
+        checkpoints = []
+        try:
+            for checkpoint in module._walk(p, depths, ADAPTIVE_TOL_MIN,
+                                           DEFAULT_MAX_TERMS):
+                checkpoints.append(checkpoint)
+        except NonConvergenceError:
+            assert point[3] == 1e-170 and len(checkpoints) == len(depths)
+        else:
+            assert len(checkpoints) == len(depths) + 1, point
+        assert all(type(c) is SeriesResult for c in checkpoints), point
+        for depth, checkpoint in zip(depths, checkpoints):
+            assert _result_bits(checkpoint) == \
+                _result_bits(truncated(p, depth)), (point, depth)
+
 
 # (terms_used, value.hex()) at tol 0.5, 1 and 2; at tol 2 term 0 already
 # counts as below tol * sum, so three terms are the least a sum can take

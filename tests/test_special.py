@@ -119,6 +119,25 @@ class TestIncompleteGamma:
         assert upper_inc_gamma_log(2.5, 2.0 ** 53) == -9007199254740937.0
         assert lower_inc_gamma_log(2.5, 2.0 ** 53) == math.lgamma(2.5)
 
+    def test_array_order_refused_at_once(self):
+        # a one-element array order passes every comparison of the argument
+        # checks, and the lower series would run to its 500,000-term cap on
+        # it (3 s) before failing
+        np = pytest.importorskip("numpy")
+        for kernel in (lower_inc_gamma, upper_inc_gamma, lower_inc_gamma_log,
+                       upper_inc_gamma_log):
+            for x in (1.0, 10.0):
+                start = time.perf_counter()
+                with pytest.raises(TypeError) as exc:
+                    kernel(np.array([2.5]), x)
+                assert time.perf_counter() - start < 0.1
+                assert str(exc.value) == (
+                    "incomplete gamma order must be a scalar, got a=array([2.5])")
+            # scalar orders that are not floats keep the float order's value
+            for order in (np.float64(2.5), np.array(2.5)):
+                assert kernel(order, 1.0) == kernel(2.5, 1.0)
+            assert kernel(3, 1.0) == kernel(3.0, 1.0)
+
 
 class TestBesselI:
     def test_frozen_values(self):

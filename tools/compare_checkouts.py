@@ -211,8 +211,10 @@ def library_corpus() -> list[str]:
     a, r = 1e-200 for the closed forms.  The last calls draw nothing: the
     series walks' edges (caps, large tols, unsorted and duplicate depths,
     a B whose square underflows), kernel arguments past the kernels'
-    limits, and the parameter records' constructors at the values where
-    their checks decide and with fields that are not floats.
+    limits, the parameter records' constructors at the values where
+    their checks decide and with fields that are not floats, and the
+    integer double series at depth 500 and at the depths and orders it
+    refuses.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -369,6 +371,18 @@ def library_corpus() -> list[str]:
                     *base[:field], value, *base[field + 1:])
     for m in (1.0, 1.0 + 2.0 ** -40):
         add("TorontoParams({}, {}, {}, {})", m, 2.0, 1.0, 2.0)
+    # The integer double series' own loop and the deepest partial sums,
+    # drawing nothing either: a bad depth is refused before non-integer
+    # orders, m + n even is refused at depth 500, an in-box sum at depth
+    # 500; Toronto's partial sums at depths 1 and 500 where B^2 underflows.
+    integer = "nuttall_integer_series(NuttallParams({}, {}, {}, {}), {})"
+    for depth in (0, 501):
+        add(integer, 2.5, 1.5, 1.0, 2.0, depth)
+    add(integer, 2.0, 2.0, 1.0, 2.0, 500)
+    add(integer, 3.0, 2.0, 4.0, 5.0, 500)
+    for depth in (1, 500):
+        add("toronto_series_truncated(TorontoParams({}, {}, {}, {}), {})",
+            2.0, 1.0, 1.0, 1e-170, depth)
     return calls
 
 
