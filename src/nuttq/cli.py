@@ -527,10 +527,18 @@ def _run(args) -> int:
         return 3
 
 
+# the payload each error type carries, added to its JSON error record
+_ERROR_FIELDS = {NonConvergenceError: ("partial_value", "terms"),
+                 ToleranceNotMetError: ("value", "err_est"),
+                 TermOverflowError: ("log_term",)}
+
+
 def _emit_error(args, kind: str, exc: Exception) -> None:
     if args.format == "json":
+        payload = {name: getattr(exc, name)
+                   for name in _ERROR_FIELDS.get(type(exc), ())}
         print(json.dumps({"type": "error", "error_type": kind,
-                          "message": str(exc)}, sort_keys=True))
+                          "message": str(exc), **payload}, sort_keys=True))
     else:
         print(f"# error {kind}: {exc}")
 

@@ -46,6 +46,7 @@ from .special import (
     _STOP_RUN,
     BoundReport,
     SeriesResult,
+    _half_gamma_upper,
     bessel_i_scaled,
     ceil_half,
     check_finite,
@@ -54,11 +55,8 @@ from .special import (
     exp_checked,
     half_odd_bessel_sum,
     kummer_1f1,
-    lower_inc_gamma,
     not_converged,
-    sgn,
     truncation_reports,
-    upper_inc_gamma,
     upper_inc_gamma_log,
     walk_adaptive,
     walk_truncated,
@@ -251,7 +249,8 @@ def nuttall_half_integer_closed(p: NuttallParams) -> float:
     with x = y = a and weights 2^((l-1)/2).  sgn(b - a) = 0 at b = a
     removes the lower-gamma term exactly, so the seam needs no convention.
     The gamma of binomial index l is the same in every Jm(mu-k), Jp(mu-k),
-    so each is computed once: 2(mu+1) kernel calls per value.  A float
+    so each list is built once per value, by the half-integer ladder
+    special._half_gamma_upper: no kernel call per value.  A float
     overflow on the way (a^-k at a near 1e-200, or a prefactor that
     underflows to 0) raises TermOverflowError with log_term inf.
     """
@@ -264,15 +263,13 @@ def nuttall_half_integer_closed(p: NuttallParams) -> float:
         raise DomainError(f"closed form needs m >= n, got m={p.m} < n={p.n}")
     a, b = p.a, p.b
     try:
-        xm = 0.5 * (b - a) ** 2
-        xp = 0.5 * (b + a) ** 2
-        sm = sgn(b - a)
-        lower_m = [lower_inc_gamma(0.5 * (l + 1), xm) if sm != 0 else 0.0
-                   for l in range(mu + 1)]
-        upper_p = [upper_inc_gamma(0.5 * (l + 1), xp) for l in range(mu + 1)]
-        # lower_m[l] is 0.0 at the seam, so the sgn term drops out exactly
-        minus = [math.gamma(0.5 * (l + 1)) - sm ** (l + 1) * lower_m[l]
-                 for l in range(mu + 1)]
+        upper_m = _half_gamma_upper(mu + 1, 0.5 * (b - a) ** 2)
+        upper_p = _half_gamma_upper(mu + 1, 0.5 * (b + a) ** 2)
+        # Gamma(s) - sgn(b-a)^(l+1) gamma(s, xm) without cancelling: it is
+        # 2 Gamma(s) - Gamma(s, xm) where the power is -1 and Gamma(s, xm)
+        # elsewhere; on the seam xm = 0 and the ladder gives Gamma(s)
+        minus = [2.0 * math.gamma(0.5 * (l + 1)) - g if b < a and l % 2 == 0
+                 else g for l, g in enumerate(upper_m)]
         weights = [2.0 ** (0.5 * (l - 1)) for l in range(mu + 1)]
         total = half_odd_bessel_sum(nu, mu, a, a, weights, minus, upper_p)
         return total / (a ** p.n * math.sqrt(2.0 * math.pi * a))

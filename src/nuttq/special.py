@@ -21,7 +21,13 @@ they raise (``not_converged``), and the readers ``walk_truncated``,
 truncation-bound reports at every requested depth from one walk.  The
 closed-form core, ``half_odd_bessel_sum``, sums the finite
 double sum that the elementary form of I_{nu+1/2} gives; both families'
-half-odd closed forms pass it their incomplete gammas.
+half-odd closed forms pass it their incomplete gammas.  Those all have
+order (l+1)/2, so the half-integer ladders build them:
+``_half_gamma_upper`` steps Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x up
+from sqrt(pi) erfc(sqrt(x)) and e^-x with no kernel call, and
+``_half_gamma_lower`` takes the complement of that where x >= s + 1 and
+steps down from at most one kernel call per parity above it.  A Nuttall
+closed form therefore makes no kernel call, a Toronto one at most 6.
 
 A value's fixed cost outside its term loop is mostly the records it
 builds, so ``SeriesResult`` and ``BoundReport`` (like the families'
@@ -242,6 +248,56 @@ def half_odd_bessel_sum(nu: int, top: int, x: float, y: float,
             j_plus += comb * (-y) ** (s - l) * weights[l] * plus[l]
         total += outer * ((-1) ** k * j_minus + (-1) ** (nu + 1) * j_plus)
     return total
+
+
+def _half_gamma_upper(count: int, x: float) -> list[float]:
+    """Gamma((l+1)/2, x) for l < count, with no kernel call.
+
+    Two interleaved upward ladders, over half-odd orders from
+    Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)) and over integer orders from
+    Gamma(1, x) = e^-x, each stepped by Gamma(s+1, x) = s Gamma(s, x) +
+    x^s e^-x.  Every step adds positive quantities, so the relative error
+    grows at most linearly with the order.  At x = 0 each entry is
+    math.gamma((l+1)/2); where e^-x underflows (x past about 745) the
+    entries underflow with it.
+    """
+    if x == 0.0:
+        return [math.gamma(0.5 * (l + 1)) for l in range(count)]
+    e = math.exp(-x)
+    upper = [math.sqrt(math.pi) * math.erfc(math.sqrt(x)), e][:count]
+    # x^s e^-x at s = (l+1)/2 for the next step of each ladder
+    power = [math.sqrt(x) * e, x * e]
+    for l in range(count - 2):
+        upper.append(0.5 * (l + 1) * upper[l] + power[l & 1])
+        power[l & 1] *= x
+    return upper
+
+
+def _half_gamma_lower(count: int, x: float,
+                      kernel: Callable[[float, float], float]) -> list[float]:
+    """gamma((l+1)/2, x) for l < count, with at most two kernel calls.
+
+    Where x >= s + 1 an entry is Gamma(s) - Gamma(s, x) from
+    _half_gamma_upper: there Gamma(s, x) / Gamma(s) stays below 1/2, so
+    the difference does not cancel.  Above that split each parity's
+    ladder takes kernel(s, x) at its top order and steps down by
+    gamma(s, x) = (gamma(s+1, x) + x^s e^-x) / s, which adds only positive
+    quantities.  kernel is the caller's own lower_inc_gamma, so a caller
+    that rebinds that name sees every call.  At x = 0 every entry is 0.0.
+    """
+    if x == 0.0:
+        return [0.0] * count
+    # entries l < split have x >= (l+1)/2 + 1, i.e. l + 3 <= 2x
+    split = min(count, max(0, math.floor(2.0 * x) - 2))
+    lower = [math.gamma(0.5 * (l + 1)) - g
+             for l, g in enumerate(_half_gamma_upper(split, x))]
+    lower += [0.0] * (count - split)
+    e = math.exp(-x)
+    for l in range(count - 1, split - 1, -1):
+        s = 0.5 * (l + 1)
+        lower[l] = (kernel(s, x) if l + 2 >= count
+                    else (lower[l + 2] + x ** s * e) / s)
+    return lower
 
 
 def exp_checked(lg: float, message: str, *args) -> float:

@@ -51,6 +51,7 @@ from .special import (
     _STOP_RUN,
     BoundReport,
     SeriesResult,
+    _half_gamma_lower,
     check_finite,
     classify_order,
     exp_checked,
@@ -237,8 +238,10 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
     exactly.  Requires m >= 2n (i.e. m >= 2 nu + 1) so every exponent
     s - l stays nonnegative; below that the elementary split diverges
     termwise at t = 0.  The gamma of binomial index l is the same in every
-    P1(s), P2(s), and the one at r^2 is shared by both, so each is computed
-    once: 3(m - nu) kernel calls per value (2(m - nu) at B = r).  A float
+    P1(s), P2(s), and the one at r^2 is shared by both, so each of the three
+    lists is built once per value, by the half-integer ladder
+    special._half_gamma_lower: at most 2 kernel calls a list, 6 per value
+    (4 at B = r), and none where the argument passes every order + 1.  A float
     overflow on the way ((2r)^-k or r^(n-m+1/2) at r near 1e-200) raises
     TermOverflowError with log_term inf.
     """
@@ -255,20 +258,14 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
     if not (r > 0.0 and B > 0.0):
         raise DomainError(f"need r > 0 and B > 0, got r={r}, B={B}")
     try:
-        xm = (B - r) ** 2
-        xp = (B + r) ** 2
-        xr = r * r
         sm = sgn(B - r)
-        # in the order the k = 0 term asks for them, so a kernel error is the
-        # one the sum would meet first
-        lower_r, lower_m = [], []
-        for l in range(mi - nu):
-            lower_r.append(lower_inc_gamma(0.5 * (l + 1), xr))
-            lower_m.append(lower_inc_gamma(0.5 * (l + 1), xm) if sm != 0 else 0.0)
-        lower_p = [lower_inc_gamma(0.5 * (l + 1), xp) for l in range(mi - nu)]
+        # the module's own kernel name, so a rebinding of it sees each call
+        lower_r, lower_m, lower_p = (
+            _half_gamma_lower(mi - nu, x, lower_inc_gamma)
+            for x in (r * r, (B - r) ** 2, (B + r) ** 2))
         # lower_m[l] is 0.0 at the seam, so the sgn term drops out exactly
-        minus = [(-1.0) ** l * lower_r[l] + sm ** (l + 1) * lower_m[l]
-                 for l in range(mi - nu)]
+        minus = [(-1.0) ** l * gr + sm ** (l + 1) * gm
+                 for l, (gr, gm) in enumerate(zip(lower_r, lower_m))]
         plus = [gp - gr for gp, gr in zip(lower_p, lower_r)]
         total = half_odd_bessel_sum(nu, mi - nu - 1, 2.0 * r, r,
                                     [0.5] * (mi - nu), minus, plus)

@@ -3,6 +3,7 @@
 import csv
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -140,6 +141,61 @@ class TestEval:
                                "--a", "", "--b", "2"])
         assert rc == 2
         assert out == "# error domain_error: nuttall needs --n, --a\n"
+
+
+class TestErrorRecords:
+    """A JSON error record carries the payload of its exception; the CSV
+    error line stays the message alone."""
+
+    def test_non_convergence_carries_partial_value_and_terms(self, capsys):
+        # B^2 underflows to 0, so every term is 0.0 and no tol is met
+        argv = ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1",
+                "--B", "1e-160"]
+        message = ("series for TorontoParams(m=2.0, n=1.0, r=1.0, B=1e-160) "
+                   "did not meet tol=1e-12 in 10000 terms")
+        rc, out = run(capsys, argv + ["--format", "json"])
+        assert rc == 3
+        assert json.loads(out.splitlines()[-1]) == {
+            "type": "error", "error_type": "convergence_error",
+            "message": message, "partial_value": 0.0, "terms": 10000}
+        rc, out = run(capsys, argv)
+        assert out.splitlines()[-1] == "# error convergence_error: " + message
+
+    def test_tolerance_not_met_carries_value_and_err_est(self, capsys):
+        # an absolute oracle tol of 1e-10 is below double resolution at
+        # Q ~ 1e7
+        rc, out = run(capsys, ["compare", "nuttall", "--m", "10", "--n", "9",
+                               "--a", "6", "--b", "0.5", "--format", "json"])
+        assert rc == 3
+        record = json.loads(out.splitlines()[-1])
+        assert set(record) == {"type", "error_type", "message", "value",
+                               "err_est"}
+        assert record["err_est"] > 1e-10 and record["value"] > 1e6
+        assert record["message"] == (
+            f"adaptive quadrature stopped at abserr={record['err_est']:.3e} "
+            f"> 1.000e-10")
+
+    def test_term_overflow_carries_log_term(self, capsys):
+        # a non-finite payload is written the way the JSON records write
+        # any float: Infinity
+        argv = ["eval", "toronto", "--m", "10", "--n", "0.5", "--r", "1e-200",
+                "--B", "2", "--method", "closed_half"]
+        rc, out = run(capsys, argv + ["--format", "json"])
+        assert rc == 3
+        line = out.splitlines()[-1]
+        assert '"log_term": Infinity' in line
+        assert json.loads(line) == {
+            "type": "error", "error_type": "convergence_error",
+            "message": "Toronto half-odd closed form overflows at m=10.0, "
+                       "n=0.5, r=1e-200, B=2.0",
+            "log_term": math.inf}
+
+    def test_domain_error_carries_no_payload(self, capsys):
+        rc, out = run(capsys, ["eval", "nuttall", "--format", "json", "--m",
+                               "2", "--n", "1", "--a", "-1", "--b", "1"])
+        assert rc == 2
+        assert set(json.loads(out.splitlines()[-1])) == {
+            "type", "error_type", "message"}
 
 
 class TestCompare:

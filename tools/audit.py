@@ -1,0 +1,159 @@
+"""Correctness audit: values right, refused and wrong with exit 0, per method.
+
+    python tools/audit.py            # print the table
+    python tools/audit.py --check    # also exit 1 if a wrong count rose
+
+Each row sweeps one method over seeded in-domain box points and checks
+every value against the 50-digit mpmath reference of
+``perfbench/reference.py``, which shares no code with the package:
+
+- right: within RTOL (relative) of the reference;
+- refused: the call raised one of the package's typed errors, which the
+  CLI turns into exit 2 (DomainError) or exit 3 (the rest);
+- wrong, exit 0: any other value, a non-finite one included.
+
+The rows so far are the two half-odd closed forms, at the rounded orders
+a truncation-bound report evaluates them at: Nuttall at (ceil_half(m),
+ceil_half(n), a, b), Toronto at (ceil(m), floor_half(n), r, B).  Points
+are drawn from random.Random(SEED) like the box's points elsewhere:
+orders integer, half-odd or general with equal odds in [0, 10], a and r
+in (0, 6], b in [0, 8] (0 one time in 20), B in (0, 8], and Toronto's
+m - n > -1.  Draws whose rounded orders lie outside the closed form's
+domain are skipped until POINTS points per family are in it.
+
+WRONG holds the wrong counts at SEED as a ratchet: --check fails when a
+count rises above it.  A change that lowers a count lowers the committed
+number with it.  The reference is nearly all of the time, so the points
+are judged in WORKERS processes: about 5 s on 2 vCPUs.  Stdlib and mpmath
+only; offline.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import itertools
+import math
+import multiprocessing
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import reference  # noqa: E402
+from nuttq.errors import (  # noqa: E402
+    DomainError,
+    NonConvergenceError,
+    TermOverflowError,
+)
+from nuttq.nuttall import NuttallParams, nuttall_half_integer_closed  # noqa: E402
+from nuttq.special import ceil_half, floor_half  # noqa: E402
+from nuttq.toronto import toronto_closed_form_half  # noqa: E402
+
+SEED = 2101
+POINTS = 1000
+RTOL = 1e-8
+WORKERS = 2
+VERDICTS = ("right", "refused_exit2", "refused_exit3", "wrong_exit0")
+# committed wrong-with-exit-0 counts at SEED and POINTS
+WRONG = {"nuttall closed_half": 26, "toronto closed_half": 103}
+
+
+def _order(rng: random.Random) -> float:
+    kind = rng.randrange(3)
+    if kind == 0:
+        return float(rng.randint(0, 10))
+    if kind == 1:
+        return rng.randint(0, 9) + 0.5
+    return rng.uniform(0.0, 10.0)
+
+
+def nuttall_points(rng: random.Random):
+    """Endless (m, n, a, b) at rounded orders inside the closed form's
+    domain, m >= n."""
+    while True:
+        m, n = ceil_half(_order(rng)), ceil_half(_order(rng))
+        a = 6.0 * (1.0 - rng.random())
+        b = 0.0 if rng.random() < 0.05 else 8.0 * (1.0 - rng.random())
+        if m >= n:
+            yield m, n, a, b
+
+
+def toronto_points(rng: random.Random):
+    """Endless (m, n, r, B) at rounded orders inside the closed form's
+    domain: half-odd n >= 1/2 and integer m >= 2n."""
+    while True:
+        n = _order(rng)
+        m = _order(rng)
+        while not m - n > -1.0:
+            m = _order(rng)
+        mc, nf = float(math.ceil(m)), floor_half(n)
+        r = 6.0 * (1.0 - rng.random())
+        big_b = 8.0 * (1.0 - rng.random())
+        if nf >= 0.5 and mc >= 2.0 * nf:
+            yield mc, nf, r, big_b
+
+
+ROWS = (
+    ("nuttall closed_half", nuttall_points,
+     lambda m, n, a, b: nuttall_half_integer_closed(NuttallParams(m, n, a, b)),
+     reference.nuttall_norm),
+    ("toronto closed_half", toronto_points, toronto_closed_form_half,
+     reference.toronto),
+)
+
+
+def sweep() -> list[tuple[int, tuple]]:
+    """(row index, point) for the first POINTS points of every row."""
+    return [(i, args) for i, (_, points, _, _) in enumerate(ROWS)
+            for args in itertools.islice(points(random.Random(SEED)), POINTS)]
+
+
+def judge(task: tuple[int, tuple]) -> str:
+    """The verdict on one row's value at one point."""
+    row, args = task
+    _, _, value, ref = ROWS[row]
+    try:
+        got = value(*args)
+    except DomainError:
+        return "refused_exit2"
+    except (NonConvergenceError, TermOverflowError):
+        return "refused_exit3"
+    want = ref(*args)
+    if math.isfinite(got) and abs(got - want) <= RTOL * abs(want):
+        return "right"
+    return "wrong_exit0"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 if a wrong count rose above WRONG")
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    tasks = sweep()
+    # the 50-digit reference is nearly all of the time, so split it
+    with multiprocessing.Pool(WORKERS) as pool:
+        verdicts = pool.map(judge, tasks, chunksize=25)
+    counts = [collections.Counter() for _ in ROWS]
+    for (row, _), verdict in zip(tasks, verdicts):
+        counts[row][verdict] += 1
+    print(f"# seed={SEED} points={POINTS} rtol={RTOL:g}")
+    print("method," + ",".join(VERDICTS) + ",committed_wrong_exit0")
+    rose = []
+    for (name, *_), c in zip(ROWS, counts):
+        print(",".join([name, *(str(c[v]) for v in VERDICTS), str(WRONG[name])]))
+        if c["wrong_exit0"] > WRONG[name]:
+            rose.append(name)
+    print(f"# {time.perf_counter() - start:.1f} s")
+    if args.check and rose:
+        print(f"# wrong count rose: {', '.join(rose)}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

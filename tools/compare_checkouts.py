@@ -180,6 +180,14 @@ CORPUS: list[list[str]] = [
     # a missing order is an error record from the grid driver
     ["compare", "nuttall", "--n", "1", "--a", "1", "--b", "1", "--format", "json"],
     ["bounds", "nuttall", "--m", "2", "--a", "1", "--b", "1", "--format", "json"],
+    # JSON error records with each exception's payload: a term cap, an
+    # oracle estimate above an absolute tol, a closed form that overflows
+    ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "1e-160",
+     "--format", "json"],
+    ["compare", "nuttall", "--m", "10", "--n", "9", "--a", "6", "--b", "0.5",
+     "--format", "json"],
+    ["eval", "toronto", "--m", "10", "--n", "0.5", "--r", "1e-200", "--B", "2",
+     "--method", "closed_half", "--format", "json"],
 ]
 
 # Files the corpus reads, written to the working directory first.  Entry 3
