@@ -188,6 +188,10 @@ CORPUS: list[list[str]] = [
      "--format", "json"],
     ["eval", "toronto", "--m", "10", "--n", "0.5", "--r", "1e-200", "--B", "2",
      "--method", "closed_half", "--format", "json"],
+    # a Gauss-Legendre refinement that converges only algebraically (the
+    # t^(m-n) singularity at 0, m - n = -0.496) and is refused
+    ["compare", "toronto", "--m", "0.5043655403318925", "--n", "1",
+     "--r", "1.0776352292261235", "--B", "4.459215224518907", "--scheme", "gauss"],
 ]
 
 # Files the corpus reads, written to the working directory first.  Entry 3
@@ -222,7 +226,8 @@ def library_corpus() -> list[str]:
     limits, the parameter records' constructors at the values where
     their checks decide and with fields that are not floats, and the
     integer double series at depth 500 and at the depths and orders it
-    refuses.
+    refuses, two Gauss-Legendre oracle reproductions and the Toronto closed
+    form at B = 2r.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -391,6 +396,15 @@ def library_corpus() -> list[str]:
     for depth in (1, 500):
         add("toronto_series_truncated(TorontoParams({}, {}, {}, {}), {})",
             2.0, 1.0, 1.0, 1e-170, depth)
+    # Gauss-Legendre reproductions, drawing nothing either: a Nuttall value
+    # near 1e6 whose refinement differences grew with the strip count, a
+    # Toronto one that converges only algebraically; and the Toronto closed
+    # form at B = 2r, where (B - r)^2 equals r^2.
+    add("oracle_nuttall({}, {}, {}, {}, scheme={})", 9.747297662154839, 7.0,
+        4.61520624372118, 2.275415732502098, "gauss")
+    add("oracle_toronto({}, {}, {}, {}, scheme={})", 0.5043655403318925, 1.0,
+        1.0776352292261235, 4.459215224518907, "gauss")
+    add("toronto_closed_form_half({}, {}, {}, {})", 10.0, 0.5, 1.0, 2.0)
     return calls
 
 
