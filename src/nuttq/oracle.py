@@ -11,8 +11,16 @@ Two schemes:
 * ``adaptive``: ``scipy.integrate.quad`` with an absolute tolerance budget;
   the reported error estimate plus the tail bound must fit inside ``tol`` or
   the call raises instead of returning.
-* ``gauss``: composite 16-point Gauss-Legendre with strip doubling until two
-  successive refinements agree.
+* ``gauss``: composite 16-point Gauss-Legendre with strip doubling, from
+  16 to at most 8,192 strips, until two successive levels agree within
+  tol / 2.  The strip geometry is exact: the half-width comes from the
+  whole interval, and each node from lo, so the strips cover [lo, hi] to a
+  few ulps at any count; the strip sums are added by ``math.fsum``.  The
+  refinement also stops when it cannot converge: once two steady
+  contraction ratios below 1 (an endpoint singularity makes the levels
+  converge only algebraically) project that even the finest level would
+  miss tol / 2, and when the strips run out.  Both refusals carry the last
+  level's value and the last difference as ``err_est``.
 
 Both integrate against the exponentially scaled Bessel function
 ``ive(n, z) = e^-|z| I_n(z)`` so the integrand never overflows, and the
@@ -71,7 +79,11 @@ TOL_MAX = 1e-6
 GOLDEN_TOL = 1e-13
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_OFFSETS = 1.0 + _GL_NODES   # node j of strip k at lo + half (2k + offset j)
 _GL_MAX_STRIPS = 8192
+# a level difference below this share of the value may be rounding alone,
+# so it says nothing about the rate of convergence
+_GL_ROUNDING = 64 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -138,24 +150,64 @@ def _quad_adaptive(f, lo: float, hi: float, tol: float, hint: float | None):
     return value, abserr, last
 
 
+def _gauss_level(f_vec, lo: float, hi: float, strips: int) -> float:
+    """The composite 16-point Gauss-Legendre sum of f_vec over [lo, hi]
+    on `strips` equal strips.
+
+    The half-width comes from the whole interval, and node j of strip k
+    sits at lo + half (2k + 1 + xi_j), so the strips cover hi - lo to a few
+    ulps at any count.  A half-width taken from the first strip of a
+    linspace grid is off by about eps |lo| / half, an error that grows
+    with the strip count.  The strip sums are added by math.fsum, so two
+    levels that have both converged differ by the rounding of their
+    integrand values, not by that of a long floating-point sum as well.
+    """
+    half = 0.5 * (hi - lo) / strips
+    x = lo + half * (2.0 * np.arange(strips)[:, None] + _GL_OFFSETS)
+    return half * math.fsum((f_vec(x.ravel()).reshape(strips, 16)
+                             @ _GL_WEIGHTS).tolist())
+
+
 def _quad_gauss(f_vec, lo: float, hi: float, tol: float):
+    """Strip doubling from 16 strips until two successive levels agree
+    within tol / 2.
+
+    Where the integrand has an endpoint singularity the levels converge
+    only algebraically, each difference a steady ratio q of the one
+    before.  Once the last two ratios are below 1 and within 25% of each
+    other, and the last difference is above what rounding alone can give
+    (_GL_ROUNDING of the value), the last difference times the smaller q
+    to the power of the doublings left projects where the finest level
+    would land.  If that is still above tol / 2, the refinement stops at
+    once.  That refusal and the one at _GL_MAX_STRIPS both carry the last
+    level's value and the last difference.
+    """
     prev = None
+    diffs = []
     strips = 16
     while strips <= _GL_MAX_STRIPS:
-        edges = np.linspace(lo, hi, strips + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        x = (mids[:, None] + half * _GL_NODES[None, :]).ravel()
-        value = float(half * np.sum(f_vec(x).reshape(strips, 16) @ _GL_WEIGHTS))
+        value = _gauss_level(f_vec, lo, hi, strips)
         if prev is not None:
             err = abs(value - prev)
             if err <= 0.5 * tol:
                 return value, err, strips
+            diffs.append(err)
+            if len(diffs) >= 3:
+                q1, q2 = diffs[-2] / diffs[-3], diffs[-1] / diffs[-2]
+                left = (_GL_MAX_STRIPS // strips).bit_length() - 1
+                if (max(q1, q2) < 1.0 and max(q1, q2) <= 1.25 * min(q1, q2)
+                        and err > _GL_ROUNDING * abs(value)
+                        and err * min(q1, q2) ** left > 0.5 * tol):
+                    raise ToleranceNotMetError(
+                        f"Gauss-Legendre refinement converges by a ratio "
+                        f"{q2:.3g} a doubling and cannot meet {tol:.3e} "
+                        f"within {_GL_MAX_STRIPS} strips",
+                        value=value, err_est=err)
         prev = value
         strips *= 2
     raise ToleranceNotMetError(
         f"Gauss-Legendre refinement exhausted {_GL_MAX_STRIPS} strips",
-        value=prev, err_est=math.inf)
+        value=prev, err_est=diffs[-1])
 
 
 def _integrate(f, lo: float, hi: float, tol: float, hint: float | None,

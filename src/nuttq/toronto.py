@@ -241,7 +241,8 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
     P1(s), P2(s), and the one at r^2 is shared by both, so each of the three
     lists is built once per value, by the half-integer ladder
     special._half_gamma_lower: at most 2 kernel calls a list, 6 per value
-    (4 at B = r), and none where the argument passes every order + 1.  A float
+    (4 at B = r and at B = 2r, where (B-r)^2 is r^2 and its list is reused),
+    and none where the argument passes every order + 1.  A float
     overflow on the way ((2r)^-k or r^(n-m+1/2) at r near 1e-200) raises
     TermOverflowError with log_term inf.
     """
@@ -260,9 +261,12 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
     try:
         sm = sgn(B - r)
         # the module's own kernel name, so a rebinding of it sees each call
-        lower_r, lower_m, lower_p = (
-            _half_gamma_lower(mi - nu, x, lower_inc_gamma)
-            for x in (r * r, (B - r) ** 2, (B + r) ** 2))
+        x_r, x_m = r * r, (B - r) ** 2
+        lower_r, lower_p = (_half_gamma_lower(mi - nu, x, lower_inc_gamma)
+                            for x in (x_r, (B + r) ** 2))
+        # at B = 2r the two arguments are equal, and so are their lists
+        lower_m = (lower_r if x_m == x_r
+                   else _half_gamma_lower(mi - nu, x_m, lower_inc_gamma))
         # lower_m[l] is 0.0 at the seam, so the sgn term drops out exactly
         minus = [(-1.0) ** l * gr + sm ** (l + 1) * gm
                  for l, (gr, gm) in enumerate(zip(lower_r, lower_m))]

@@ -4,18 +4,25 @@ cross-checks, and limit behaviour of the defining integrals."""
 import contextlib
 import itertools
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ive
 
+from nuttq import oracle
 from nuttq.box import check_box
 from nuttq.cli import main
 from nuttq.errors import DomainError, ToleranceNotMetError
+from nuttq.nuttall import NuttallParams, marcum_q, nuttall_series_adaptive
 from nuttq.oracle import (
     GOLDEN_CASES,
     GOLDEN_TOL,
+    _gauss_level,
     _nuttall_tail_log,
+    _quad_gauss,
     golden_path,
     oracle_marcum,
     oracle_nuttall,
@@ -23,6 +30,9 @@ from nuttq.oracle import (
     read_golden,
     write_golden,
 )
+from nuttq.toronto import TorontoParams, toronto_series_adaptive
+
+EPS = 2.0 ** -52
 
 
 class TestParameterBox:
@@ -165,6 +175,110 @@ class TestOracleValues:
                     q = oracle_marcum((m + 1.0) / 2.0, r * math.sqrt(2.0),
                                       big_b * math.sqrt(2.0), tol=tol).value
                     assert abs(t + q - 1.0) < 4.0 * tol
+
+
+class TestGaussScheme:
+    LO, HI = 2.275415732502098, 44.61520624372118
+
+    @pytest.mark.parametrize("f, antiderivative", [
+        (lambda x: np.ones_like(x), lambda t: t),
+        (lambda x: (3.0 * x - 2.0) * x + 1.0, lambda t: t ** 3 - t ** 2 + t),
+        (lambda x: x ** 3, lambda t: t ** 4 / 4),
+    ])
+    def test_strips_cover_the_interval_exactly(self, f, antiderivative):
+        # 16-point Gauss-Legendre is exact for these degrees, so only the
+        # strip geometry and rounding can move the sum.  A half-width taken
+        # from linspace's first strip is off by eps |lo| / half: 171 ulps
+        # for the constant at 8,192 strips.
+        exact = antiderivative(Fraction(self.HI)) - antiderivative(Fraction(self.LO))
+        for strips in (16, 1024, 8192):
+            got = _gauss_level(f, self.LO, self.HI, strips)
+            assert abs(Fraction(got) - exact) <= 4 * math.ulp(float(exact)), strips
+
+    def test_nuttall_reproduction_converges(self):
+        # before the exact geometry the level differences doubled from 32
+        # strips on, and the call ran out its 8,192 strips and refused
+        args = (9.747297662154839, 7.0, 4.61520624372118, 2.275415732502098)
+        gauss = oracle_nuttall(*args, scheme="gauss")
+        assert gauss.subdivisions <= 256
+        # the value is about 1e6, whose ulp exceeds the default absolute
+        # tol, so the adaptive scheme is asked for a looser one
+        adaptive = oracle_nuttall(*args, tol=1e-6)
+        assert abs(gauss.value - adaptive.value) <= (
+            gauss.abs_err_est + 64 * EPS * abs(adaptive.value))
+
+    def test_algebraic_convergence_refuses_early(self, monkeypatch):
+        # m - n = -0.496: the integrand's t^(m-n) singularity at 0 makes
+        # each level difference about 0.35 of the one before, which cannot
+        # reach tol / 2 within 8,192 strips (262,016 nodes to find out)
+        nodes = []
+
+        def counting_ive(order, x):
+            nodes.append(x.size)
+            return ive(order, x)
+
+        monkeypatch.setattr(oracle, "ive", counting_ive)
+        args = (0.5043655403318925, 1.0, 1.0776352292261235, 4.459215224518907)
+        with pytest.raises(ToleranceNotMetError, match="ratio") as err:
+            oracle_toronto(*args, scheme="gauss")
+        assert sum(nodes) <= 4000
+        monkeypatch.undo()
+        adaptive = oracle_toronto(*args)
+        assert 0.5e-10 < err.value.err_est < math.inf
+        assert abs(err.value.value - adaptive.value) <= 2.0 * err.value.err_est
+
+    def test_exhaustion_carries_the_last_difference(self):
+        # an integrand that is the node count: each level is twice the one
+        # before, so no ratio falls below 1 and the strips run out
+        with pytest.raises(ToleranceNotMetError, match="exhausted") as err:
+            _quad_gauss(lambda x: np.full_like(x, x.size), 0.0, 1.0, 1e-10)
+        assert err.value.value == pytest.approx(131072.0, rel=1e-14)
+        assert err.value.err_est == pytest.approx(65536.0, rel=1e-14)
+
+    def test_accepted_values_meet_their_promise(self):
+        # each accepted value is within abs_err_est + 64 ulps of the
+        # adaptive series at tol 1e-14 plus that series' allowance of
+        # 10 tol relative; the only refusal allowed is ToleranceNotMetError
+        rng = random.Random(22)
+        accepted = 0
+        for i in range(450):
+            n = 10.0 * rng.random()
+            scale = 6.0 * (1.0 - rng.random())
+            limit = 8.0 * (1.0 - rng.random())
+            tol = rng.choice((1e-12, 1e-10, 1e-8))
+            if i % 3 == 0:
+                call, series = oracle_nuttall, _nuttall_series
+                args = (10.0 * rng.random(), n, scale, limit)
+            elif i % 3 == 1:
+                low = max(0.0, n - 0.99)
+                call, series = oracle_toronto, _toronto_series
+                args = (low + (10.0 - low) * rng.random(), n, scale, limit)
+            else:
+                call, series = oracle_marcum, _marcum_series
+                args = (1.0 + 9.0 * rng.random(), scale, limit)
+            try:
+                ov = call(*args, tol=tol, scheme="gauss")
+            except ToleranceNotMetError:
+                continue
+            accepted += 1
+            want = series(*args)
+            allowance = ov.abs_err_est + (64 * EPS + 10 * 1e-14) * abs(want)
+            assert abs(ov.value - want) <= allowance, (call.__name__, args, tol)
+        assert accepted >= 440
+
+
+def _nuttall_series(m, n, a, b):
+    """Unnormalized Q_{m,n}(a, b) by the adaptive series at tol 1e-14."""
+    return a ** n * nuttall_series_adaptive(NuttallParams(m, n, a, b),
+                                            tol=1e-14).value
+
+
+def _toronto_series(m, n, r, big_b):
+    return toronto_series_adaptive(TorontoParams(m, n, r, big_b), tol=1e-14).value
+
+
+def _marcum_series(m, a, b):
+    return marcum_q(m, a, b, tol=1e-14)
 
 
 class TestGoldenFile:

@@ -67,6 +67,9 @@ def test_nuttall_closed_form_gamma_calls(gamma_calls, m, n, a, b):
     (10.0, 4.5, 2.0, 3.0),
     (9.0, 4.5, 1.0, 2.5),
     (4.0, 1.5, 1.5, 1.5),
+    # B = 2r: (B - r)^2 equals r^2, so the list at r^2 serves both
+    (10.0, 0.5, 1.0, 2.0),
+    (9.0, 4.5, 1.5, 3.0),
 ])
 def test_toronto_closed_form_gamma_calls(gamma_calls, m, n, r, big_b):
     toronto_closed_form_half(m, n, r, big_b)

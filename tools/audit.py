@@ -7,31 +7,38 @@ Each row sweeps one method over seeded in-domain box points and checks
 every value against the 50-digit mpmath reference of
 ``perfbench/reference.py``, which shares no code with the package:
 
-- right: within RTOL (relative) of the reference;
+- right: within the method's promise of the reference;
 - refused: the call raised one of the package's typed errors, which the
   CLI turns into exit 2 (DomainError) or exit 3 (the rest);
 - wrong, exit 0: any other value, a non-finite one included.
 
-The rows so far are the two half-odd closed forms, at the rounded orders
-a truncation-bound report evaluates them at: Nuttall at (ceil_half(m),
-ceil_half(n), a, b), Toronto at (ceil(m), floor_half(n), r, B).  Points
-are drawn from random.Random(SEED) like the box's points elsewhere:
-orders integer, half-odd or general with equal odds in [0, 10], a and r
-in (0, 6], b in [0, 8] (0 one time in 20), B in (0, 8], and Toronto's
-m - n > -1.  Draws whose rounded orders lie outside the closed form's
-domain are skipped until POINTS points per family are in it.
+The closed-form rows check the two half-odd closed forms, at the rounded
+orders a truncation-bound report evaluates them at: Nuttall at
+(ceil_half(m), ceil_half(n), a, b), Toronto at (ceil(m), floor_half(n), r,
+B).  Their promise is RTOL (relative).  Points are drawn from
+random.Random(SEED) like the box's points elsewhere: orders integer,
+half-odd or general with equal odds in [0, 10], a and r in (0, 6], b in
+[0, 8] (0 one time in 20), B in (0, 8], and Toronto's m - n > -1.  Draws
+whose rounded orders lie outside the closed form's domain are skipped
+until POINTS points per family are in it.
+
+The oracle rows check oracle_nuttall (unnormalized Q) and oracle_toronto
+at their default tol, in both schemes, on the first ORACLE_POINTS box
+points drawn the same way, unrounded and none skipped.  Their promise is
+the oracle's own: abs_err_est plus ORACLE_ULPS ulps of the value.
 
 WRONG holds the wrong counts at SEED as a ratchet: --check fails when a
 count rises above it.  A change that lowers a count lowers the committed
 number with it.  The reference is nearly all of the time, so the points
-are judged in WORKERS processes: about 5 s on 2 vCPUs.  Stdlib and mpmath
-only; offline.
+are judged in WORKERS processes: about 5 s on 2 vCPUs.  Needs mpmath
+besides the package's own numpy and scipy; offline.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import itertools
 import math
 import multiprocessing
@@ -48,18 +55,25 @@ from nuttq.errors import (  # noqa: E402
     DomainError,
     NonConvergenceError,
     TermOverflowError,
+    ToleranceNotMetError,
 )
 from nuttq.nuttall import NuttallParams, nuttall_half_integer_closed  # noqa: E402
+from nuttq.oracle import oracle_nuttall, oracle_toronto  # noqa: E402
 from nuttq.special import ceil_half, floor_half  # noqa: E402
 from nuttq.toronto import toronto_closed_form_half  # noqa: E402
 
 SEED = 2101
 POINTS = 1000
+ORACLE_POINTS = 100
 RTOL = 1e-8
+ORACLE_ULPS = 64
+EPS = 2.0 ** -52
 WORKERS = 2
 VERDICTS = ("right", "refused_exit2", "refused_exit3", "wrong_exit0")
-# committed wrong-with-exit-0 counts at SEED and POINTS
-WRONG = {"nuttall closed_half": 26, "toronto closed_half": 103}
+# committed wrong-with-exit-0 counts at SEED and each row's point count
+WRONG = {"nuttall closed_half": 26, "toronto closed_half": 103,
+         "nuttall oracle adaptive": 0, "nuttall oracle gauss": 1,
+         "toronto oracle adaptive": 1, "toronto oracle gauss": 2}
 
 
 def _order(rng: random.Random) -> float:
@@ -97,35 +111,72 @@ def toronto_points(rng: random.Random):
             yield mc, nf, r, big_b
 
 
+def nuttall_box_points(rng: random.Random):
+    """Endless (m, n, a, b) in the box."""
+    while True:
+        m, n = _order(rng), _order(rng)
+        a = 6.0 * (1.0 - rng.random())
+        b = 0.0 if rng.random() < 0.05 else 8.0 * (1.0 - rng.random())
+        yield m, n, a, b
+
+
+def toronto_box_points(rng: random.Random):
+    """Endless (m, n, r, B) in the box with m - n > -1."""
+    while True:
+        n = _order(rng)
+        m = _order(rng)
+        while not m - n > -1.0:
+            m = _order(rng)
+        yield m, n, 6.0 * (1.0 - rng.random()), 8.0 * (1.0 - rng.random())
+
+
+def _within_rtol(got: float, want: float) -> bool:
+    return math.isfinite(got) and abs(got - want) <= RTOL * abs(want)
+
+
+def _within_promise(ov, want: float) -> bool:
+    # the oracle's own promise: its error estimate plus rounding
+    return (math.isfinite(ov.value) and abs(ov.value - want)
+            <= ov.abs_err_est + ORACLE_ULPS * EPS * abs(ov.value))
+
+
+def _nuttall_unnormalized(m, n, a, b):
+    return reference.golden_value("nuttall", m, n, a, b)
+
+
+# name, points, how many, value, reference, whether a value is right
 ROWS = (
-    ("nuttall closed_half", nuttall_points,
+    ("nuttall closed_half", nuttall_points, POINTS,
      lambda m, n, a, b: nuttall_half_integer_closed(NuttallParams(m, n, a, b)),
-     reference.nuttall_norm),
-    ("toronto closed_half", toronto_points, toronto_closed_form_half,
-     reference.toronto),
+     reference.nuttall_norm, _within_rtol),
+    ("toronto closed_half", toronto_points, POINTS, toronto_closed_form_half,
+     reference.toronto, _within_rtol),
+    *((f"{family} oracle {scheme}", points, ORACLE_POINTS,
+       functools.partial(oracle, scheme=scheme), ref, _within_promise)
+      for family, points, oracle, ref in (
+          ("nuttall", nuttall_box_points, oracle_nuttall, _nuttall_unnormalized),
+          ("toronto", toronto_box_points, oracle_toronto, reference.toronto))
+      for scheme in ("adaptive", "gauss")),
 )
 
 
 def sweep() -> list[tuple[int, tuple]]:
-    """(row index, point) for the first POINTS points of every row."""
-    return [(i, args) for i, (_, points, _, _) in enumerate(ROWS)
-            for args in itertools.islice(points(random.Random(SEED)), POINTS)]
+    """(row index, point) for the first points of every row."""
+    return [(i, args) for i, (_, points, count, *_) in enumerate(ROWS)
+            for args in itertools.islice(points(random.Random(SEED)), count)]
 
 
 def judge(task: tuple[int, tuple]) -> str:
     """The verdict on one row's value at one point."""
     row, args = task
-    _, _, value, ref = ROWS[row]
+    _, _, _, value, ref, right = ROWS[row]
     try:
         got = value(*args)
     except DomainError:
         return "refused_exit2"
-    except (NonConvergenceError, TermOverflowError):
+    except (NonConvergenceError, TermOverflowError, ToleranceNotMetError):
         return "refused_exit3"
-    want = ref(*args)
-    if math.isfinite(got) and abs(got - want) <= RTOL * abs(want):
-        return "right"
-    return "wrong_exit0"
+    return "right" if right(got, ref(*args)) else "wrong_exit0"
 
 
 def main(argv=None) -> int:
@@ -141,7 +192,8 @@ def main(argv=None) -> int:
     counts = [collections.Counter() for _ in ROWS]
     for (row, _), verdict in zip(tasks, verdicts):
         counts[row][verdict] += 1
-    print(f"# seed={SEED} points={POINTS} rtol={RTOL:g}")
+    print(f"# seed={SEED} points={POINTS} (oracle rows {ORACLE_POINTS}) "
+          f"rtol={RTOL:g} oracle_ulps={ORACLE_ULPS}")
     print("method," + ",".join(VERDICTS) + ",committed_wrong_exit0")
     rose = []
     for (name, *_), c in zip(ROWS, counts):
