@@ -192,6 +192,14 @@ CORPUS: list[list[str]] = [
     # t^(m-n) singularity at 0, m - n = -0.496) and is refused
     ["compare", "toronto", "--m", "0.5043655403318925", "--n", "1",
      "--r", "1.0776352292261235", "--B", "4.459215224518907", "--scheme", "gauss"],
+    # compare's tolerances, each set by hand
+    ["compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2",
+     "--oracle-tol", "1e-10"],
+    ["compare", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "2",
+     "--method", "adaptive", "--tol", "1e-10"],
+    # the 1F1 bound refuses m = 0; the truncation bound has a value there
+    ["compare", "nuttall", "--m", "0", "--n", "0", "--a", "1", "--b", "1",
+     "--with-bounds"],
 ]
 
 # Files the corpus reads, written to the working directory first.  Entry 3
