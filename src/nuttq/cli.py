@@ -60,8 +60,11 @@ FUNCTIONS = ("nuttall", "nuttall_norm", "marcum", "toronto")
 SLACK_GATE = -1e-8
 # exit code on a closed stdout: 128 + SIGPIPE
 EXIT_CLOSED_STDOUT = 141
-# the oracle tolerance of compare (its --oracle-tol default) and figure f1
+# the only oracle tolerance the CLI passes (absolute): compare and figure f1
 ORACLE_TOL = 1e-10
+# the series tolerance where no option sets one (compare --method adaptive,
+# bounds --kind kummer) and eval's --tol default
+SERIES_TOL = 1e-12
 
 
 def _fmt(x: Any) -> str:
@@ -260,26 +263,26 @@ def cmd_compare(args) -> int:
         # so that compute() catches only a DomainError of a point's orders
         check_terms(args.terms)
     out.meta(command="compare", function=fn, method=args.method,
-             terms=args.terms, tol=args.tol, oracle_tol=args.oracle_tol,
+             terms=args.terms, tol=SERIES_TOL, oracle_tol=ORACLE_TOL,
              scheme=args.scheme, points=len(points))
 
     def compute(m, n, p3, p4):
         scale = _scale(fn, n, p3)
-        res = _norm_series(fn, m, n, args.method, args.terms, args.tol, p3, p4)
+        res = _norm_series(fn, m, n, args.method, args.terms, SERIES_TOL, p3, p4)
         series = res.value * scale
-        oracle = _oracle_for(fn, m, n, p3, p4, args.oracle_tol, args.scheme)
+        oracle = _oracle_for(fn, m, n, p3, p4, ORACLE_TOL, args.scheme)
         rel = abs(series - oracle) / abs(oracle) if oracle != 0.0 else math.inf
         rec = {"function_id": fn, **_point(fn, m, n, p3, p4),
                "series_value": series, "oracle_value": oracle,
                "rel_error": rel, "terms": res.terms_used}
         if args.with_bounds:
-            try:
+            # each bound refuses on its own: its cell alone stays empty
+            rec["bound_1f1"] = rec["trunc_bound"] = None
+            with contextlib.suppress(DomainError):
                 rec["bound_1f1"] = _bound_1f1(fn, m, n, p3) * scale
+            with contextlib.suppress(DomainError):
                 rec["trunc_bound"] = _truncation_bounds(
                     fn, m, n, p3, p4, [args.terms])[0].bound_value * scale
-            except DomainError:
-                rec.setdefault("bound_1f1", None)
-                rec.setdefault("trunc_bound", None)
         return rec
 
     rows = [compute(*pt) for pt in points]
@@ -307,7 +310,7 @@ def cmd_bounds(args) -> int:
         if args.kind == "truncation":
             return _truncation_bounds(fn, m, n, p3, p4, depths)
         bound = _bound_1f1(fn, m, n, p3)
-        value = _norm_series(fn, m, n, "adaptive", None, 1e-12, p3, p4).value
+        value = _norm_series(fn, m, n, "adaptive", None, SERIES_TOL, p3, p4).value
         regime = (max(m, n, p3) <= 0.5 * p4 if fn == "toronto"
                   else p4 <= (2.0 / 3.0) * min(p3, m, n))
         return [BoundReport(bound_value=bound, dominated_quantity=value,
@@ -455,11 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
     series = argparse.ArgumentParser(add_help=False, parents=[grid])
     series.add_argument("function", choices=FUNCTIONS)
     series.add_argument("--terms", type=int, default=20)
-    series.add_argument("--tol", type=float, default=1e-12)
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", parents=[series],
                         help="evaluate one point by a chosen method")
+    # declared before --method, so the help lists them in that order
+    pe.add_argument("--tol", type=float, default=SERIES_TOL)
     pe.add_argument("--method", default="adaptive",
                     choices=("truncated", "adaptive", "closed_half", "bound_1f1"))
     pe.set_defaults(func=cmd_eval)
@@ -468,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="series vs oracle over a cartesian grid")
     pc.add_argument("--method", default="truncated",
                     choices=("truncated", "adaptive"))
-    pc.add_argument("--oracle-tol", type=float, default=ORACLE_TOL)
     pc.add_argument("--scheme", choices=("adaptive", "gauss"), default="adaptive")
     pc.add_argument("--with-bounds", action="store_true")
     pc.add_argument("--assert-rel-err", type=float, default=None,

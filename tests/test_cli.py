@@ -90,6 +90,18 @@ class TestEval:
         assert exc.value.code == 2
         assert "unrecognized arguments: --max-terms 3" in capsys.readouterr().err
 
+    def test_tol_sets_the_series_tolerance(self, capsys):
+        point = ["eval", "nuttall", "--m", "2", "--n", "1", "--a", "1",
+                 "--b", "2"]
+        rc, out = run(capsys, point)
+        assert rc == 0
+        assert " tol=9.9999999999999998e-13" in out.splitlines()[0]
+        default_terms = int(csv_rows(out)[0]["terms_used"])
+        rc, out = run(capsys, [*point, "--tol", "1e-6"])
+        assert rc == 0
+        assert out.splitlines()[0].endswith(" tol=9.9999999999999995e-07")
+        assert int(csv_rows(out)[0]["terms_used"]) < default_terms
+
     @pytest.mark.parametrize("method", ["truncated", "adaptive", "closed_half",
                                         "bound_1f1"])
     def test_nuttall_is_a_to_the_n_times_nuttall_norm(self, capsys, method):
@@ -237,6 +249,37 @@ class TestCompare:
                                if not l.startswith("#"))
         assert float(row["bound_1f1"]) > float(row["series_value"])
         assert row["trunc_bound"] == ""
+
+    def test_refused_1f1_bound_leaves_only_its_cell_empty(self, capsys):
+        # the 1F1 bound refuses m = 0; the truncation bound at the row's
+        # depth is the one bounds reports there
+        point = ["nuttall", "--m", "0", "--n", "0", "--a", "1", "--b", "1"]
+        rc, out = run(capsys, ["compare", *point, "--with-bounds"])
+        assert rc == 0
+        [row] = csv_rows(out)
+        assert row["bound_1f1"] == ""
+        rc, out = run(capsys, ["bounds", *point, "--terms", "20"])
+        assert rc == 0
+        [report] = csv_rows(out)
+        assert float(row["trunc_bound"]) == float(report["bound_value"])
+
+    @pytest.mark.parametrize("option", ["--tol", "--oracle-tol"])
+    def test_tolerance_options_are_gone(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "nuttall", "--m", "2", "--n", "1", "--a", "1",
+                  "--b", "2", option, "1e-10"])
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {option} 1e-10"
+                in capsys.readouterr().err)
+
+    def test_meta_line_echoes_the_fixed_tolerances(self, capsys):
+        rc, out = run(capsys, ["compare", "nuttall", "--m", "2", "--n", "1",
+                               "--a", "1", "--b", "2"])
+        assert rc == 0
+        assert out.splitlines()[0] == (
+            "# command=compare function=nuttall method=truncated terms=20 "
+            "tol=9.9999999999999998e-13 oracle_tol=1e-10 scheme=adaptive "
+            "points=1")
 
     def test_normalized_oracle_underflow_is_convergence_error(self, capsys):
         # a^n underflows to 0 at a = 1e-200, so oracle / a^n has no value

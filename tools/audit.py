@@ -27,10 +27,15 @@ at their default tol, in both schemes, on the first ORACLE_POINTS box
 points drawn the same way, unrounded and none skipped.  Their promise is
 the oracle's own: abs_err_est plus ORACLE_ULPS ulps of the value.
 
+The 1F1 bound rows check nuttall_upper_bound_1f1 and
+toronto_upper_bound_1f1 on the first POINTS box points drawn the same way,
+none skipped (the bound takes no b or B).  Their promise is RTOL against
+the reference's own 1F1 bound formula.
+
 WRONG holds the wrong counts at SEED as a ratchet: --check fails when a
 count rises above it.  A change that lowers a count lowers the committed
 number with it.  The reference is nearly all of the time, so the points
-are judged in WORKERS processes: about 5 s on 2 vCPUs.  Needs mpmath
+are judged in WORKERS processes: about 6 s on 2 vCPUs.  Needs mpmath
 besides the package's own numpy and scipy; offline.
 """
 
@@ -57,10 +62,17 @@ from nuttq.errors import (  # noqa: E402
     TermOverflowError,
     ToleranceNotMetError,
 )
-from nuttq.nuttall import NuttallParams, nuttall_half_integer_closed  # noqa: E402
+from nuttq.nuttall import (  # noqa: E402
+    NuttallParams,
+    nuttall_half_integer_closed,
+    nuttall_upper_bound_1f1,
+)
 from nuttq.oracle import oracle_nuttall, oracle_toronto  # noqa: E402
 from nuttq.special import ceil_half, floor_half  # noqa: E402
-from nuttq.toronto import toronto_closed_form_half  # noqa: E402
+from nuttq.toronto import (  # noqa: E402
+    toronto_closed_form_half,
+    toronto_upper_bound_1f1,
+)
 
 SEED = 2101
 POINTS = 1000
@@ -73,7 +85,8 @@ VERDICTS = ("right", "refused_exit2", "refused_exit3", "wrong_exit0")
 # committed wrong-with-exit-0 counts at SEED and each row's point count
 WRONG = {"nuttall closed_half": 26, "toronto closed_half": 103,
          "nuttall oracle adaptive": 0, "nuttall oracle gauss": 1,
-         "toronto oracle adaptive": 1, "toronto oracle gauss": 2}
+         "toronto oracle adaptive": 1, "toronto oracle gauss": 2,
+         "nuttall bound_1f1": 0, "toronto bound_1f1": 0}
 
 
 def _order(rng: random.Random) -> float:
@@ -144,6 +157,11 @@ def _nuttall_unnormalized(m, n, a, b):
     return reference.golden_value("nuttall", m, n, a, b)
 
 
+def _without_limit(f):
+    """f(m, n, a_or_r) called with a box point (m, n, a_or_r, b_or_B)."""
+    return lambda m, n, p3, p4: f(m, n, p3)
+
+
 # name, points, how many, value, reference, whether a value is right
 ROWS = (
     ("nuttall closed_half", nuttall_points, POINTS,
@@ -157,6 +175,13 @@ ROWS = (
           ("nuttall", nuttall_box_points, oracle_nuttall, _nuttall_unnormalized),
           ("toronto", toronto_box_points, oracle_toronto, reference.toronto))
       for scheme in ("adaptive", "gauss")),
+    *((f"{family} bound_1f1", points, POINTS, _without_limit(bound),
+       _without_limit(ref), _within_rtol)
+      for family, points, bound, ref in (
+          ("nuttall", nuttall_box_points, nuttall_upper_bound_1f1,
+           reference.nuttall_bound_1f1),
+          ("toronto", toronto_box_points, toronto_upper_bound_1f1,
+           reference.toronto_bound_1f1))),
 )
 
 
