@@ -11,24 +11,23 @@ resolved on first access, which is when :mod:`nuttq.oracle` and with it
 numpy and scipy are imported.
 
 Each module's ``__all__`` is the one list of its public names; this package
-re-exports them and builds its own ``__all__`` from them.
+re-exports them and builds its own ``__all__`` from them.  The error
+classes are listed in :mod:`nuttq.errors`, and the oracle's names in
+``_ORACLE_NAMES`` below, which :mod:`nuttq.oracle` reads as its
+``__all__``.  Each error class's attributes are its payload: a CLI JSON
+error record carries every one of them.
 """
 
-from . import nuttall, special, toronto
-from .errors import (
-    DomainError,
-    NonConvergenceError,
-    TermOverflowError,
-    ToleranceNotMetError,
-)
+from . import errors, nuttall, special, toronto
+from .errors import *  # noqa: F403
 from .nuttall import *  # noqa: F403
 from .special import *  # noqa: F403
 from .toronto import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# The same names as nuttq.oracle.__all__, which cannot be read without
-# importing scipy; a test keeps the two equal.
+# nuttq.oracle's public names; its __all__ is read from here, since the
+# oracle module cannot be imported without importing scipy.
 _ORACLE_NAMES = frozenset({
     "OracleValue",
     "GoldenEntry",
@@ -43,10 +42,7 @@ _ORACLE_NAMES = frozenset({
 })
 
 __all__ = [
-    "DomainError",
-    "NonConvergenceError",
-    "TermOverflowError",
-    "ToleranceNotMetError",
+    *errors.__all__,
     *special.__all__,
     *nuttall.__all__,
     *toronto.__all__,

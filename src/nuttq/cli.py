@@ -530,18 +530,11 @@ def _run(args) -> int:
         return 3
 
 
-# the payload each error type carries, added to its JSON error record
-_ERROR_FIELDS = {NonConvergenceError: ("partial_value", "terms"),
-                 ToleranceNotMetError: ("value", "err_est"),
-                 TermOverflowError: ("log_term",)}
-
-
 def _emit_error(args, kind: str, exc: Exception) -> None:
     if args.format == "json":
-        payload = {name: getattr(exc, name)
-                   for name in _ERROR_FIELDS.get(type(exc), ())}
+        # every attribute the exception sets (errors.py) is its payload
         print(json.dumps({"type": "error", "error_type": kind,
-                          "message": str(exc), **payload}, sort_keys=True))
+                          "message": str(exc), **vars(exc)}, sort_keys=True))
     else:
         print(f"# error {kind}: {exc}")
 

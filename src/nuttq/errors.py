@@ -8,6 +8,13 @@ re-running the computation.
 
 from __future__ import annotations
 
+__all__ = [
+    "DomainError",
+    "NonConvergenceError",
+    "TermOverflowError",
+    "ToleranceNotMetError",
+]
+
 
 class DomainError(ValueError):
     """Raised when arguments are outside the mathematical or supported domain."""

@@ -57,21 +57,11 @@ from scipy.integrate import quad
 from scipy.special import ive
 from scipy.special.cython_special import ive as ive_scalar
 
+from . import _ORACLE_NAMES
 from .box import check_box
 from .errors import DomainError, ToleranceNotMetError
 
-__all__ = [
-    "OracleValue",
-    "GoldenEntry",
-    "GOLDEN_CASES",
-    "GOLDEN_TOL",
-    "oracle_nuttall",
-    "oracle_toronto",
-    "oracle_marcum",
-    "golden_path",
-    "read_golden",
-    "write_golden",
-]
+__all__ = sorted(_ORACLE_NAMES)
 
 TOL_MIN = 1e-14
 TOL_MAX = 1e-6
