@@ -200,6 +200,10 @@ CORPUS: list[list[str]] = [
     # the 1F1 bound refuses m = 0; the truncation bound has a value there
     ["compare", "nuttall", "--m", "0", "--n", "0", "--a", "1", "--b", "1",
      "--with-bounds"],
+    *[["eval", "nuttall", "--m", "0", "--n", "0", "--a", "1", "--b", "1",
+       "--method", "bound_1f1", *fmt] for fmt in ([], ["--format", "json"])],
+    ["bounds", "nuttall", "--kind", "kummer", "--m", "0", "--n", "0",
+     "--a", "1", "--b", "0,1"],
 ]
 
 # Files the corpus reads, written to the working directory first.  Entry 3
@@ -234,8 +238,8 @@ def library_corpus() -> list[str]:
     limits, the parameter records' constructors at the values where
     their checks decide and with fields that are not floats, and the
     integer double series at depth 500 and at the depths and orders it
-    refuses, two Gauss-Legendre oracle reproductions and the Toronto closed
-    form at B = 2r.
+    refuses, two Gauss-Legendre oracle reproductions, the Toronto closed
+    form at B = 2r and the Nuttall 1F1 bound at m = 0.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -413,6 +417,9 @@ def library_corpus() -> list[str]:
     add("oracle_toronto({}, {}, {}, {}, scheme={})", 0.5043655403318925, 1.0,
         1.0776352292261235, 4.459215224518907, "gauss")
     add("toronto_closed_form_half({}, {}, {}, {})", 10.0, 0.5, 1.0, 2.0)
+    # the Nuttall 1F1 bound at m = 0, where c = (m + n + 1)/2 stays positive
+    for n, a in ((0.0, 1.0), (3.3, 2.5), (9.0, 6.0), (0.5, 0.1)):
+        add("nuttall_upper_bound_1f1({}, {}, {})", 0.0, n, a)
     return calls
 
 
