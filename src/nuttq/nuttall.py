@@ -321,11 +321,12 @@ def nuttall_upper_bound_1f1(m: float, n: float, a: float) -> float:
     complete gamma factors), hence dominates for every b >= 0; it is close,
     not just valid, when b <= (2/3) min(a, m, n).  n = 0 is allowed: the
     1F1 denominator parameter becomes 1, which is not a pole, and the b = 0
-    equality still holds term by term.  Raises TermOverflowError where the
-    1F1 factor overflows a double (a^2/2 beyond about 700).
+    equality still holds term by term.  So is m = 0, where c stays
+    positive.  Raises TermOverflowError where the 1F1 factor overflows a
+    double (a^2/2 beyond about 700).
     """
-    if not (m > 0.0 and n >= 0.0 and a > 0.0):
-        raise DomainError(f"need m > 0, n >= 0, a > 0, got m={m}, n={n}, a={a}")
+    if not (m >= 0.0 and n >= 0.0 and a > 0.0):
+        raise DomainError(f"need m >= 0, n >= 0, a > 0, got m={m}, n={n}, a={a}")
     c = 0.5 * (m + n + 1.0)
     half_a2 = 0.5 * a * a
     return math.exp(math.lgamma(c) - math.lgamma(n + 1.0)

@@ -14,6 +14,7 @@ import pytest
 import nuttq
 from nuttq import cli
 from nuttq.cli import main
+from nuttq.errors import DomainError
 from nuttq.nuttall import nuttall_series_adaptive
 
 # the checkout's src/, for the subprocesses
@@ -250,9 +251,13 @@ class TestCompare:
         assert float(row["bound_1f1"]) > float(row["series_value"])
         assert row["trunc_bound"] == ""
 
-    def test_refused_1f1_bound_leaves_only_its_cell_empty(self, capsys):
-        # the 1F1 bound refuses m = 0; the truncation bound at the row's
-        # depth is the one bounds reports there
+    def test_refused_1f1_bound_leaves_only_its_cell_empty(self, capsys,
+                                                          monkeypatch):
+        # no box point refuses the 1F1 bound, so a stand-in refuses it; the
+        # truncation bound at the row's depth is the one bounds reports there
+        def refuse(m, n, a):
+            raise DomainError("refused")
+        monkeypatch.setattr(cli, "nuttall_upper_bound_1f1", refuse)
         point = ["nuttall", "--m", "0", "--n", "0", "--a", "1", "--b", "1"]
         rc, out = run(capsys, ["compare", *point, "--with-bounds"])
         assert rc == 0

@@ -311,7 +311,9 @@ class TestTruncationBound:
 
 class TestKummerBound:
     def test_equality_at_b0(self):
-        for (m, n, a) in [(2.0, 1.0, 1.0), (3.0, 1.0, 2.0), (1.5, 0.5, 0.5)]:
+        for (m, n, a) in [(2.0, 1.0, 1.0), (3.0, 1.0, 2.0), (1.5, 0.5, 0.5),
+                          (0.0, 0.0, 1.0), (0.0, 3.3, 2.5), (0.0, 9.0, 6.0),
+                          (0.0, 0.5, 0.1)]:
             bound = nuttall_upper_bound_1f1(m, n, a)
             value = nuttall_series_adaptive(NuttallParams(m, n, a, 0.0),
                                             tol=1e-14).value
@@ -328,10 +330,10 @@ class TestKummerBound:
                         assert bound >= v - 1e-12
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            nuttall_upper_bound_1f1(0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            nuttall_upper_bound_1f1(2.0, 1.0, -1.0)
+        # m = 0 is accepted (c = (n + 1)/2 > 0); a negative m and a <= 0 are not
+        for m, n, a in ((-0.5, 1.0, 1.0), (2.0, 1.0, -1.0), (2.0, 1.0, 0.0)):
+            with pytest.raises(DomainError, match="need m >= 0"):
+                nuttall_upper_bound_1f1(m, n, a)
 
     def test_overflow_raises(self):
         # 1F1(2; 2; 800) = e^800 overflows, and inf * e^-800 would be nan
