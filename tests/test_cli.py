@@ -446,6 +446,19 @@ class TestFigure:
         assert rc == 0
         assert "series_value,oracle_value" in out
 
+    def test_f2_gap_falls_as_a_grows(self, capsys):
+        # the figure's claim: the 1F1 bound holds and tightens as a grows
+        rc, out = run(capsys, ["figure", "f2"])
+        assert rc == 0
+        rows = csv_rows(out)
+        assert len(rows) == 30
+        for order in ((2.0, 1.0), (3.0, 1.0)):
+            gaps = [float(row["rel_gap"]) for row in rows
+                    if (float(row["m"]), float(row["n"])) == order]
+            assert len(gaps) == 15
+            assert min(gaps) >= 0.0
+            assert all(x > y for x, y in zip(gaps, gaps[1:])), order
+
     def test_unwritable_path_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing_dir" / "f4.csv"
         rc, out = run(capsys, ["figure", "f4", "--output", str(target)])

@@ -30,7 +30,13 @@ from nuttq.oracle import (
     read_golden,
     write_golden,
 )
-from nuttq.toronto import TorontoParams, toronto_series_adaptive
+from nuttq.toronto import (
+    TorontoParams,
+    toronto_closed_form_half,
+    toronto_marcum_residual,
+    toronto_series_adaptive,
+    toronto_upper_bound_1f1,
+)
 
 EPS = 2.0 ** -52
 
@@ -68,6 +74,28 @@ class TestParameterBox:
             oracle_toronto(2.0, 1.0, 6.0 + 1e-9, 2.0)
         with pytest.raises(DomainError):
             oracle_toronto(2.0, 1.0, 1.0, 8.0 + 1e-9)
+
+    @pytest.mark.parametrize("call, args, prefix", [
+        (marcum_q, (0.5, 1.0, 1.0), "Marcum order must be >= 1"),
+        (oracle_marcum, (0.5, 1.0, 1.0), "Marcum order must be >= 1"),
+        (oracle_toronto, (0.0, 2.0, 1.0, 1.0),
+         "need m - n > -1 for integrability"),
+        (oracle._evaluate_case, ("bogus", 2.0, 1.0, 1.0, 1.0, 1e-10),
+         "unknown golden kind 'bogus'"),
+        (toronto_closed_form_half, (0.0, 0.5, 1.0, 1.0),
+         "need m >= 1 and n >= 0.5"),
+        (toronto_closed_form_half, (2.0, -0.5, 1.0, 1.0),
+         "need m >= 1 and n >= 0.5"),
+        (toronto_closed_form_half, (2.0, 0.5, 1.0, 0.0),
+         "need r > 0 and B > 0"),
+        (toronto_upper_bound_1f1, (0.0, 2.0, 1.0), "need m - n > -1"),
+        (toronto_marcum_residual, (0.5, 1.0, 1.0),
+         "identity needs (m+1)/2 >= 1"),
+    ])
+    def test_domain_refusals(self, call, args, prefix):
+        with pytest.raises(DomainError) as exc:
+            call(*args)
+        assert str(exc.value).startswith(prefix)
 
     def test_exact_corners_are_inside(self):
         check_box(10.0, 10.0, 6.0, 8.0)
