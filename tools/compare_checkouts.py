@@ -197,7 +197,7 @@ CORPUS: list[list[str]] = [
      "--oracle-tol", "1e-10"],
     ["compare", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "2",
      "--method", "adaptive", "--tol", "1e-10"],
-    # the 1F1 bound refuses m = 0; the truncation bound has a value there
+    # the Nuttall 1F1 bound at m = 0, where c = (m + n + 1)/2 stays positive
     ["compare", "nuttall", "--m", "0", "--n", "0", "--a", "1", "--b", "1",
      "--with-bounds"],
     *[["eval", "nuttall", "--m", "0", "--n", "0", "--a", "1", "--b", "1",
