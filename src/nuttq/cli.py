@@ -13,8 +13,11 @@ SIGPIPE, as a shell reports a process a broken pipe ends) when the reader
 of stdout closes it early, as `nuttq ... | head` does; that ends quietly.
 
 Only the subcommands that need an oracle value (compare, figure f1, golden)
-import the quadrature oracle and with it numpy and scipy; eval, bounds and
-the other figures run on the stdlib-only series route.
+import the quadrature oracle and with it numpy and scipy.special; eval,
+bounds and the other figures run on the stdlib-only series route.  Of
+those, only the ones that run the adaptive scheme (compare, figure f1 and
+golden --regenerate) also import scipy.integrate; golden verify and
+compare --scheme gauss run on Gauss-Legendre alone.
 """
 
 from __future__ import annotations

@@ -10,7 +10,10 @@ Two schemes:
 
 * ``adaptive``: ``scipy.integrate.quad`` with an absolute tolerance budget;
   the reported error estimate plus the tail bound must fit inside ``tol`` or
-  the call raises instead of returning.
+  the call raises instead of returning.  ``scipy.integrate`` is imported
+  on the first adaptive value, not with this module, so a caller that
+  runs only the Gauss scheme (``nuttq golden``, ``compare --scheme
+  gauss``) loads numpy and ``scipy.special`` alone.
 * ``gauss``: composite 16-point Gauss-Legendre with strip doubling, from
   16 to at most 8,192 strips, until two successive levels agree within
   tol / 2.  The strip geometry is exact: the half-width comes from the
@@ -53,7 +56,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ive
 from scipy.special.cython_special import ive as ive_scalar
 
@@ -112,6 +114,10 @@ def _check(tol: float, scheme: str, m: float, n: float, scale: float,
 
 
 def _quad_adaptive(f, lo: float, hi: float, tol: float, hint: float | None):
+    # imported here, not at module top, so the Gauss scheme alone (golden
+    # verify, compare --scheme gauss) never loads scipy.integrate
+    from scipy.integrate import quad
+
     # epsabs asks for less than the budget because QUADPACK's estimate is
     # conservative and often lands somewhat above the request at tight
     # tolerances; acceptance is against the budget itself

@@ -643,8 +643,14 @@ cli("eval", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2")
 cli("bounds", "toronto", "--m", "2", "--n", "0.5", "--r", "1", "--B", "2")
 cli("figure", "f2")
 assert loaded() == [], ("eval, bounds, figure f2", loaded())
+cli("golden")
+cli("compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2",
+    "--scheme", "gauss")
+assert loaded() == ["numpy", "scipy"], ("golden, gauss compare", loaded())
+assert "scipy.integrate" not in sys.modules, "golden, gauss compare"
 cli("compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2")
 assert loaded() == ["numpy", "scipy"], ("compare", loaded())
+assert "scipy.integrate" in sys.modules, "adaptive compare"
 assert nuttq.oracle_nuttall is nuttq.oracle.oracle_nuttall
 print("ok")
 """
