@@ -138,6 +138,10 @@ CORPUS: list[list[str]] = [
      "--B", "3", "--terms", "1,5,5", "--format", "json"],
     ["bounds", "nuttall", "--m", "0.2,2", "--n", "1.7,1", "--a", "1,1",
      "--b", "2", "--terms", "1,5"],
+    # the same refusal after a good row: the CSV header must still name
+    # the refused row's error
+    *[["bounds", "nuttall", "--m", "2,0.2", "--n", "1,1.7", "--a", "1",
+       "--b", "2", "--terms", "5", *fmt] for fmt in ([], ["--format", "json"])],
     ["bounds", "nuttall", "--m", "3.2", "--n", "2.1", "--a", "1.3",
      "--b", "0.6", "--terms", "1,3"],
     ["bounds", "nuttall", "--m", "9", "--n", "9", "--a", "0.5", "--b", "1"],
@@ -168,6 +172,7 @@ CORPUS: list[list[str]] = [
     ["golden", "--format", "json"],
     ["golden", "--path", "mixed_tol.txt"],
     ["golden", "--path", "missing.txt"],
+    ["golden", "--path", "bogus_kind.txt"],
     ["golden", "--path", "empty.txt", "--format", "json"],
     ["golden", "--regenerate", "--path", "out/golden.txt"],
     ["golden", "--regenerate", "--path", "plain.txt/x.txt"],
@@ -208,11 +213,15 @@ CORPUS: list[list[str]] = [
 
 # Files the corpus reads, written to the working directory first.  Entry 3
 # of mixed_tol.txt is moved by 1e-10 against a 1e-13 tol; entry 1 keeps a
-# loose 1e-6 tol.
+# loose 1e-6 tol.  bogus_kind.txt holds a valid entry, then one whose kind
+# the oracle refuses.
 _FILES = {
     "mixed_tol.txt":
         "nuttall 1 0 1 1 1e-6 0.73287980379682016 0\n"
         "nuttall 2 1 1 2 1e-13 0.5301469081839657 0\n",
+    "bogus_kind.txt":
+        "nuttall 1 0 1 1 1e-6 0.73287980379682016 0\n"
+        "bogus 2 1 1 2 1e-13 0.5301469081839657 0\n",
     "empty.txt": "# comments only\n",
     "plain.txt": "not a directory\n",
 }
