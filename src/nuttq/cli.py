@@ -2,8 +2,10 @@
 and figure data as CSV or JSON.
 
 Output contract: deterministic byte-identical records for identical
-invocations.  CSV rows use 17-significant-digit decimals and quote a field
-only when it holds a comma, quote or newline; `#` metadata lines
+invocations.  Each command computes all its rows, then writes them in one
+call (Emitter.rows); their CSV header names every field any row has, in
+first-seen order.  CSV rows use 17-significant-digit decimals and quote a
+field only when it holds a comma, quote or newline; `#` metadata lines
 echo the inputs, and a trailing summary carries grid-level aggregates.  JSON
 mode emits one object per line with a "type" tag (meta, row, summary).
 
@@ -32,7 +34,7 @@ import os
 import sys
 from typing import Any, Iterable
 
-from .box import check_box
+from .box import ORACLE_TOL, check_box
 from .errors import (
     DomainError,
     NonConvergenceError,
@@ -48,7 +50,7 @@ from .nuttall import (
     nuttall_truncation_bounds,
     nuttall_upper_bound_1f1,
 )
-from .special import BoundReport, check_terms
+from .special import SERIES_TOL, BoundReport, check_terms
 from .toronto import (
     TorontoParams,
     toronto_closed_form_half,
@@ -63,11 +65,6 @@ FUNCTIONS = ("nuttall", "nuttall_norm", "marcum", "toronto")
 SLACK_GATE = -1e-8
 # exit code on a closed stdout: 128 + SIGPIPE
 EXIT_CLOSED_STDOUT = 141
-# the only oracle tolerance the CLI passes (absolute): compare and figure f1
-ORACLE_TOL = 1e-10
-# the series tolerance where no option sets one (compare --method adaptive,
-# bounds --kind kummer) and eval's --tol default
-SERIES_TOL = 1e-12
 
 
 def _fmt(x: Any) -> str:
@@ -81,25 +78,28 @@ def _fmt(x: Any) -> str:
 
 
 class Emitter:
-    """Writes meta lines, one header, rows, and a summary in csv or json."""
+    """Writes meta lines, a command's rows, and a summary in csv or json."""
 
     def __init__(self, fmt: str, out):
         self.fmt = fmt
         self.out = out
-        self.csv = csv.writer(out, lineterminator="\n")
-        self.columns: list[str] | None = None
 
     def meta(self, **kv):
         self._line("meta", "# ", kv)
 
-    def row(self, record: dict):
+    def rows(self, records: list[dict]):
+        """All of a command's rows.  The CSV header names every field any
+        row has, in first-seen order; a row lacking one leaves it empty."""
         if self.fmt == "csv":
-            if self.columns is None:
-                self.columns = list(record)
-                self.csv.writerow(self.columns)
-            self.csv.writerow([_fmt(record.get(c)) for c in self.columns])
+            columns = list(dict.fromkeys(c for rec in records for c in rec))
+            writer = csv.writer(self.out, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_fmt(rec.get(c)) for c in columns]
+                             for rec in records)
         else:
-            print(json.dumps({"type": "row", **record}, sort_keys=True), file=self.out)
+            for rec in records:
+                print(json.dumps({"type": "row", **rec}, sort_keys=True),
+                      file=self.out)
 
     def summary(self, **kv):
         self._line("summary", "# summary ", kv)
@@ -229,7 +229,7 @@ def cmd_eval(args) -> int:
             else nuttall_half_integer_closed(NuttallParams(m, n, p3, p4)))
     else:  # bound_1f1
         record["value"] = scale * _bound_1f1(fn, m, n, p3)
-    out.row(record)
+    out.rows([record])
     return 0
 
 
@@ -289,10 +289,8 @@ def cmd_compare(args) -> int:
         return rec
 
     rows = [compute(*pt) for pt in points]
-    worst = 0.0
-    for rec in rows:
-        out.row(rec)
-        worst = max(worst, rec["rel_error"])
+    out.rows(rows)
+    worst = max(0.0, *(rec["rel_error"] for rec in rows))
     out.summary(max_rel_error=worst, points=len(rows))
     if args.assert_rel_err is not None and worst > args.assert_rel_err:
         out.summary(assertion="failed", threshold=args.assert_rel_err)
@@ -332,8 +330,7 @@ def cmd_bounds(args) -> int:
         rows += [{"function_id": fn, "kind": args.kind,
                   **_point(fn, m, n, p3, p4), "terms": t, **f}
                  for t, f in zip(depths, fields)]
-    for rec in rows:
-        out.row(rec)
+    out.rows(rows)
     # a row refused with an error has regime_ok false and no slack
     violations = sum(rec["regime_ok"] and rec["slack"] < SLACK_GATE
                      for rec in rows)
@@ -406,8 +403,7 @@ def cmd_figure(args) -> int:
               else open(args.output, "w")) as fh:
             out = Emitter(args.format, fh)
             out.meta(command="figure", **meta)
-            for rec in rows:
-                out.row(rec)
+            out.rows(rows)
             out.summary(rows=len(rows))
     except BrokenPipeError:
         raise  # a closed stdout, not an unwritable file; see main
@@ -431,19 +427,19 @@ def cmd_golden(args) -> int:
     entries = read_golden(args.path)
     out.meta(command="golden", action="verify", **path, entries=len(entries))
     worst = 0.0
-    within = []
+    rows = []
     for e in entries:
         gv = _evaluate_case(e.kind, e.m, e.n, e.a_or_r, e.b_or_big_b, e.tol,
                             scheme="gauss")
         diff = abs(gv.value - e.value)
         worst = max(worst, diff)
-        within.append(diff <= 2 * e.tol)
-        out.row({"kind": e.kind, "m": e.m, "n": e.n, "a_or_r": e.a_or_r,
-                 "b_or_B": e.b_or_big_b, "golden_value": e.value,
-                 "gauss_value": gv.value, "abs_diff": diff,
-                 "within_2tol": within[-1]})
+        rows.append({"kind": e.kind, "m": e.m, "n": e.n, "a_or_r": e.a_or_r,
+                     "b_or_B": e.b_or_big_b, "golden_value": e.value,
+                     "gauss_value": gv.value, "abs_diff": diff,
+                     "within_2tol": diff <= 2 * e.tol})
+    out.rows(rows)
     out.summary(worst_abs_diff=worst)
-    return 0 if all(within) else 1
+    return 0 if all(rec["within_2tol"] for rec in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,6 +41,7 @@ from typing import Iterator, Sequence
 from .errors import DomainError, TermOverflowError
 from .special import (
     DEFAULT_MAX_TERMS,
+    SERIES_TOL,
     TERM_MAX,
     TERM_MIN,
     _STOP_RUN,
@@ -184,7 +185,7 @@ def nuttall_series_truncated(p: NuttallParams, terms: int) -> SeriesResult:
     return walk_truncated(_walk, p, terms)
 
 
-def nuttall_series_adaptive(p: NuttallParams, tol: float = 1e-12,
+def nuttall_series_adaptive(p: NuttallParams, tol: float = SERIES_TOL,
                             max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
     """Sum the series until terms stay below tol * partial sum.
 
@@ -341,8 +342,9 @@ def nuttall_recursion_residual(p: NuttallParams) -> float:
                   + a Q_{m-1,n+1} + (m+n-1) Q_{m-2,n}.
 
     Integer orders with m >= 2 so the lowest index stays in the validated
-    domain.  All three values come from the adaptive series at tol 1e-12; the
-    residual measures internal consistency, not quadrature agreement.
+    domain.  All three values come from the adaptive series at the default
+    tol, SERIES_TOL; the residual measures internal consistency, not
+    quadrature agreement.
     """
     if classify_order(p.m) != "integer" or classify_order(p.n) != "integer":
         raise DomainError(f"recursion needs integer orders, got {p.m}, {p.n}")
@@ -358,7 +360,7 @@ def nuttall_recursion_residual(p: NuttallParams) -> float:
     return abs(lhs - rhs)
 
 
-def marcum_q(m: float, a: float, b: float, tol: float = 1e-12) -> float:
+def marcum_q(m: float, a: float, b: float, tol: float = SERIES_TOL) -> float:
     """Generalized Marcum Q_m(a, b), evaluated as Qn_{m,m-1}(a, b).
 
     The a^(1-m) prefactor of the usual definition cancels against the a^n
@@ -371,13 +373,13 @@ def marcum_q(m: float, a: float, b: float, tol: float = 1e-12) -> float:
 
 
 def nuttall_q_normalized(m: float, n: float, a: float, b: float,
-                         tol: float = 1e-12) -> float:
+                         tol: float = SERIES_TOL) -> float:
     """Qn_{m,n}(a, b) = Q_{m,n}(a, b) / a^n by the adaptive series."""
     return nuttall_series_adaptive(NuttallParams(m, n, a, b), tol=tol).value
 
 
 def nuttall_q(m: float, n: float, a: float, b: float,
-              tol: float = 1e-12) -> float:
+              tol: float = SERIES_TOL) -> float:
     """Unnormalized Nuttall Q_{m,n}(a, b) = a^n * Qn_{m,n}(a, b)."""
     v = nuttall_q_normalized(m, n, a, b, tol=tol)
     if v <= 0.0:

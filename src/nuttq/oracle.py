@@ -60,13 +60,10 @@ from scipy.special import ive
 from scipy.special.cython_special import ive as ive_scalar
 
 from . import _ORACLE_NAMES
-from .box import check_box
+from .box import ORACLE_TOL, TOL_MAX, TOL_MIN, check_box
 from .errors import DomainError, ToleranceNotMetError
 
 __all__ = sorted(_ORACLE_NAMES)
-
-TOL_MIN = 1e-14
-TOL_MAX = 1e-6
 
 GOLDEN_TOL = 1e-13
 
@@ -238,7 +235,7 @@ def _nuttall_tail_log(m: float, a: float, upper: float) -> float:
 
 
 def oracle_nuttall(m: float, n: float, a: float, b: float,
-                   tol: float = 1e-10, scheme: str = "adaptive") -> OracleValue:
+                   tol: float = ORACLE_TOL, scheme: str = "adaptive") -> OracleValue:
     """Unnormalized Q_{m,n}(a, b) by direct quadrature of the definition.
 
     Integrates x^m e^(-(x^2+a^2)/2) I_n(ax) from b to a finite cutoff chosen
@@ -261,7 +258,7 @@ def oracle_nuttall(m: float, n: float, a: float, b: float,
 
 
 def oracle_toronto(m: float, n: float, r: float, B: float,
-                   tol: float = 1e-10, scheme: str = "adaptive") -> OracleValue:
+                   tol: float = ORACLE_TOL, scheme: str = "adaptive") -> OracleValue:
     """Incomplete Toronto function T_B(m, n, r) by direct quadrature.
 
     Integrand 2 r^(n-m+1) t^(m-n) e^(-(t-r)^2) ive(n, 2rt) on [0, B]; the
@@ -282,7 +279,7 @@ def oracle_toronto(m: float, n: float, r: float, B: float,
 
 
 def oracle_marcum(m: float, a: float, b: float,
-                  tol: float = 1e-10, scheme: str = "adaptive") -> OracleValue:
+                  tol: float = ORACLE_TOL, scheme: str = "adaptive") -> OracleValue:
     """Generalized Marcum Q_m(a, b) via a^(1-m) Q_{m,m-1}(a, b).
 
     The inner absolute tolerance is rescaled by a^(m-1) so the rescaled value

@@ -15,10 +15,11 @@ family's recurrence, adds it to the running sum and applies the stopping
 rule, and yields only at checkpoints (see ``Walk``).  Every checkpoint,
 each P-term partial sum S_P as well as the stop, is a ``SeriesResult``.  What
 the walks share lives here: the argument checks, the stopping rule's
-constants (``ADAPTIVE_TOL_MIN``, ``_STOP_RUN``), the ``NonConvergenceError``
-they raise (``not_converged``), and the readers ``walk_truncated``,
-``walk_adaptive`` and ``truncation_reports``, which forms both families'
-truncation-bound reports at every requested depth from one walk.  The
+constants (``ADAPTIVE_TOL_MIN``, ``_STOP_RUN``), the default tolerance
+(``SERIES_TOL``), the ``NonConvergenceError`` they raise
+(``not_converged``), and the readers ``walk_truncated``, ``walk_adaptive``
+and ``truncation_reports``, which forms both families' truncation-bound
+reports at every requested depth from one walk.  The
 closed-form core, ``half_odd_bessel_sum``, sums the finite
 double sum that the elementary form of I_{nu+1/2} gives; both families'
 half-odd closed forms pass it their incomplete gammas.  Those all have
@@ -93,6 +94,10 @@ _KUMMER_MAX_TERMS = 10_000
 MAX_TRUNC_TERMS = 500
 DEFAULT_MAX_TERMS = 10_000
 ADAPTIVE_TOL_MIN = 1e-14
+# the default relative tol of every adaptive series function, and the CLI's
+# series tol where no option sets one (compare --method adaptive, bounds
+# --kind kummer, eval's --tol default)
+SERIES_TOL = 1e-12
 # consecutive below-threshold terms required before an adaptive sum stops
 _STOP_RUN = 3
 

@@ -46,6 +46,7 @@ from .errors import DomainError, TermOverflowError
 from .nuttall import marcum_q
 from .special import (
     DEFAULT_MAX_TERMS,
+    SERIES_TOL,
     TERM_MAX,
     TERM_MIN,
     _STOP_RUN,
@@ -209,7 +210,7 @@ def toronto_series_truncated(p: TorontoParams, terms: int) -> SeriesResult:
     return walk_truncated(_walk, p, terms)
 
 
-def toronto_series_adaptive(p: TorontoParams, tol: float = 1e-12,
+def toronto_series_adaptive(p: TorontoParams, tol: float = SERIES_TOL,
                             max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
     """Sum the series until terms stay below tol * partial sum.
 
@@ -347,8 +348,9 @@ def toronto_upper_bound_1f1(m: float, n: float, r: float) -> float:
 def toronto_marcum_residual(m: float, r: float, B: float) -> float:
     """Residual of the identity T_B(m, (m-1)/2, r) = 1 - Q_{(m+1)/2}(r √2, B √2).
 
-    Both sides come from their own adaptive series engines at tol 1e-12; this
-    ties the two function families together without touching quadrature.
+    Both sides come from their own adaptive series engines at the default
+    tol, SERIES_TOL; this ties the two function families together without
+    touching quadrature.
     """
     if m < 1.0:
         raise DomainError(f"identity needs (m+1)/2 >= 1, got m={m}")
@@ -358,6 +360,6 @@ def toronto_marcum_residual(m: float, r: float, B: float) -> float:
 
 
 def toronto_t(m: float, n: float, r: float, B: float,
-              tol: float = 1e-12) -> float:
+              tol: float = SERIES_TOL) -> float:
     """T_B(m, n, r) by the adaptive series."""
     return toronto_series_adaptive(TorontoParams(m, n, r, B), tol=tol).value

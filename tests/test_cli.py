@@ -390,6 +390,23 @@ class TestBounds:
         assert len(row) == len(header) == 12
         assert dict(zip(header, row))["error"] == "B must be > 0, got 0.0"
 
+    def test_header_names_a_refused_row_whatever_its_place(self, capsys):
+        # (0.2, 1.7) has no closed form at its rounded orders; the CSV header
+        # is the same, ending in error, whether it comes first or second
+        message = "bound needs ceil_half(m) >= ceil_half(n), got 0.5 < 2.5"
+        headers = set()
+        for ms, ns in (("2,0.2", "1,1.7"), ("0.2,2", "1.7,1")):
+            rc, out = run(capsys, ["bounds", "nuttall", "--m", ms, "--n", ns,
+                                   "--a", "1", "--b", "2", "--terms", "5"])
+            assert rc == 0
+            header = next(l for l in out.splitlines() if not l.startswith("#"))
+            headers.add(header)
+            rows = {r["m"]: r for r in csv_rows(out)}
+            assert rows["0.20000000000000001"]["error"] == message
+            assert rows["2"]["error"] == ""
+        assert len(headers) == 1
+        assert headers.pop().endswith(",slack,error")
+
     def test_out_of_regime_row_excluded(self, capsys):
         # m <= n has no usable closed reference; rows flagged, not asserted
         rc, out = run(capsys, ["bounds", "toronto", "--m", "2,2",
@@ -565,6 +582,18 @@ class TestGoldenCommand:
         rows = list(csv.DictReader(l for l in out.splitlines()
                                    if not l.startswith("#")))
         assert [r["within_2tol"] for r in rows] == ["true", "false"]
+
+    def test_refused_later_entry_writes_no_rows(self, capsys, tmp_path,
+                                                monkeypatch):
+        # every entry is computed before any row is written, as in compare
+        monkeypatch.chdir(tmp_path)
+        Path("g.txt").write_text(
+            "nuttall 1 0 1 1 1e-6 0.73287980379682016 0\n"
+            "bogus 2 1 1 2 1e-13 0.5301469081839657 0\n")
+        rc, out = run(capsys, ["golden", "--path", "g.txt"])
+        assert rc == 2
+        assert out == ("# command=golden action=verify path=g.txt entries=2\n"
+                       "# error domain_error: unknown golden kind 'bogus'\n")
 
     @pytest.mark.parametrize("text, message", [
         ("# comments only\n", "holds no entries"),
