@@ -197,6 +197,15 @@ CORPUS: list[list[str]] = [
     # t^(m-n) singularity at 0, m - n = -0.496) and is refused
     ["compare", "toronto", "--m", "0.5043655403318925", "--n", "1",
      "--r", "1.0776352292261235", "--B", "4.459215224518907", "--scheme", "gauss"],
+    # the adaptive oracle's hint split: QUADPACK accepts both panels after
+    # one rule each, 1,900 times short of the true error
+    *[["compare", "toronto", "--m", "0.5", "--n", "1", "--r", "4.09444152999109",
+       "--B", "6.319647878439", *fmt] for fmt in ([], ["--format", "json"])],
+    # two coarse levels of the second scheme that can agree on a wrong value,
+    # having both missed the integrand's narrow peak
+    ["compare", "nuttall", "--m", "3.5", "--n", "9.859657406200126",
+     "--a", "0.42683455529013425", "--b", "0.24600880845346218",
+     "--scheme", "gauss"],
     # compare's tolerances, each set by hand
     ["compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2",
      "--oracle-tol", "1e-10"],
@@ -248,7 +257,8 @@ def library_corpus() -> list[str]:
     their checks decide and with fields that are not floats, and the
     integer double series at depth 500 and at the depths and orders it
     refuses, two Gauss-Legendre oracle reproductions, the Toronto closed
-    form at B = 2r and the Nuttall 1F1 bound at m = 0.
+    form at B = 2r, four oracle points where a scheme's own estimate falls
+    short, and the Nuttall 1F1 bound at m = 0.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -426,6 +436,17 @@ def library_corpus() -> list[str]:
     add("oracle_toronto({}, {}, {}, {}, scheme={})", 0.5043655403318925, 1.0,
         1.0776352292261235, 4.459215224518907, "gauss")
     add("toronto_closed_form_half({}, {}, {}, {})", 10.0, 0.5, 1.0, 2.0)
+    # the oracle at points where a scheme's own estimate falls short: the
+    # adaptive hint split accepted after one rule a panel, two coarse
+    # second-scheme levels that agree, and two audit points where scipy's
+    # ive is 72-117 ulps off
+    add("oracle_toronto({}, {}, {}, {})", 0.5, 1.0, 4.09444152999109,
+        6.319647878439)
+    for pt in ((3.5, 9.859657406200126, 0.42683455529013425,
+                0.24600880845346218),
+               (9.0, 7.946609415622109, 2.508233277508591, 5.957047869677489),
+               (7.5, 4.765977881269348, 2.401172691481113, 4.214951574263071)):
+        add("oracle_nuttall({}, {}, {}, {}, scheme={})", *pt, "gauss")
     # the Nuttall 1F1 bound at m = 0, where c = (m + n + 1)/2 stays positive
     for n, a in ((0.0, 1.0), (3.3, 2.5), (9.0, 6.0), (0.5, 0.1)):
         add("nuttall_upper_bound_1f1({}, {}, {})", 0.0, n, a)
