@@ -19,7 +19,7 @@ import the quadrature oracle and with it numpy and scipy.special; eval,
 bounds and the other figures run on the stdlib-only series route.  Of
 those, only the ones that run the adaptive scheme (compare, figure f1 and
 golden --regenerate) also import scipy.integrate; golden verify and
-compare --scheme gauss run on Gauss-Legendre alone.
+compare --scheme gauss run on the second scheme, tanh-sinh, alone.
 """
 
 from __future__ import annotations
@@ -471,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="series vs oracle over a cartesian grid")
     pc.add_argument("--method", default="truncated",
                     choices=("truncated", "adaptive"))
-    pc.add_argument("--scheme", choices=("adaptive", "gauss"), default="adaptive")
+    pc.add_argument("--scheme", choices=("adaptive", "gauss"), default="adaptive",
+                    help="oracle scheme: adaptive (QUADPACK) or gauss "
+                         "(nested tanh-sinh levels; the name is kept)")
     pc.add_argument("--with-bounds", action="store_true")
     pc.add_argument("--assert-rel-err", type=float, default=None,
                     help="exit 1 if any row's rel_error exceeds this")

@@ -3,27 +3,32 @@
 The series evaluators in :mod:`nuttq.nuttall` and :mod:`nuttq.toronto` are
 hand-written on top of the stdlib.  This module computes the same quantities
 straight from their integral definitions using scipy's QUADPACK plus a second,
-structurally different composite Gauss-Legendre scheme, so any bug has to be
-reproduced independently three times before it can hide.
+structurally different tanh-sinh scheme, so any bug has to be reproduced
+independently three times before it can hide.
 
 Two schemes:
 
 * ``adaptive``: ``scipy.integrate.quad`` with an absolute tolerance budget;
-  the reported error estimate plus the tail bound must fit inside ``tol`` or
-  the call raises instead of returning.  ``scipy.integrate`` is imported
+  the reported error estimate plus the tail bound must fit inside the
+  accepted error below or the call raises instead of returning.  ``scipy.integrate`` is imported
   on the first adaptive value, not with this module, so a caller that
-  runs only the Gauss scheme (``nuttq golden``, ``compare --scheme
+  runs only the second scheme (``nuttq golden``, ``compare --scheme
   gauss``) loads numpy and ``scipy.special`` alone.
-* ``gauss``: composite 16-point Gauss-Legendre with strip doubling, from
-  16 to at most 8,192 strips, until two successive levels agree within
-  tol / 2.  The strip geometry is exact: the half-width comes from the
-  whole interval, and each node from lo, so the strips cover [lo, hi] to a
-  few ulps at any count; the strip sums are added by ``math.fsum``.  The
-  refinement also stops when it cannot converge: once two steady
-  contraction ratios below 1 (an endpoint singularity makes the levels
-  converge only algebraically) project that even the finest level would
-  miss tol / 2, and when the strips run out.  Both refusals carry the last
-  level's value and the last difference as ``err_est``.
+* ``gauss`` (the name is kept for callers; the method is tanh-sinh):
+  nested tanh-sinh levels (Takahasi & Mori 1974) on t in [-3.25, 3.25],
+  from step h = 1/8 (53 nodes) to h = 1/256 (1,665), until two successive
+  levels agree within half the accepted error.  Each level evaluates only its new odd
+  nodes, and the level sums are added by ``math.fsum``.  Where the
+  Toronto integrand's factor t^(m-n) is singular at 0 the levels still
+  converge exponentially.  The mass beyond the end nodes, within 2.7e-18 of the
+  interval of each endpoint, is bounded and added to the tail.  A refusal
+  at h = 1/256 carries the last level's value and the last difference as
+  ``err_est``.
+
+Both accept an error of max(tol, 64 ulps of the value): an absolute tol
+alone is below one ulp once a value passes about 1e6.  The second
+scheme's ``abs_err_est`` is never below those 64 ulps, which cover the
+rounding of its integrand values.
 
 Both integrate against the exponentially scaled Bessel function
 ``ive(n, z) = e^-|z| I_n(z)`` so the integrand never overflows, and the
@@ -36,13 +41,13 @@ referee different integrands.  The adaptive scheme calls it once per node
 with a Python float and its defaults, ``math.exp`` and the ``ive`` of
 ``scipy.special.cython_special``: the same kernel as the
 ``scipy.special.ive`` ufunc, with plain doubles in and out instead of a
-ufunc dispatch per call.  The Gauss scheme calls it on whole node arrays
-with ``numpy.exp`` and the ufunc.
+ufunc dispatch per call.  The tanh-sinh scheme calls it on whole node
+arrays with ``numpy.exp`` and the ufunc.
 
-QUADPACK's error estimate on a single accepted panel is an extrapolation
-from one 21-point rule and can fall far short of the true error, so a
-one-panel result gets a second opinion from the same interval split at its
-midpoint (see ``_quad_adaptive``).
+QUADPACK's error estimate on a panel accepted after one 21-point rule is
+an extrapolation from that rule and can fall far short of the true error,
+so a result whose every panel stopped there gets a second opinion from the
+same panels split at their midpoints (see ``_quad_adaptive``).
 
 Parameters are validated against the supported box by
 :func:`nuttq.box.check_box`, the one statement of it; outside the box the
@@ -67,12 +72,29 @@ __all__ = sorted(_ORACLE_NAMES)
 
 GOLDEN_TOL = 1e-13
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL_OFFSETS = 1.0 + _GL_NODES   # node j of strip k at lo + half (2k + offset j)
-_GL_MAX_STRIPS = 8192
-# a level difference below this share of the value may be rounding alone,
-# so it says nothing about the rate of convergence
-_GL_ROUNDING = 64 * 2.0 ** -52
+# an error below this share of the value may be rounding alone: an oracle
+# value is accepted within max(tol, _ROUNDING |value|)
+_ROUNDING = 64 * 2.0 ** -52
+
+
+def _tanh_sinh_level(h: float, k: np.ndarray):
+    """The nodes t = k h of a tanh-sinh level as (h, right, d, w): the step,
+    whether t > 0, the node's distance from the nearer endpoint as a share
+    of the interval, d = 1 / (1 + e^(2|u|)) with u = pi/2 sinh t, formed
+    without cancellation, and its weight pi/2 cosh t / cosh^2 u."""
+    t = h * k
+    u = 0.5 * math.pi * np.sinh(t)
+    return (h, t > 0.0, 1.0 / (1.0 + np.exp(2.0 * np.abs(u))),
+            0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2)
+
+
+# Nested levels on t in [-3.25, 3.25]: every node at h = 1/8, then only the
+# new odd multiples of h = 1/16, ..., 1/256.  The end nodes t = -+3.25 lie in
+# the first level, 2.7e-18 of the interval from each endpoint.
+_TS_LEVELS = [_tanh_sinh_level(0.125, np.arange(-26, 27)),
+              *(_tanh_sinh_level(2.0 ** -j, np.arange(1 - 26 * 2 ** (j - 3),
+                                                      26 * 2 ** (j - 3), 2))
+                for j in range(4, 9))]
 
 
 @dataclass(frozen=True)
@@ -80,7 +102,9 @@ class OracleValue:
     """A quadrature result with its accounting.
 
     ``abs_err_est`` already includes ``tail_bound``.  ``subdivisions`` is the
-    QUADPACK interval count or the final Gauss-Legendre strip count.
+    QUADPACK interval count, or for the second scheme the count of integrand
+    nodes it evaluated (its levels nest, so that is its final level's node
+    count).
     """
 
     value: float
@@ -111,7 +135,7 @@ def _check(tol: float, scheme: str, m: float, n: float, scale: float,
 
 
 def _quad_adaptive(f, lo: float, hi: float, tol: float, hint: float | None):
-    # imported here, not at module top, so the Gauss scheme alone (golden
+    # imported here, not at module top, so the second scheme alone (golden
     # verify, compare --scheme gauss) never loads scipy.integrate
     from scipy.integrate import quad
 
@@ -123,84 +147,61 @@ def _quad_adaptive(f, lo: float, hi: float, tol: float, hint: float | None):
                    full_output=1, points=points)
         return res[0], res[1], int(res[2]["last"])
 
-    value, abserr, last = run(
-        [hint] if hint is not None and lo < hint < hi else None)
-    if last == 1:
-        # One panel means one Gauss-Kronrod rule, whose estimate can miss
-        # by orders of magnitude.  Split it at the midpoint: if the two
-        # answers agree within the first estimate, the estimate stands;
+    points = [hint] if hint is not None and lo < hint < hi else []
+    value, abserr, last = run(points or None)
+    if last <= 1 + len(points):
+        # Every panel stopped at one Gauss-Kronrod rule, whose estimate can
+        # miss by orders of magnitude.  Split each at its midpoint: if the
+        # two answers agree within the first estimate, the estimate stands;
         # otherwise take the split answer and charge it the disagreement.
-        split, split_err, split_last = run([0.5 * (lo + hi)])
+        edges = [lo, *points, hi]
+        split, split_err, split_last = run(sorted(
+            points + [0.5 * (p + q) for p, q in zip(edges, edges[1:])]))
         gap = abs(value - split)
         if gap > abserr:
             value, abserr, last = split, max(split_err, gap), split_last
     # quad may flag ier != 0 at tight tolerances while abserr is still fine;
     # the estimate is the acceptance gate, not the flag
-    if abserr > tol:
+    limit = max(tol, _ROUNDING * abs(value))
+    if abserr > limit:
         raise ToleranceNotMetError(
-            f"adaptive quadrature stopped at abserr={abserr:.3e} > {tol:.3e}",
+            f"adaptive quadrature stopped at abserr={abserr:.3e} > {limit:.3e}",
             value=value, err_est=abserr)
     return value, abserr, last
 
 
-def _gauss_level(f_vec, lo: float, hi: float, strips: int) -> float:
-    """The composite 16-point Gauss-Legendre sum of f_vec over [lo, hi]
-    on `strips` equal strips.
+def _quad_tanh_sinh(f_vec, lo: float, hi: float, tol: float):
+    """Nested tanh-sinh levels from h = 1/8 to 1/256 until two successive
+    levels agree within half of max(tol, _ROUNDING |value|).
 
-    The half-width comes from the whole interval, and node j of strip k
-    sits at lo + half (2k + 1 + xi_j), so the strips cover hi - lo to a few
-    ulps at any count.  A half-width taken from the first strip of a
-    linspace grid is off by about eps |lo| / half, an error that grows
-    with the strip count.  The strip sums are added by math.fsum, so two
-    levels that have both converged differ by the rounding of their
-    integrand values, not by that of a long floating-point sum as well.
+    Each level evaluates f_vec on its new nodes only and adds their weighted
+    sum, by math.fsum, to the sums of the levels before it.  Returns the
+    value, max(last difference, _ROUNDING |value|), the node count and a
+    bound on the mass beyond the end nodes.  That mass lies within 2.7e-18
+    of the interval of each endpoint, where the oracle's integrands are
+    smooth or grow like t^m, m >= 0, so it is at most twice the end node's
+    value times its distance from the endpoint.  A refusal at h = 1/256
+    carries the last level's value and the last difference.
     """
-    half = 0.5 * (hi - lo) / strips
-    x = lo + half * (2.0 * np.arange(strips)[:, None] + _GL_OFFSETS)
-    return half * math.fsum((f_vec(x.ravel()).reshape(strips, 16)
-                             @ _GL_WEIGHTS).tolist())
-
-
-def _quad_gauss(f_vec, lo: float, hi: float, tol: float):
-    """Strip doubling from 16 strips until two successive levels agree
-    within tol / 2.
-
-    Where the integrand has an endpoint singularity the levels converge
-    only algebraically, each difference a steady ratio q of the one
-    before.  Once the last two ratios are below 1 and within 25% of each
-    other, and the last difference is above what rounding alone can give
-    (_GL_ROUNDING of the value), the last difference times the smaller q
-    to the power of the doublings left projects where the finest level
-    would land.  If that is still above tol / 2, the refinement stops at
-    once.  That refusal and the one at _GL_MAX_STRIPS both carry the last
-    level's value and the last difference.
-    """
-    prev = None
-    diffs = []
-    strips = 16
-    while strips <= _GL_MAX_STRIPS:
-        value = _gauss_level(f_vec, lo, hi, strips)
+    span = hi - lo
+    sums = []
+    nodes = 0
+    value = err = None
+    for h, right, d, w in _TS_LEVELS:
+        fx = f_vec(np.where(right, hi - span * d, lo + span * d))
+        if not sums:
+            ends = 2.0 * span * float(d[0] * (abs(fx[0]) + abs(fx[-1])))
+        nodes += fx.size
+        sums.append(math.fsum((w * fx).tolist()))
+        prev, value = value, 0.5 * span * h * math.fsum(sums)
         if prev is not None:
             err = abs(value - prev)
-            if err <= 0.5 * tol:
-                return value, err, strips
-            diffs.append(err)
-            if len(diffs) >= 3:
-                q1, q2 = diffs[-2] / diffs[-3], diffs[-1] / diffs[-2]
-                left = (_GL_MAX_STRIPS // strips).bit_length() - 1
-                if (max(q1, q2) < 1.0 and max(q1, q2) <= 1.25 * min(q1, q2)
-                        and err > _GL_ROUNDING * abs(value)
-                        and err * min(q1, q2) ** left > 0.5 * tol):
-                    raise ToleranceNotMetError(
-                        f"Gauss-Legendre refinement converges by a ratio "
-                        f"{q2:.3g} a doubling and cannot meet {tol:.3e} "
-                        f"within {_GL_MAX_STRIPS} strips",
-                        value=value, err_est=err)
-        prev = value
-        strips *= 2
+            floor = _ROUNDING * abs(value)
+            if err <= 0.5 * max(tol, floor):
+                return value, max(err, floor), nodes, ends
     raise ToleranceNotMetError(
-        f"Gauss-Legendre refinement exhausted {_GL_MAX_STRIPS} strips",
-        value=prev, err_est=diffs[-1])
+        f"tanh-sinh levels exhausted at h = 1/256 ({nodes} nodes)",
+        value=value, err_est=err)
 
 
 def _integrate(f, lo: float, hi: float, tol: float, hint: float | None,
@@ -208,14 +209,16 @@ def _integrate(f, lo: float, hi: float, tol: float, hint: float | None,
     """The integral of f over [lo, hi] by scheme, within tol less the bound
     tail on the dropped part of the domain, which abs_err_est includes.
 
-    QUADPACK calls f(x) with its scalar defaults; Gauss-Legendre calls it
-    on node arrays with numpy's exp and the ive ufunc.
+    QUADPACK calls f(x) with its scalar defaults; tanh-sinh calls it on
+    node arrays with numpy's exp and the ive ufunc, and adds its bound on
+    the mass beyond its end nodes to tail.
     """
     if scheme == "adaptive":
         value, err, subdiv = _quad_adaptive(f, lo, hi, tol - tail, hint)
     else:
-        value, err, subdiv = _quad_gauss(lambda x: f(x, np.exp, ive), lo, hi,
-                                         tol - tail)
+        value, err, subdiv, ends = _quad_tanh_sinh(
+            lambda x: f(x, np.exp, ive), lo, hi, tol - tail)
+        tail += ends
     return OracleValue(value=value, abs_err_est=err + tail,
                        subdivisions=subdiv, tail_bound=tail)
 

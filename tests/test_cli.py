@@ -175,15 +175,18 @@ class TestErrorRecords:
         assert out.splitlines()[-1] == "# error convergence_error: " + message
 
     def test_tolerance_not_met_carries_value_and_err_est(self, capsys):
-        # an absolute oracle tol of 1e-10 is below double resolution at
-        # Q ~ 1e7
-        rc, out = run(capsys, ["compare", "nuttall", "--m", "10", "--n", "9",
-                               "--a", "6", "--b", "0.5", "--format", "json"])
+        # QUADPACK accepts both panels of the hint split after one rule
+        # each; split again, they disagree by 1.4e-10, above the oracle's
+        # 1e-10, against a first estimate of 7.4e-14
+        rc, out = run(capsys, ["compare", "toronto", "--m", "0.5", "--n", "1",
+                               "--r", "4.09444152999109", "--B",
+                               "6.319647878439", "--format", "json"])
         assert rc == 3
         record = json.loads(out.splitlines()[-1])
         assert set(record) == {"type", "error_type", "message", "value",
                                "err_est"}
-        assert record["err_est"] > 1e-10 and record["value"] > 1e6
+        assert record["err_est"] > 1e-10
+        assert record["value"] == pytest.approx(1.0199826183476655, rel=1e-12)
         assert record["message"] == (
             f"adaptive quadrature stopped at abserr={record['err_est']:.3e} "
             f"> 1.000e-10")

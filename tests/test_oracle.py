@@ -1,11 +1,9 @@
 """Quadrature oracle: parameter box, golden file round-trip, scheme
 cross-checks, and limit behaviour of the defining integrals."""
 
-import contextlib
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,9 +18,8 @@ from nuttq.nuttall import NuttallParams, marcum_q, nuttall_series_adaptive
 from nuttq.oracle import (
     GOLDEN_CASES,
     GOLDEN_TOL,
-    _gauss_level,
     _nuttall_tail_log,
-    _quad_gauss,
+    _quad_tanh_sinh,
     golden_path,
     oracle_marcum,
     oracle_nuttall,
@@ -105,11 +102,9 @@ class TestParameterBox:
             assert main(["eval", *argv, "--m", "10"]) == 0, argv
         oracle_toronto(10.0, 10.0, 6.0, 8.0)
         oracle_marcum(10.0, 6.0, 8.0)
-        # Only the box is asserted for Nuttall: its value here is about
-        # 2.2e6, whose double resolution exceeds the default absolute tol,
-        # so the oracle refuses with ToleranceNotMetError (ROADMAP item 3).
-        with contextlib.suppress(ToleranceNotMetError):
-            oracle_nuttall(10.0, 10.0, 6.0, 8.0)
+        # about 2.2e6, accepted within 64 ulps where the absolute tol is
+        # below one
+        oracle_nuttall(10.0, 10.0, 6.0, 8.0)
 
     def test_unknown_scheme(self):
         with pytest.raises(DomainError):
@@ -206,62 +201,139 @@ class TestOracleValues:
 
 
 class TestGaussScheme:
-    LO, HI = 2.275415732502098, 44.61520624372118
+    """The second scheme, still named "gauss", is nested tanh-sinh levels."""
 
-    @pytest.mark.parametrize("f, antiderivative", [
-        (lambda x: np.ones_like(x), lambda t: t),
-        (lambda x: (3.0 * x - 2.0) * x + 1.0, lambda t: t ** 3 - t ** 2 + t),
-        (lambda x: x ** 3, lambda t: t ** 4 / 4),
-    ])
-    def test_strips_cover_the_interval_exactly(self, f, antiderivative):
-        # 16-point Gauss-Legendre is exact for these degrees, so only the
-        # strip geometry and rounding can move the sum.  A half-width taken
-        # from linspace's first strip is off by eps |lo| / half: 171 ulps
-        # for the constant at 8,192 strips.
-        exact = antiderivative(Fraction(self.HI)) - antiderivative(Fraction(self.LO))
-        for strips in (16, 1024, 8192):
-            got = _gauss_level(f, self.LO, self.HI, strips)
-            assert abs(Fraction(got) - exact) <= 4 * math.ulp(float(exact)), strips
-
-    def test_nuttall_reproduction_converges(self):
-        # before the exact geometry the level differences doubled from 32
-        # strips on, and the call ran out its 8,192 strips and refused
-        args = (9.747297662154839, 7.0, 4.61520624372118, 2.275415732502098)
-        gauss = oracle_nuttall(*args, scheme="gauss")
-        assert gauss.subdivisions <= 256
-        # the value is about 1e6, whose ulp exceeds the default absolute
-        # tol, so the adaptive scheme is asked for a looser one
-        adaptive = oracle_nuttall(*args, tol=1e-6)
-        assert abs(gauss.value - adaptive.value) <= (
-            gauss.abs_err_est + 64 * EPS * abs(adaptive.value))
-
-    def test_algebraic_convergence_refuses_early(self, monkeypatch):
-        # m - n = -0.496: the integrand's t^(m-n) singularity at 0 makes
-        # each level difference about 0.35 of the one before, which cannot
-        # reach tol / 2 within 8,192 strips (262,016 nodes to find out)
-        nodes = []
+    @staticmethod
+    def counting(monkeypatch):
+        """The x arrays the second scheme hands to ive, one per level."""
+        calls = []
 
         def counting_ive(order, x):
-            nodes.append(x.size)
+            calls.append(x)
             return ive(order, x)
 
         monkeypatch.setattr(oracle, "ive", counting_ive)
-        args = (0.5043655403318925, 1.0, 1.0776352292261235, 4.459215224518907)
-        with pytest.raises(ToleranceNotMetError, match="ratio") as err:
-            oracle_toronto(*args, scheme="gauss")
-        assert sum(nodes) <= 4000
+        return calls
+
+    def test_levels_nest(self, monkeypatch):
+        # each level evaluates only its new nodes, so the integrand runs on
+        # as many nodes as the final level has, 52 * 2^L + 1 after L
+        # halvings of h = 1/8, and the oracle reports that count
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return 1.0 / (1e-2 + (x - 0.3) ** 2)
+
+        value, err, nodes, _ = _quad_tanh_sinh(f, 0.0, 1.0, 1e-10)
+        assert sizes == [53, 52, 104, 208]
+        assert nodes == sum(sizes) == 52 * 2 ** 3 + 1
+        exact = 10.0 * (math.atan(7.0) + math.atan(3.0))
+        assert abs(value - exact) <= err
+        calls = self.counting(monkeypatch)
+        ov = oracle_nuttall(9.0, 7.946609415622109, 2.508233277508591,
+                            5.957047869677489, scheme="gauss")
+        assert sum(x.size for x in calls) == ov.subdivisions
+        assert ov.subdivisions in {52 * 2 ** level + 1 for level in range(6)}
+
+    def test_first_comparison_is_at_h_one_eighth(self, monkeypatch):
+        # a smooth integrand is accepted at the first comparison, h = 1/8
+        # against h = 1/16: 53 + 52 nodes
+        value, err, nodes, ends = _quad_tanh_sinh(np.exp, 0.0, 1.0, 1e-10)
+        assert nodes == 105
+        assert abs(value - math.expm1(1.0)) <= err <= 64 * EPS * value
+        # compared from h = 1/2, two coarse levels both missed this
+        # integrand's narrow peak and agreed on 1.40e-11 against 6.63e-9
+        args = (3.5, 9.859657406200126, 0.42683455529013425,
+                0.24600880845346218)
+        calls = self.counting(monkeypatch)
+        gauss = oracle_nuttall(*args, scheme="gauss")
+        assert calls[0].size == 53
         monkeypatch.undo()
-        adaptive = oracle_toronto(*args)
-        assert 0.5e-10 < err.value.err_est < math.inf
-        assert abs(err.value.value - adaptive.value) <= 2.0 * err.value.err_est
+        adaptive = oracle_nuttall(*args)
+        assert abs(gauss.value - adaptive.value) <= (
+            gauss.abs_err_est + adaptive.abs_err_est)
+        assert gauss.value == pytest.approx(6.63e-9, rel=1e-3)
+
+    def test_nuttall_reproduction_converges(self):
+        # a value near 1e6, where the Gauss-Legendre levels once differed
+        # more at each doubling; the adaptive scheme referees it at the
+        # default tol, which the rounding floor makes reachable there
+        args = (9.747297662154839, 7.0, 4.61520624372118, 2.275415732502098)
+        gauss = oracle_nuttall(*args, scheme="gauss")
+        assert gauss.subdivisions <= 417
+        adaptive = oracle_nuttall(*args)
+        assert abs(gauss.value - adaptive.value) <= (
+            gauss.abs_err_est + 64 * EPS * abs(adaptive.value))
+
+    def test_endpoint_singularity_is_accepted_within_its_promise(
+            self, monkeypatch):
+        # m - n = -0.496: the integrand's t^(m-n) factor is singular at 0,
+        # where Gauss-Legendre converged only algebraically and refused
+        # after 3,840 nodes; tanh-sinh converges exponentially there
+        calls = self.counting(monkeypatch)
+        args = (0.5043655403318925, 1.0, 1.0776352292261235, 4.459215224518907)
+        gauss = oracle_toronto(*args, scheme="gauss")
+        assert sum(x.size for x in calls) == gauss.subdivisions <= 209
+        monkeypatch.undo()
+        adaptive = oracle_toronto(*args, tol=1e-13)
+        assert abs(gauss.value - adaptive.value) <= (
+            gauss.abs_err_est + adaptive.abs_err_est)
 
     def test_exhaustion_carries_the_last_difference(self):
-        # an integrand that is the node count: each level is twice the one
-        # before, so no ratio falls below 1 and the strips run out
+        # an integrand that is the node count of the level being added:
+        # the new nodes of each level carry half the rule's weight, so
+        # each level is half the one before plus half its new node count,
+        # and no two levels agree
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.full_like(x, x.size)
+
         with pytest.raises(ToleranceNotMetError, match="exhausted") as err:
-            _quad_gauss(lambda x: np.full_like(x, x.size), 0.0, 1.0, 1e-10)
-        assert err.value.value == pytest.approx(131072.0, rel=1e-14)
-        assert err.value.err_est == pytest.approx(65536.0, rel=1e-14)
+            _quad_tanh_sinh(f, 0.0, 1.0, 1e-10)
+        prev, value = None, float(sizes[0])
+        for size in sizes[1:]:
+            prev, value = value, 0.5 * (value + size)
+        assert len(sizes) == 6
+        assert err.value.value == pytest.approx(value, rel=1e-14)
+        assert err.value.err_est == pytest.approx(value - prev, rel=1e-13)
+
+    @pytest.mark.parametrize("m, n, r, big_b", [
+        (0.01, 1.0, 1.0, 2.0),     # t^(m-n) singular at 0, f ~ t^0.01
+        (0.5, 1.0, 4.09444152999109, 6.319647878439),
+        (4.0, 1.0, 6.0, 8.0),      # largest at the upper end
+    ])
+    def test_end_mass_bound_covers_the_dropped_ends(self, m, n, r, big_b):
+        # the mass beyond the end nodes t = -+3.25 lies inside the bound the
+        # scheme adds to tail_bound (a Toronto value has no other tail).
+        # Near 0, where t^(m-n) may be singular, quad integrates it; B less
+        # delta rounds to B, and the integrand is smooth there, so that end
+        # is delta f(B).
+        delta = big_b * oracle._TS_LEVELS[0][2][0]
+
+        def f(t):
+            return (2.0 * r ** (n - m + 1.0) * t ** (m - n)
+                    * math.exp(-((t - r) ** 2)) * ive(n, 2.0 * r * t))
+
+        dropped = (quad(f, 0.0, delta, epsabs=0.0, epsrel=1e-8)[0]
+                   + delta * f(big_b))
+        ov = oracle_toronto(m, n, r, big_b, scheme="gauss")
+        assert 0.0 < dropped <= ov.tail_bound <= 4.0 * dropped
+        assert ov.tail_bound <= EPS * ov.value
+
+    def test_rounding_floor_in_both_schemes(self):
+        # above about 1e6 the default absolute tol is below an ulp: both
+        # schemes accept within 64 ulps of the value, and the second
+        # scheme's estimate never claims less than that
+        for args in ((10.0, 10.0, 6.0, 8.0), (10.0, 9.0, 6.0, 0.5)):
+            adaptive = oracle_nuttall(*args)
+            gauss = oracle_nuttall(*args, scheme="gauss")
+            assert adaptive.value > 1e6
+            assert gauss.abs_err_est >= 64 * EPS * abs(gauss.value)
+            assert abs(gauss.value - adaptive.value) <= (
+                gauss.abs_err_est + adaptive.abs_err_est)
 
     def test_accepted_values_meet_their_promise(self):
         # each accepted value is within abs_err_est + 64 ulps of the

@@ -1,7 +1,8 @@
 """Correctness audit: values right, refused and wrong with exit 0, per method.
 
     python tools/audit.py            # print the table
-    python tools/audit.py --check    # also exit 1 if a wrong count rose
+    python tools/audit.py --check    # also exit 1 if a wrong or an exit-3
+                                     # refusal count rose
 
 Each row sweeps one method over seeded in-domain box points and checks
 every value against the 50-digit mpmath reference of
@@ -32,8 +33,9 @@ toronto_upper_bound_1f1 on the first POINTS box points drawn the same way,
 none skipped (the bound takes no b or B).  Their promise is RTOL against
 the reference's own 1F1 bound formula.
 
-WRONG holds the wrong counts at SEED as a ratchet: --check fails when a
-count rises above it.  A change that lowers a count lowers the committed
+WRONG holds the wrong counts at SEED and REFUSED_EXIT3 the exit-3
+refusal counts, as ratchets: --check fails when a count rises above
+its committed number.  A change that lowers a count lowers the committed
 number with it.  The reference is nearly all of the time, so the points
 are judged in WORKERS processes: about 6 s on 2 vCPUs.  Needs mpmath
 besides the package's own numpy and scipy; offline.
@@ -84,9 +86,11 @@ WORKERS = 2
 VERDICTS = ("right", "refused_exit2", "refused_exit3", "wrong_exit0")
 # committed wrong-with-exit-0 counts at SEED and each row's point count
 WRONG = {"nuttall closed_half": 26, "toronto closed_half": 103,
-         "nuttall oracle adaptive": 0, "nuttall oracle gauss": 1,
-         "toronto oracle adaptive": 1, "toronto oracle gauss": 2,
+         "nuttall oracle adaptive": 0, "nuttall oracle gauss": 0,
+         "toronto oracle adaptive": 1, "toronto oracle gauss": 0,
          "nuttall bound_1f1": 0, "toronto bound_1f1": 0}
+# committed refused-with-exit-3 counts at SEED: every row's is 0
+REFUSED_EXIT3 = dict.fromkeys(WRONG, 0)
 
 
 def _order(rng: random.Random) -> float:
@@ -207,7 +211,8 @@ def judge(task: tuple[int, tuple]) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if a wrong count rose above WRONG")
+                        help="exit 1 if a wrong count rose above WRONG "
+                             "or an exit-3 count above REFUSED_EXIT3")
     args = parser.parse_args(argv)
     start = time.perf_counter()
     tasks = sweep()
@@ -219,15 +224,18 @@ def main(argv=None) -> int:
         counts[row][verdict] += 1
     print(f"# seed={SEED} points={POINTS} (oracle rows {ORACLE_POINTS}) "
           f"rtol={RTOL:g} oracle_ulps={ORACLE_ULPS}")
-    print("method," + ",".join(VERDICTS) + ",committed_wrong_exit0")
+    print("method," + ",".join(VERDICTS)
+          + ",committed_wrong_exit0,committed_refused_exit3")
     rose = []
     for (name, *_), c in zip(ROWS, counts):
-        print(",".join([name, *(str(c[v]) for v in VERDICTS), str(WRONG[name])]))
-        if c["wrong_exit0"] > WRONG[name]:
-            rose.append(name)
+        print(",".join([name, *(str(c[v]) for v in VERDICTS), str(WRONG[name]),
+                        str(REFUSED_EXIT3[name])]))
+        rose += [f"{name} {verdict}" for verdict, committed in (
+            ("wrong_exit0", WRONG), ("refused_exit3", REFUSED_EXIT3))
+            if c[verdict] > committed[name]]
     print(f"# {time.perf_counter() - start:.1f} s")
     if args.check and rose:
-        print(f"# wrong count rose: {', '.join(rose)}")
+        print(f"# count rose: {', '.join(rose)}")
         return 1
     return 0
 
