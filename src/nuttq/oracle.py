@@ -10,20 +10,21 @@ Two schemes:
 
 * ``adaptive``: ``scipy.integrate.quad`` with an absolute tolerance budget;
   the reported error estimate plus the tail bound must fit inside the
-  accepted error below or the call raises instead of returning.  ``scipy.integrate`` is imported
-  on the first adaptive value, not with this module, so a caller that
-  runs only the second scheme (``nuttq golden``, ``compare --scheme
-  gauss``) loads numpy and ``scipy.special`` alone.
+  accepted error below, or the call raises instead of returning.
+  ``scipy.integrate`` is imported on the first adaptive value, not with
+  this module, so a caller that runs only the second scheme (``nuttq
+  golden``, ``compare --scheme gauss``) loads numpy and ``scipy.special``
+  alone.
 * ``gauss`` (the name is kept for callers; the method is tanh-sinh):
   nested tanh-sinh levels (Takahasi & Mori 1974) on t in [-3.25, 3.25],
   from step h = 1/8 (53 nodes) to h = 1/256 (1,665), until two successive
-  levels agree within half the accepted error.  Each level evaluates only its new odd
-  nodes, and the level sums are added by ``math.fsum``.  Where the
-  Toronto integrand's factor t^(m-n) is singular at 0 the levels still
-  converge exponentially.  The mass beyond the end nodes, within 2.7e-18 of the
-  interval of each endpoint, is bounded and added to the tail.  A refusal
-  at h = 1/256 carries the last level's value and the last difference as
-  ``err_est``.
+  levels agree within half the accepted error.  Each level evaluates only
+  its new odd nodes, and the level sums are added by ``math.fsum``.
+  Where the Toronto integrand's factor t^(m-n) is singular at 0 the
+  levels still converge exponentially.  The mass beyond the end nodes,
+  within 2.7e-18 of the interval of each endpoint, is bounded and added
+  to the tail.  A refusal at h = 1/256 carries the last level's value and
+  the last difference as ``err_est``.
 
 Both accept an error of max(tol, 64 ulps of the value): an absolute tol
 alone is below one ulp once a value passes about 1e6.  The second
@@ -77,24 +78,25 @@ GOLDEN_TOL = 1e-13
 _ROUNDING = 64 * 2.0 ** -52
 
 
-def _tanh_sinh_level(h: float, k: np.ndarray):
-    """The nodes t = k h of a tanh-sinh level as (h, right, d, w): the step,
-    whether t > 0, the node's distance from the nearer endpoint as a share
-    of the interval, d = 1 / (1 + e^(2|u|)) with u = pi/2 sinh t, formed
-    without cancellation, and its weight pi/2 cosh t / cosh^2 u."""
-    t = h * k
+def _tanh_sinh_level(h: float, first: bool):
+    """A tanh-sinh level of step h as (h, right, d, w).  Its nodes are t = k h
+    with |t| <= 3.25, every k on the first level and odd k on the others, so
+    each finer level holds only the nodes that are new.  right is t > 0; d
+    is the node's distance from the nearer endpoint as a share of the
+    interval, d = 1 / (1 + e^(2|u|)) with u = pi/2 sinh t, formed without
+    cancellation; w is its weight pi/2 cosh t / cosh^2 u."""
+    last = round(3.25 / h)
+    t = h * (np.arange(-last, last + 1) if first
+             else np.arange(1 - last, last, 2))
     u = 0.5 * math.pi * np.sinh(t)
     return (h, t > 0.0, 1.0 / (1.0 + np.exp(2.0 * np.abs(u))),
             0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2)
 
 
-# Nested levels on t in [-3.25, 3.25]: every node at h = 1/8, then only the
-# new odd multiples of h = 1/16, ..., 1/256.  The end nodes t = -+3.25 lie in
-# the first level, 2.7e-18 of the interval from each endpoint.
-_TS_LEVELS = [_tanh_sinh_level(0.125, np.arange(-26, 27)),
-              *(_tanh_sinh_level(2.0 ** -j, np.arange(1 - 26 * 2 ** (j - 3),
-                                                      26 * 2 ** (j - 3), 2))
-                for j in range(4, 9))]
+# h = 1/8 (53 nodes), then 1/16, ..., 1/256 (1,665 nodes in all).  The end
+# nodes t = -+3.25 are on the first level, 2.7e-18 of the interval from
+# each endpoint.
+_TS_LEVELS = [_tanh_sinh_level(2.0 ** -j, j == 3) for j in range(3, 9)]
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,10 @@ def _quad_tanh_sinh(f_vec, lo: float, hi: float, tol: float):
     nodes = 0
     value = err = None
     for h, right, d, w in _TS_LEVELS:
-        fx = f_vec(np.where(right, hi - span * d, lo + span * d))
+        # span d underflows for a span below 2e-306; no node may then sit
+        # at lo, where the Toronto integrand's t^(m-n) can be singular
+        fx = f_vec(np.where(right, hi - span * d,
+                            lo + np.maximum(span * d, math.ulp(0.0))))
         if not sums:
             ends = 2.0 * span * float(d[0] * (abs(fx[0]) + abs(fx[-1])))
         nodes += fx.size

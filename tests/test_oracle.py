@@ -323,6 +323,14 @@ class TestGaussScheme:
         assert 0.0 < dropped <= ov.tail_bound <= 4.0 * dropped
         assert ov.tail_bound <= EPS * ov.value
 
+    def test_no_node_at_a_singular_lower_end(self):
+        # B * 2.7e-18 underflows to 0 below B = 2e-306, where t^(m-n) with
+        # m - n = -0.5 would be infinite and the sum NaN; the value itself
+        # underflows to 0
+        for big_b in (1e-300, 1e-310, 5e-324):
+            ov = oracle_toronto(0.5, 1.0, 1.0, big_b, scheme="gauss")
+            assert ov.value == 0.0 and ov.subdivisions == 105, big_b
+
     def test_rounding_floor_in_both_schemes(self):
         # above about 1e6 the default absolute tol is below an ulp: both
         # schemes accept within 64 ulps of the value, and the second
