@@ -239,7 +239,7 @@ class TestGaussScheme:
     def test_first_comparison_is_at_h_one_eighth(self, monkeypatch):
         # a smooth integrand is accepted at the first comparison, h = 1/8
         # against h = 1/16: 53 + 52 nodes
-        value, err, nodes, ends = _quad_tanh_sinh(np.exp, 0.0, 1.0, 1e-10)
+        value, err, nodes, _ = _quad_tanh_sinh(np.exp, 0.0, 1.0, 1e-10)
         assert nodes == 105
         assert abs(value - math.expm1(1.0)) <= err <= 64 * EPS * value
         # compared from h = 1/2, two coarse levels both missed this
