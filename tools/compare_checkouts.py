@@ -109,6 +109,16 @@ CORPUS: list[list[str]] = [
     # a^n = 1e-320 does not underflow, but the oracle's integrand does
     ["compare", "nuttall_norm", "--m", "2", "--n", "2", "--a", "1e-160",
      "--b", "1"],
+    ["compare", "nuttall", "--m", "2", "--n", "2", "--a", "1e-160", "--b", "1"],
+    # normalized oracle values at a small a^n, where an absolute tol on the
+    # unnormalized integral is loose, and a Marcum a^(m-1) below the
+    # normal range
+    ["compare", "nuttall_norm", "--m", "10", "--n", "10", "--a", "0.1",
+     "--b", "1"],
+    ["compare", "nuttall_norm", "--m", "8", "--n", "8.5",
+     "--a", "0.018453987996552623", "--b", "1.0365687412916147"],
+    ["compare", "marcum", "--m", "10", "--a", "0.01", "--b", "1"],
+    ["compare", "marcum", "--m", "3", "--a", "1e-160", "--b", "1"],
     *[["compare", fn, *grid, *extra]
       for fn, grid in (("nuttall", _NUTTALL), ("nuttall_norm", _NUTTALL),
                        ("marcum", _NUTTALL[:2] + _NUTTALL[4:]),
@@ -258,7 +268,8 @@ def library_corpus() -> list[str]:
     integer double series at depth 500 and at the depths and orders it
     refuses, two Gauss-Legendre oracle reproductions, the Toronto closed
     form at B = 2r, four oracle points where a scheme's own estimate falls
-    short, and the Nuttall 1F1 bound at m = 0.
+    short, the Nuttall 1F1 bound at m = 0, and the Marcum oracle at a
+    small or subnormal a^(m-1) and outside the box.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -450,6 +461,11 @@ def library_corpus() -> list[str]:
     # the Nuttall 1F1 bound at m = 0, where c = (m + n + 1)/2 stays positive
     for n, a in ((0.0, 1.0), (3.3, 2.5), (9.0, 6.0), (0.5, 0.1)):
         add("nuttall_upper_bound_1f1({}, {}, {})", 0.0, n, a)
+    # the Marcum oracle at a small a^(m-1), at one below the normal range,
+    # and at a scale parameter outside the box
+    for pt in ((10.0, 0.01, 1.0), (3.0, 1e-160, 1.0), (2.5, -1.0, 1.0),
+               (2.0, math.nan, 1.0)):
+        add("oracle_marcum({}, {}, {})", *pt)
     return calls
 
 
