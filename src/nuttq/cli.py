@@ -235,27 +235,21 @@ def cmd_eval(args) -> int:
 
 def _oracle_for(function: str, m: float, n: float, p3: float, p4: float,
                 tol: float, scheme: str = "adaptive") -> float:
-    """The oracle value of function at a point.  nuttall_norm divides the
-    nuttall value by a^n, and raises TermOverflowError where a^n underflows
-    to 0.  Every oracle integrand is positive on its interval, so a value
-    of exactly 0 is an underflow of the integrand, not a result: it raises
+    """The oracle value of function at a point, on the scale the series
+    prints it: nuttall_norm and marcum are normalized by the oracle itself.
+    Every oracle integrand is positive on its interval, so a value of
+    exactly 0 is an underflow of the integrand, not a result: it raises
     ToleranceNotMetError."""
     from .oracle import _evaluate_case
 
-    kind, scale = (("nuttall", p3 ** n) if function == "nuttall_norm"
-                   else (function, 1.0))
-    if scale == 0.0:
-        raise TermOverflowError("normalized oracle value overflows: a^n "
-                                f"underflows to 0 at a={p3}, n={n}",
-                                log_term=math.inf)
-    ov = _evaluate_case(kind, m, n, p3, p4, tol, scheme=scheme)
+    ov = _evaluate_case(function, m, n, p3, p4, tol, scheme=scheme)
     if ov.value == 0.0:
-        p3_name, p4_name = _names(kind)
+        p3_name, p4_name = _names(function)
         raise ToleranceNotMetError(
-            f"{kind} oracle value underflows to 0 at m={m}, n={n}, "
+            f"{function} oracle value underflows to 0 at m={m}, n={n}, "
             f"{p3_name}={p3}, {p4_name}={p4}", value=0.0,
             err_est=ov.abs_err_est)
-    return ov.value / scale
+    return ov.value
 
 
 def cmd_compare(args) -> int:

@@ -36,6 +36,14 @@ Both integrate against the exponentially scaled Bessel function
 dropped upper tail of the Nuttall integral is covered by an explicit log
 domain majorant that must come in under 0.1 * tol.
 
+Normalized values, Q_{m,n}(a, b) / a^n for the ``nuttall_norm`` kind and
+the Marcum Q_m(a, b) = Q_{m,m-1}(a, b) / a^(m-1), come from the same core as
+the unnormalized Q_{m,n}, ``_nuttall``: it integrates within tol * a^n and
+divides the value, its estimate and its tail bound by a^n, so tol bounds
+the error of the value returned on the scale it is returned.  Where a^n
+falls below the normal range (2^-1022) it has lost digits and its
+reciprocal can overflow, so the value is refused with TermOverflowError.
+
 Each oracle function states its integrand once, as ``f(x, exp, ive)``, and
 ``_integrate`` hands it to the scheme asked for, so the two schemes cannot
 referee different integrands.  The adaptive scheme calls it once per node
@@ -67,7 +75,7 @@ from scipy.special.cython_special import ive as ive_scalar
 
 from . import _ORACLE_NAMES
 from .box import ORACLE_TOL, TOL_MAX, TOL_MIN, check_box
-from .errors import DomainError, ToleranceNotMetError
+from .errors import DomainError, TermOverflowError, ToleranceNotMetError
 
 __all__ = sorted(_ORACLE_NAMES)
 
@@ -242,14 +250,22 @@ def _nuttall_tail_log(m: float, a: float, upper: float) -> float:
     return bessel_cap + math.log(2.0 / t) + m * math.log(upper) - 0.5 * t * t
 
 
-def oracle_nuttall(m: float, n: float, a: float, b: float,
-                   tol: float = ORACLE_TOL, scheme: str = "adaptive") -> OracleValue:
-    """Unnormalized Q_{m,n}(a, b) by direct quadrature of the definition.
+def _nuttall(m: float, n: float, a: float, b: float, tol: float,
+             scheme: str, normalized: bool) -> OracleValue:
+    """Q_{m,n}(a, b), or with normalized Q_{m,n}(a, b) / a^n, within tol.
 
-    Integrates x^m e^(-(x^2+a^2)/2) I_n(ax) from b to a finite cutoff chosen
-    so the discarded tail is provably below 0.1 * tol.
+    The one place a Nuttall oracle value is scaled: the unnormalized
+    integral is computed within tol * a^n and its value, estimate and tail
+    bound are divided by a^n.  TermOverflowError where a^n falls below the
+    normal range, where it has lost digits and its reciprocal can overflow.
     """
     _check(tol, scheme, m, n, a, b)
+    scale = a ** n if normalized else 1.0
+    if scale < 2.0 ** -1022:    # the smallest normal double
+        raise TermOverflowError("normalized oracle value overflows: a^n "
+                                f"underflows to 0 at a={a}, n={n}",
+                                log_term=math.inf)
+    tol *= scale
 
     upper = max(b, a + 40.0, a + math.sqrt(2.0 * m) + 8.0)
     log_tail = _nuttall_tail_log(m, a, upper)
@@ -262,7 +278,19 @@ def oracle_nuttall(m: float, n: float, a: float, b: float,
         return x ** m * exp(-0.5 * (x - a) ** 2) * ive(n, a * x)
 
     hint = 0.5 * (a + math.sqrt(a * a + 4.0 * m))   # mode of x^m e^(-(x-a)^2/2)
-    return _integrate(f, b, upper, tol, hint, scheme, math.exp(log_tail))
+    ov = _integrate(f, b, upper, tol, hint, scheme, math.exp(log_tail))
+    return OracleValue(ov.value / scale, ov.abs_err_est / scale,
+                       ov.subdivisions, ov.tail_bound / scale)
+
+
+def oracle_nuttall(m: float, n: float, a: float, b: float,
+                   tol: float = ORACLE_TOL, scheme: str = "adaptive") -> OracleValue:
+    """Unnormalized Q_{m,n}(a, b) by direct quadrature of the definition.
+
+    Integrates x^m e^(-(x^2+a^2)/2) I_n(ax) from b to a finite cutoff chosen
+    so the discarded tail is provably below 0.1 * tol.
+    """
+    return _nuttall(m, n, a, b, tol, scheme, normalized=False)
 
 
 def oracle_toronto(m: float, n: float, r: float, B: float,
@@ -288,20 +316,11 @@ def oracle_toronto(m: float, n: float, r: float, B: float,
 
 def oracle_marcum(m: float, a: float, b: float,
                   tol: float = ORACLE_TOL, scheme: str = "adaptive") -> OracleValue:
-    """Generalized Marcum Q_m(a, b) via a^(1-m) Q_{m,m-1}(a, b).
-
-    The inner absolute tolerance is rescaled by a^(m-1) so the rescaled value
-    still meets ``tol``, then clamped into the oracle's supported range.
-    """
+    """Generalized Marcum Q_m(a, b) = Q_{m,m-1}(a, b) / a^(m-1), the
+    normalized Nuttall value at n = m - 1, within tol of itself."""
     if m < 1.0:
         raise DomainError(f"Marcum order must be >= 1, got m={m}")
-    inner_tol = min(max(tol * a ** (m - 1.0), TOL_MIN), TOL_MAX)
-    inner = oracle_nuttall(m, m - 1.0, a, b, tol=inner_tol, scheme=scheme)
-    scale = a ** (1.0 - m)
-    return OracleValue(value=scale * inner.value,
-                       abs_err_est=scale * inner.abs_err_est,
-                       subdivisions=inner.subdivisions,
-                       tail_bound=scale * inner.tail_bound)
+    return _nuttall(m, m - 1.0, a, b, tol, scheme, normalized=True)
 
 
 # Reference cases frozen into data/golden.txt.  Marcum rows carry n = m - 1.
@@ -349,8 +368,8 @@ def _fmt(x: float) -> str:
 
 def _evaluate_case(kind: str, m: float, n: float, p3: float, p4: float,
                    tol: float, scheme: str = "adaptive") -> OracleValue:
-    if kind == "nuttall":
-        return oracle_nuttall(m, n, p3, p4, tol=tol, scheme=scheme)
+    if kind in ("nuttall", "nuttall_norm"):
+        return _nuttall(m, n, p3, p4, tol, scheme, kind == "nuttall_norm")
     if kind == "toronto":
         return oracle_toronto(m, n, p3, p4, tol=tol, scheme=scheme)
     if kind == "marcum":

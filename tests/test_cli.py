@@ -13,9 +13,10 @@ import pytest
 
 import nuttq
 from nuttq import cli
+from nuttq.box import ORACLE_TOL
 from nuttq.cli import main
 from nuttq.errors import DomainError
-from nuttq.nuttall import nuttall_series_adaptive
+from nuttq.nuttall import NuttallParams, marcum_q, nuttall_series_adaptive
 
 # the checkout's src/, for the subprocesses
 SRC = Path(nuttq.__file__).resolve().parent.parent
@@ -298,10 +299,38 @@ class TestCompare:
             "# error convergence_error: normalized oracle value overflows: "
             "a^n underflows to 0 at a=1e-200, n=7.5")
 
+    def test_subnormal_marcum_scale_is_convergence_error(self, capsys):
+        # a^(m-1) = 1e-320 is below the normal range: it has lost digits
+        rc, out = run(capsys, ["compare", "marcum", "--m", "3", "--a", "1e-160",
+                               "--b", "1"])
+        assert rc == 3
+        assert out.splitlines()[-1] == (
+            "# error convergence_error: normalized oracle value overflows: "
+            "a^n underflows to 0 at a=1e-160, n=2.0")
+
+    @pytest.mark.parametrize("scheme", ["adaptive", "gauss"])
+    @pytest.mark.parametrize("argv, series", [
+        (["nuttall_norm", "--m", "10", "--n", "10", "--a", "0.1", "--b", "1"],
+         lambda: nuttall_series_adaptive(NuttallParams(10.0, 10.0, 0.1, 1.0),
+                                         tol=1e-14).value),
+        (["marcum", "--m", "10", "--a", "0.01", "--b", "1"],
+         lambda: marcum_q(10.0, 0.01, 1.0, tol=1e-14)),
+    ], ids=["nuttall_norm", "marcum"])
+    def test_normalized_oracle_meets_its_tol_at_a_small_a_n(self, capsys,
+                                                           argv, series,
+                                                           scheme):
+        # the oracle tolerance bounds the error of the normalized value, not
+        # of the unnormalized integral a^n times smaller
+        rc, out = run(capsys, ["compare", *argv, "--scheme", scheme])
+        assert rc == 0
+        oracle = float(csv_rows(out)[0]["oracle_value"])
+        want = series()
+        assert abs(oracle - want) <= ORACLE_TOL + 64 * 2.0 ** -52 * abs(want)
+
     def test_underflowed_oracle_value_is_convergence_error(self, capsys):
-        # a^n = 1e-320 is still positive, but the unnormalized integrand
-        # underflows everywhere, so the quadrature returns exactly 0
-        rc, out = run(capsys, ["compare", "nuttall_norm", "--m", "2",
+        # the unnormalized integrand underflows everywhere at a = 1e-160,
+        # so the quadrature returns exactly 0
+        rc, out = run(capsys, ["compare", "nuttall", "--m", "2",
                                "--n", "2", "--a", "1e-160", "--b", "1"])
         assert rc == 3
         assert out.splitlines()[-1] == (

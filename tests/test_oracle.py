@@ -13,7 +13,7 @@ from scipy.special import ive
 from nuttq import oracle
 from nuttq.box import check_box
 from nuttq.cli import main
-from nuttq.errors import DomainError, ToleranceNotMetError
+from nuttq.errors import DomainError, TermOverflowError, ToleranceNotMetError
 from nuttq.nuttall import NuttallParams, marcum_q, nuttall_series_adaptive
 from nuttq.oracle import (
     GOLDEN_CASES,
@@ -88,6 +88,8 @@ class TestParameterBox:
         (toronto_upper_bound_1f1, (0.0, 2.0, 1.0), "need m - n > -1"),
         (toronto_marcum_residual, (0.5, 1.0, 1.0),
          "identity needs (m+1)/2 >= 1"),
+        (oracle_marcum, (2.5, -1.0, 1.0), "scale parameter must lie in"),
+        (oracle_marcum, (2.0, math.nan, 1.0), "scale parameter must lie in"),
     ])
     def test_domain_refusals(self, call, args, prefix):
         with pytest.raises(DomainError) as exc:
@@ -105,6 +107,13 @@ class TestParameterBox:
         # about 2.2e6, accepted within 64 ulps where the absolute tol is
         # below one
         oracle_nuttall(10.0, 10.0, 6.0, 8.0)
+
+    def test_subnormal_a_n_is_refused(self):
+        # a^(m-1) = 1e-320 has lost digits, and its reciprocal overflows
+        with pytest.raises(TermOverflowError, match=(
+                r"^normalized oracle value overflows: a\^n underflows to 0 "
+                r"at a=1e-160, n=2.0$")):
+            oracle_marcum(3.0, 1e-160, 1.0)
 
     def test_unknown_scheme(self):
         with pytest.raises(DomainError):

@@ -28,6 +28,12 @@ at their default tol, in both schemes, on the first ORACLE_POINTS box
 points drawn the same way, unrounded and none skipped.  Their promise is
 the oracle's own: abs_err_est plus ORACLE_ULPS ulps of the value.
 
+The normalized oracle row checks the value ``nuttq compare nuttall_norm``
+prints, ``nuttq.cli._oracle_for`` at ORACLE_TOL in the adaptive scheme, on
+the first POINTS box points drawn the same way.  The CLI prints no error
+estimate, so its promise is the tolerance: ORACLE_TOL plus ORACLE_ULPS ulps
+of the reference.
+
 The 1F1 bound rows check nuttall_upper_bound_1f1 and
 toronto_upper_bound_1f1 on the first POINTS box points drawn the same way,
 none skipped (the bound takes no b or B).  Their promise is RTOL against
@@ -58,6 +64,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import reference  # noqa: E402
+from nuttq.box import ORACLE_TOL  # noqa: E402
+from nuttq.cli import _oracle_for  # noqa: E402
 from nuttq.errors import (  # noqa: E402
     DomainError,
     NonConvergenceError,
@@ -88,6 +96,7 @@ VERDICTS = ("right", "refused_exit2", "refused_exit3", "wrong_exit0")
 WRONG = {"nuttall closed_half": 26, "toronto closed_half": 103,
          "nuttall oracle adaptive": 0, "nuttall oracle gauss": 0,
          "toronto oracle adaptive": 1, "toronto oracle gauss": 0,
+         "nuttall_norm oracle adaptive": 0,
          "nuttall bound_1f1": 0, "toronto bound_1f1": 0}
 # committed refused-with-exit-3 counts at SEED: every row's is 0
 REFUSED_EXIT3 = dict.fromkeys(WRONG, 0)
@@ -157,6 +166,11 @@ def _within_promise(ov, want: float) -> bool:
             <= ov.abs_err_est + ORACLE_ULPS * EPS * abs(ov.value))
 
 
+def _within_tol(got: float, want: float) -> bool:
+    return (math.isfinite(got) and abs(got - want)
+            <= ORACLE_TOL + ORACLE_ULPS * EPS * abs(want))
+
+
 def _nuttall_unnormalized(m, n, a, b):
     return reference.golden_value("nuttall", m, n, a, b)
 
@@ -179,6 +193,10 @@ ROWS = (
           ("nuttall", nuttall_box_points, oracle_nuttall, _nuttall_unnormalized),
           ("toronto", toronto_box_points, oracle_toronto, reference.toronto))
       for scheme in ("adaptive", "gauss")),
+    ("nuttall_norm oracle adaptive", nuttall_box_points, POINTS,
+     lambda m, n, a, b: _oracle_for("nuttall_norm", m, n, a, b, ORACLE_TOL,
+                                    "adaptive"),
+     reference.nuttall_norm, _within_tol),
     *((f"{family} bound_1f1", points, POINTS, _without_limit(bound),
        _without_limit(ref), _within_rtol)
       for family, points, bound, ref in (
