@@ -252,13 +252,9 @@ def _nuttall_tail_log(m: float, a: float, upper: float) -> float:
 
 def _nuttall(m: float, n: float, a: float, b: float, tol: float,
              scheme: str, normalized: bool) -> OracleValue:
-    """Q_{m,n}(a, b), or with normalized Q_{m,n}(a, b) / a^n, within tol.
-
-    The one place a Nuttall oracle value is scaled: the unnormalized
-    integral is computed within tol * a^n and its value, estimate and tail
-    bound are divided by a^n.  TermOverflowError where a^n falls below the
-    normal range, where it has lost digits and its reciprocal can overflow.
-    """
+    """Q_{m,n}(a, b), or with normalized Q_{m,n}(a, b) / a^n, within tol:
+    the one place a Nuttall oracle value is scaled (see the module
+    docstring)."""
     _check(tol, scheme, m, n, a, b)
     scale = a ** n if normalized else 1.0
     if scale < 2.0 ** -1022:    # the smallest normal double

@@ -43,7 +43,7 @@ WRONG holds the wrong counts at SEED and REFUSED_EXIT3 the exit-3
 refusal counts, as ratchets: --check fails when a count rises above
 its committed number.  A change that lowers a count lowers the committed
 number with it.  The reference is nearly all of the time, so the points
-are judged in WORKERS processes: about 6 s on 2 vCPUs.  Needs mpmath
+are judged in WORKERS processes: about 8 s on 2 vCPUs.  Needs mpmath
 besides the package's own numpy and scipy; offline.
 """
 
