@@ -228,12 +228,28 @@ CORPUS: list[list[str]] = [
        "--method", "bound_1f1", *fmt] for fmt in ([], ["--format", "json"])],
     ["bounds", "nuttall", "--kind", "kummer", "--m", "0", "--n", "0",
      "--a", "1", "--b", "0,1"],
+    # oracle values that underflow to 0, read by golden verify and compare
+    *[["golden", "--path", "zero.txt", *fmt] for fmt in ([], ["--format", "json"])],
+    ["compare", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "1e-307"],
+    # a Marcum order below 1, alone and after a good one
+    ["eval", "marcum", "--m", "0.5", "--a", "1", "--b", "1"],
+    ["compare", "marcum", "--m", "1,0.5", "--a", "1", "--b", "1",
+     "--format", "json"],
+    # assertion thresholds that no error can pass or fail as asked
+    *[["compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "1",
+       "--assert-rel-err", threshold] for threshold in ("nan", "-1")],
+    # one-value options that are not numbers: argparse's usage text, no record
+    *[["eval", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "1",
+       "--format", "json", flag, "abc"] for flag in ("--terms", "--tol")],
+    ["compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "1",
+     "--assert-rel-err", "abc", "--format", "json"],
 ]
 
 # Files the corpus reads, written to the working directory first.  Entry 3
 # of mixed_tol.txt is moved by 1e-10 against a 1e-13 tol; entry 1 keeps a
 # loose 1e-6 tol.  bogus_kind.txt holds a valid entry, then one whose kind
-# the oracle refuses.
+# the oracle refuses.  Both entries of zero.txt have an oracle value that
+# underflows to 0.
 _FILES = {
     "mixed_tol.txt":
         "nuttall 1 0 1 1 1e-6 0.73287980379682016 0\n"
@@ -242,6 +258,9 @@ _FILES = {
         "nuttall 1 0 1 1 1e-6 0.73287980379682016 0\n"
         "bogus 2 1 1 2 1e-13 0.5301469081839657 0\n",
     "empty.txt": "# comments only\n",
+    "zero.txt":
+        "nuttall 2 2 1e-160 1 1e-13 0 0\n"
+        "toronto 2 1 1 1e-307 1e-13 0 0\n",
     "plain.txt": "not a directory\n",
 }
 # Files the corpus writes, read back after the run.
@@ -268,8 +287,9 @@ def library_corpus() -> list[str]:
     integer double series at depth 500 and at the depths and orders it
     refuses, two Gauss-Legendre oracle reproductions, the Toronto closed
     form at B = 2r, four oracle points where a scheme's own estimate falls
-    short, the Nuttall 1F1 bound at m = 0, and the Marcum oracle at a
-    small or subnormal a^(m-1) and outside the box.
+    short, the Nuttall 1F1 bound at m = 0, the Marcum oracle at a
+    small or subnormal a^(m-1) and outside the box, and the unnormalized
+    Nuttall Q from a = 0.1 to 6 and at a subnormal a^n.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -466,6 +486,13 @@ def library_corpus() -> list[str]:
     for pt in ((10.0, 0.01, 1.0), (3.0, 1e-160, 1.0), (2.5, -1.0, 1.0),
                (2.0, math.nan, 1.0)):
         add("oracle_marcum({}, {}, {})", *pt)
+    # the unnormalized Nuttall Q, a^n times the normalized series value,
+    # at a = 1, at small and large a^n and at a subnormal a^n
+    for pt in ((2.0, 1.0, 1.0, 2.0), (3.0, 0.5, 2.0, 1.0),
+               (10.0, 10.0, 0.1, 1.0),
+               (10.0, 7.0, 4.446722139795593, 5.811847092579054),
+               (0.0, 10.0, 6.0, 0.0), (2.0, 2.0, 1e-160, 1.0)):
+        add("nuttall_q({}, {}, {}, {})", *pt)
     return calls
 
 
