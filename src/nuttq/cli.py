@@ -173,18 +173,21 @@ def _truncation_bounds(function: str, m: float, n: float, p3: float,
 def _grid(args, depths: str | None = None) -> tuple[list[tuple], list]:
     """The (m, n, p3, p4) points of an eval, compare or bounds grid and the
     depths each is reported at, from its comma lists (depths [None] without
-    a depth list); marcum takes n = m - 1.  Refuses a missing or blank
-    parameter list (the CLI's one missing-argument rule: every point option
-    defaults to ""), a depth outside [1, MAX_TRUNC_TERMS], an empty grid,
-    one over 10^4 rows (points times depths), and points outside the box
-    (every request stays inside the window the oracle is validated on, so
-    each emitted value is cross-checkable)."""
+    a depth list); marcum takes n = m - 1 and refuses an m below 1, as the
+    library does.  Refuses a missing or blank parameter list (the CLI's
+    one missing-argument rule: every point option defaults to ""), a depth
+    outside [1, MAX_TRUNC_TERMS], an empty grid, one over 10^4 rows (points
+    times depths), and points outside the box (every request stays inside
+    the window the oracle is validated on, so each emitted value is
+    cross-checkable)."""
     fn = args.function
     required = ("m", *_names(fn)) if fn == "marcum" else ("m", "n", *_names(fn))
     missing = [f"--{nm}" for nm in required if not getattr(args, nm).strip()]
     if missing:
         raise DomainError(f"{fn} needs {', '.join(missing)}")
     ms = _number_list(args.m, float)
+    if fn == "marcum" and (low := [mv for mv in ms if mv < 1.0]):
+        raise DomainError(f"Marcum order must be >= 1, got m={low[0]}")
     ns = ([mv - 1.0 for mv in ms] if fn == "marcum"
           else _number_list(args.n, float))
     if len(ms) != len(ns):
@@ -237,9 +240,10 @@ def _oracle_for(function: str, m: float, n: float, p3: float, p4: float,
                 tol: float, scheme: str = "adaptive") -> float:
     """The oracle value of function at a point, on the scale the series
     prints it: nuttall_norm and marcum are normalized by the oracle itself.
-    Every oracle integrand is positive on its interval, so a value of
-    exactly 0 is an underflow of the integrand, not a result: it raises
-    ToleranceNotMetError."""
+    The one reader of oracle values for compare, figure f1 and golden
+    verify.  Every oracle integrand is positive on its interval, so a
+    value of exactly 0 is an underflow of the integrand, not a result: it
+    raises ToleranceNotMetError."""
     from .oracle import _evaluate_case
 
     ov = _evaluate_case(function, m, n, p3, p4, tol, scheme=scheme)
@@ -259,6 +263,9 @@ def cmd_compare(args) -> int:
     if args.with_bounds:
         # so that compute() catches only a DomainError of a point's orders
         check_terms(args.terms)
+    # a nan or negative threshold would pass or fail whatever the errors
+    if not (args.assert_rel_err is None or args.assert_rel_err >= 0.0):
+        raise DomainError(f"--assert-rel-err must be >= 0, got {args.assert_rel_err}")
     out.meta(command="compare", function=fn, method=args.method,
              terms=args.terms, tol=SERIES_TOL, oracle_tol=ORACLE_TOL,
              scheme=args.scheme, points=len(points))
@@ -268,7 +275,7 @@ def cmd_compare(args) -> int:
         res = _norm_series(fn, m, n, args.method, args.terms, SERIES_TOL, p3, p4)
         series = res.value * scale
         oracle = _oracle_for(fn, m, n, p3, p4, ORACLE_TOL, args.scheme)
-        rel = abs(series - oracle) / abs(oracle) if oracle != 0.0 else math.inf
+        rel = abs(series - oracle) / abs(oracle)
         rec = {"function_id": fn, **_point(fn, m, n, p3, p4),
                "series_value": series, "oracle_value": oracle,
                "rel_error": rel, "terms": res.terms_used}
@@ -318,9 +325,8 @@ def cmd_bounds(args) -> int:
         except DomainError as exc:
             # e.g. the rounded orders admit no closed form (m <= n sweeps);
             # keep the rows, flag them out of regime, and leave numerics empty
-            fields = [{"bound_value": None, "dominated_quantity": None,
-                       "regime_ok": False, "slack": None,
-                       "error": str(exc)}] * len(depths)
+            blank = dict.fromkeys(fd.name for fd in dataclasses.fields(BoundReport))
+            fields = [blank | {"regime_ok": False, "error": str(exc)}] * len(depths)
         rows += [{"function_id": fn, "kind": args.kind,
                   **_point(fn, m, n, p3, p4), "terms": t, **f}
                  for t, f in zip(depths, fields)]
@@ -408,7 +414,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_golden(args) -> int:
-    from .oracle import _evaluate_case, read_golden, write_golden
+    from .oracle import read_golden, write_golden
 
     out = Emitter(args.format, sys.stdout)
     # the packaged file's location differs between checkouts, so only a
@@ -423,13 +429,12 @@ def cmd_golden(args) -> int:
     worst = 0.0
     rows = []
     for e in entries:
-        gv = _evaluate_case(e.kind, e.m, e.n, e.a_or_r, e.b_or_big_b, e.tol,
-                            scheme="gauss")
-        diff = abs(gv.value - e.value)
+        gv = _oracle_for(e.kind, e.m, e.n, e.a_or_r, e.b_or_big_b, e.tol, "gauss")
+        diff = abs(gv - e.value)
         worst = max(worst, diff)
         rows.append({"kind": e.kind, "m": e.m, "n": e.n, "a_or_r": e.a_or_r,
                      "b_or_B": e.b_or_big_b, "golden_value": e.value,
-                     "gauss_value": gv.value, "abs_diff": diff,
+                     "gauss_value": gv, "abs_diff": diff,
                      "within_2tol": diff <= 2 * e.tol})
     out.rows(rows)
     out.summary(worst_abs_diff=worst)

@@ -380,10 +380,7 @@ def nuttall_q_normalized(m: float, n: float, a: float, b: float,
 
 def nuttall_q(m: float, n: float, a: float, b: float,
               tol: float = SERIES_TOL) -> float:
-    """Unnormalized Nuttall Q_{m,n}(a, b) = a^n * Qn_{m,n}(a, b)."""
-    v = nuttall_q_normalized(m, n, a, b, tol=tol)
-    if v <= 0.0:
-        return 0.0
-    # apply a^n in log domain so extreme magnitudes don't round through
-    # subnormals on the way
-    return math.exp(math.log(v) + n * math.log(a))
+    """Unnormalized Nuttall Q_{m,n}(a, b) = a^n * Qn_{m,n}(a, b): the
+    normalized series value times a ** n, the bits `nuttq eval nuttall`
+    prints."""
+    return nuttall_q_normalized(m, n, a, b, tol=tol) * a ** n

@@ -144,7 +144,11 @@ def _check(tol: float, scheme: str, m: float, n: float, scale: float,
     check_box(m, n, scale, limit)
 
 
-def _quad_adaptive(f, lo: float, hi: float, tol: float, hint: float | None):
+def _quad_adaptive(f, lo: float, hi: float, tol: float, hint: float):
+    """The integral of f over [lo, hi] by QUADPACK, split at hint when it
+    lies inside (lo, hi) (a hint outside is ignored); value, error
+    estimate and subinterval count.  ToleranceNotMetError when the
+    estimate exceeds max(tol, _ROUNDING |value|)."""
     # imported here, not at module top, so the second scheme alone (golden
     # verify, compare --scheme gauss) never loads scipy.integrate
     from scipy.integrate import quad
@@ -157,7 +161,7 @@ def _quad_adaptive(f, lo: float, hi: float, tol: float, hint: float | None):
                    full_output=1, points=points)
         return res[0], res[1], int(res[2]["last"])
 
-    points = [hint] if hint is not None and lo < hint < hi else []
+    points = [hint] if lo < hint < hi else []
     value, abserr, last = run(points or None)
     if last <= 1 + len(points):
         # Every panel stopped at one Gauss-Kronrod rule, whose estimate can
@@ -217,10 +221,12 @@ def _quad_tanh_sinh(f_vec, lo: float, hi: float, tol: float):
         value=value, err_est=err)
 
 
-def _integrate(f, lo: float, hi: float, tol: float, hint: float | None,
+def _integrate(f, lo: float, hi: float, tol: float, hint: float,
                scheme: str, tail: float = 0.0) -> OracleValue:
     """The integral of f over [lo, hi] by scheme, within tol less the bound
     tail on the dropped part of the domain, which abs_err_est includes.
+    The adaptive scheme splits at hint, the integrand's peak, when it lies
+    inside (lo, hi) and ignores it otherwise; tanh-sinh takes no hint.
 
     QUADPACK calls f(x) with its scalar defaults; tanh-sinh calls it on
     node arrays with numpy's exp and the ive ufunc, and adds its bound on
@@ -307,7 +313,7 @@ def oracle_toronto(m: float, n: float, r: float, B: float,
     def f(t, exp=math.exp, ive=ive_scalar):
         return c * t ** (m - n) * exp(-((t - r) ** 2)) * ive(n, 2.0 * r * t)
 
-    return _integrate(f, 0.0, B, tol, r if r < B else None, scheme)
+    return _integrate(f, 0.0, B, tol, r, scheme)
 
 
 def oracle_marcum(m: float, a: float, b: float,

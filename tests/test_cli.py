@@ -16,7 +16,12 @@ from nuttq import cli
 from nuttq.box import ORACLE_TOL
 from nuttq.cli import main
 from nuttq.errors import DomainError
-from nuttq.nuttall import NuttallParams, marcum_q, nuttall_series_adaptive
+from nuttq.nuttall import (
+    NuttallParams,
+    marcum_q,
+    nuttall_q,
+    nuttall_series_adaptive,
+)
 
 # the checkout's src/, for the subprocesses
 SRC = Path(nuttq.__file__).resolve().parent.parent
@@ -116,6 +121,33 @@ class TestEval:
             values.append(float(row["value"]))
         unnormalized, normalized = values
         assert unnormalized == normalized * SCALE
+
+    @pytest.mark.parametrize("m, n, a, b", [
+        (10.0, 10.0, 0.1, 1.0),
+        (10.0, 7.0, 4.446722139795593, 5.811847092579054),
+        (0.0, 10.0, 6.0, 0.0),
+        (3.0, 0.5, 2.0, 1.0),
+        (2.5, 1.5, 2.5, 1.0),
+        (8.0, 9.0, 0.028372882032467003, 3.561311104317487),
+    ])
+    def test_library_nuttall_q_has_the_printed_bits(self, capsys, m, n, a, b):
+        rc, out = run(capsys, ["eval", "nuttall", "--m", repr(m), "--n", repr(n),
+                               "--a", repr(a), "--b", repr(b),
+                               "--method", "adaptive"])
+        assert rc == 0
+        assert float(csv_rows(out)[0]["value"]) == nuttall_q(m, n, a, b)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "marcum", "--m", "0.5", "--a", "1", "--b", "1"],
+        ["compare", "marcum", "--m", "1,0.5", "--a", "1", "--b", "1"],
+    ])
+    def test_marcum_order_below_1_is_the_library_refusal(self, capsys, argv):
+        rc, out = run(capsys, argv)
+        assert rc == 2
+        with pytest.raises(DomainError) as lib:
+            marcum_q(0.5, 1.0, 1.0)
+        assert out == f"# error domain_error: {lib.value}\n"
+        assert str(lib.value) == "Marcum order must be >= 1, got m=0.5"
 
     @pytest.mark.parametrize("argv", [
         ["nuttall_norm", "--m", "7.5", "--n", "7.5", "--a", "1e-200", "--b", "8"],
@@ -231,6 +263,15 @@ class TestCompare:
                                "--assert-rel-err", "1e-12"])
         assert rc == 1
         assert "assertion=failed" in out
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_threshold_not_at_least_0_exits_2(self, capsys, threshold):
+        rc, out = run(capsys, ["compare", "nuttall", "--m", "2", "--n", "1",
+                               "--a", "1", "--b", "1",
+                               "--assert-rel-err", threshold])
+        assert rc == 2
+        assert out == ("# error domain_error: --assert-rel-err must be >= 0, "
+                       f"got {float(threshold)}\n")
 
     def test_empty_grid_exits_2(self, capsys):
         rc, out = run(capsys, ["compare", "nuttall", "--m", "1", "--n", "0",
@@ -614,6 +655,21 @@ class TestGoldenCommand:
         rows = list(csv.DictReader(l for l in out.splitlines()
                                    if not l.startswith("#")))
         assert [r["within_2tol"] for r in rows] == ["true", "false"]
+
+    def test_underflowed_oracle_value_is_convergence_error(self, capsys,
+                                                           tmp_path):
+        # both oracle values underflow to 0 and match the stored 0; golden
+        # verify refuses them as compare does
+        path = tmp_path / "zero.txt"
+        path.write_text("nuttall 2 2 1e-160 1 1e-13 0 0\n"
+                        "toronto 2 1 1 1e-307 1e-13 0 0\n")
+        rc, out = run(capsys, ["golden", "--path", str(path),
+                               "--format", "json"])
+        assert rc == 3
+        record = json.loads(out.splitlines()[-1])
+        assert record["error_type"] == "convergence_error"
+        assert record["message"] == ("nuttall oracle value underflows to 0 "
+                                     "at m=2.0, n=2.0, a=1e-160, b=1.0")
 
     def test_refused_later_entry_writes_no_rows(self, capsys, tmp_path,
                                                 monkeypatch):
