@@ -243,6 +243,18 @@ CORPUS: list[list[str]] = [
        "--format", "json", flag, "abc"] for flag in ("--terms", "--tol")],
     ["compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "1",
      "--assert-rel-err", "abc", "--format", "json"],
+    # the second scheme where scipy's ive(0.5, z) underflows to 0 (z below
+    # about 1e-305): a wrong value with exit 0 at a = 1e-300, a refusal at
+    # a = 5e-324
+    ["compare", "nuttall_norm", "--m", "0.5", "--n", "0.5", "--a", "1e-300",
+     "--b", "0", "--method", "adaptive", "--scheme", "gauss"],
+    ["compare", "nuttall_norm", "--m", "9.5", "--n", "0.5", "--a", "5e-324",
+     "--b", "8", "--scheme", "gauss"],
+    # the Toronto 1F1 bound at a tiny r, where its power of r overflows
+    ["eval", "toronto", "--m", "10", "--n", "0", "--r", "1e-40", "--B", "1",
+     "--method", "bound_1f1"],
+    ["bounds", "toronto", "--kind", "kummer", "--m", "10", "--n", "0",
+     "--r", "1e-40", "--B", "1"],
 ]
 
 # Files the corpus reads, written to the working directory first.  Entry 3
@@ -289,7 +301,8 @@ def library_corpus() -> list[str]:
     form at B = 2r, four oracle points where a scheme's own estimate falls
     short, the Nuttall 1F1 bound at m = 0, the Marcum oracle at a
     small or subnormal a^(m-1) and outside the box, and the unnormalized
-    Nuttall Q from a = 0.1 to 6 and at a subnormal a^n.
+    Nuttall Q from a = 0.1 to 6 and at a subnormal a^n, and the second
+    oracle scheme at its Bessel seam and at a = 1e-300.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -493,6 +506,19 @@ def library_corpus() -> list[str]:
                (10.0, 7.0, 4.446722139795593, 5.811847092579054),
                (0.0, 10.0, 6.0, 0.0), (2.0, 2.0, 1e-160, 1.0)):
         add("nuttall_q({}, {}, {}, {})", *pt)
+    # the second scheme's Bessel factor where its series meets its Hankel
+    # sum, at the Bessel argument z = 40: the integrand peaks there (at
+    # x = 6.67 for a = 6, m = 4.5, and at t = r = 4.5 with z = 2 r t), at
+    # integer, half-odd and general orders; and at a = 1e-300, where
+    # scipy's ive(0.5, a x) underflows to 0
+    for n in (0.0, 0.5, 3.3, 9.5, 10.0):
+        add("oracle_nuttall({}, {}, {}, {}, scheme={})", 4.5, n, 6.0, 4.0,
+            "gauss")
+        add("oracle_toronto({}, {}, {}, {}, scheme={})", n + 1.0, n, 4.5, 6.0,
+            "gauss")
+    add("oracle_nuttall({}, {}, {}, {}, scheme={})", 0.5, 0.5, 1e-300, 0.0,
+        "gauss")
+    add("oracle_marcum({}, {}, {}, scheme={})", 1.5, 1e-300, 0.0, "gauss")
     return calls
 
 
