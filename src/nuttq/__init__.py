@@ -8,7 +8,7 @@ stdlib; the oracle is the only consumer of numpy/scipy.
 ``import nuttq`` loads neither numpy nor scipy.  The oracle's names
 (``oracle_nuttall``, ``read_golden``, ...) are still exported here, but
 resolved on first access, which is when :mod:`nuttq.oracle` and with it
-numpy and scipy are imported.
+numpy are imported; scipy follows on the first adaptive oracle value.
 
 Each module's ``__all__`` is the one list of its public names; this package
 re-exports them and builds its own ``__all__`` from them.  The error
@@ -27,7 +27,7 @@ from .toronto import *  # noqa: F403
 __version__ = "0.1.0"
 
 # nuttq.oracle's public names; its __all__ is read from here, since the
-# oracle module cannot be imported without importing scipy.
+# oracle module cannot be imported without importing numpy.
 _ORACLE_NAMES = frozenset({
     "OracleValue",
     "GoldenEntry",
@@ -52,7 +52,7 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # PEP 562: numpy/scipy load on the first use of an oracle name.  Not
+    # PEP 562: numpy loads on the first use of an oracle name.  Not
     # cached, so the name always resolves to what nuttq.oracle holds now.
     if name in _ORACLE_NAMES:
         from . import oracle

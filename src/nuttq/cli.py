@@ -15,11 +15,11 @@ SIGPIPE, as a shell reports a process a broken pipe ends) when the reader
 of stdout closes it early, as `nuttq ... | head` does; that ends quietly.
 
 Only the subcommands that need an oracle value (compare, figure f1, golden)
-import the quadrature oracle and with it numpy and scipy.special; eval,
-bounds and the other figures run on the stdlib-only series route.  Of
-those, only the ones that run the adaptive scheme (compare, figure f1 and
-golden --regenerate) also import scipy.integrate; golden verify and
-compare --scheme gauss run on the second scheme, tanh-sinh, alone.
+import the quadrature oracle and with it numpy; eval, bounds and the other
+figures run on the stdlib-only series route.  Of those, only the ones that
+run the adaptive scheme (compare, figure f1 and golden --regenerate) import
+scipy, its QUADPACK and its ive; golden verify and compare --scheme gauss
+run on the second scheme, tanh-sinh, and load numpy alone.
 """
 
 from __future__ import annotations
@@ -127,6 +127,15 @@ def _number_list(text: str, kind) -> list:
     return values
 
 
+def _number(text: str, kind):
+    """The one entry of a one-value option (--terms, --tol,
+    --assert-rel-err) as kind, read as _number_list reads a list's."""
+    values = _number_list(text, kind)
+    if len(values) != 1:
+        raise DomainError(f"expected one {kind.__name__}, got {text!r}")
+    return values[0]
+
+
 def _scale(function: str, n: float, p3: float) -> float:
     """Normalized value -> output scale: a^n for nuttall, 1 otherwise."""
     return p3 ** n if function == "nuttall" else 1.0
@@ -217,13 +226,14 @@ def cmd_eval(args) -> int:
     if len(points) > 1:
         raise DomainError("eval takes one point; use compare for a grid")
     [(m, n, p3, p4)] = points
+    terms, tol = _number(args.terms, int), _number(args.tol, float)
     point = _point(fn, m, n, p3, p4)
     out.meta(command="eval", function=fn, method=args.method, **point,
-             terms=args.terms, tol=args.tol)
+             terms=terms, tol=tol)
     record: dict[str, Any] = {"function_id": fn, "method": args.method, **point}
     scale = _scale(fn, n, p3)
     if args.method in ("truncated", "adaptive"):
-        res = _norm_series(fn, m, n, args.method, args.terms, args.tol, p3, p4)
+        res = _norm_series(fn, m, n, args.method, terms, tol, p3, p4)
         record.update(value=res.value * scale, terms_used=res.terms_used,
                       last_term_abs=res.last_term_abs, converged=res.converged)
     elif args.method == "closed_half":
@@ -260,19 +270,22 @@ def cmd_compare(args) -> int:
     out = Emitter(args.format, sys.stdout)
     fn = args.function
     points, _ = _grid(args)
+    terms = _number(args.terms, int)
     if args.with_bounds:
         # so that compute() catches only a DomainError of a point's orders
-        check_terms(args.terms)
+        check_terms(terms)
+    threshold = (None if args.assert_rel_err is None
+                 else _number(args.assert_rel_err, float))
     # a nan or negative threshold would pass or fail whatever the errors
-    if not (args.assert_rel_err is None or args.assert_rel_err >= 0.0):
-        raise DomainError(f"--assert-rel-err must be >= 0, got {args.assert_rel_err}")
+    if not (threshold is None or threshold >= 0.0):
+        raise DomainError(f"--assert-rel-err must be >= 0, got {threshold}")
     out.meta(command="compare", function=fn, method=args.method,
-             terms=args.terms, tol=SERIES_TOL, oracle_tol=ORACLE_TOL,
+             terms=terms, tol=SERIES_TOL, oracle_tol=ORACLE_TOL,
              scheme=args.scheme, points=len(points))
 
     def compute(m, n, p3, p4):
         scale = _scale(fn, n, p3)
-        res = _norm_series(fn, m, n, args.method, args.terms, SERIES_TOL, p3, p4)
+        res = _norm_series(fn, m, n, args.method, terms, SERIES_TOL, p3, p4)
         series = res.value * scale
         oracle = _oracle_for(fn, m, n, p3, p4, ORACLE_TOL, args.scheme)
         rel = abs(series - oracle) / abs(oracle)
@@ -286,15 +299,15 @@ def cmd_compare(args) -> int:
                 rec["bound_1f1"] = _bound_1f1(fn, m, n, p3) * scale
             with contextlib.suppress(DomainError):
                 rec["trunc_bound"] = _truncation_bounds(
-                    fn, m, n, p3, p4, [args.terms])[0].bound_value * scale
+                    fn, m, n, p3, p4, [terms])[0].bound_value * scale
         return rec
 
     rows = [compute(*pt) for pt in points]
     out.rows(rows)
     worst = max(0.0, *(rec["rel_error"] for rec in rows))
     out.summary(max_rel_error=worst, points=len(rows))
-    if args.assert_rel_err is not None and worst > args.assert_rel_err:
-        out.summary(assertion="failed", threshold=args.assert_rel_err)
+    if threshold is not None and worst > threshold:
+        out.summary(assertion="failed", threshold=threshold)
         return 1
     return 0
 
@@ -455,13 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
         grid.add_argument(f"--{name}", default="")
     series = argparse.ArgumentParser(add_help=False, parents=[grid])
     series.add_argument("function", choices=FUNCTIONS)
-    series.add_argument("--terms", type=int, default=20)
+    # the one-value options are read by _number, so that a non-number is
+    # an error record as in a point list
+    series.add_argument("--terms", default="20")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", parents=[series],
                         help="evaluate one point by a chosen method")
     # declared before --method, so the help lists them in that order
-    pe.add_argument("--tol", type=float, default=SERIES_TOL)
+    pe.add_argument("--tol", default=str(SERIES_TOL))
     pe.add_argument("--method", default="adaptive",
                     choices=("truncated", "adaptive", "closed_half", "bound_1f1"))
     pe.set_defaults(func=cmd_eval)
@@ -474,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="oracle scheme: adaptive (QUADPACK) or gauss "
                          "(nested tanh-sinh levels; the name is kept)")
     pc.add_argument("--with-bounds", action="store_true")
-    pc.add_argument("--assert-rel-err", type=float, default=None,
+    pc.add_argument("--assert-rel-err", default=None,
                     help="exit 1 if any row's rel_error exceeds this")
     pc.set_defaults(func=cmd_compare)
 

@@ -11,10 +11,6 @@ Two schemes:
 * ``adaptive``: ``scipy.integrate.quad`` with an absolute tolerance budget;
   the reported error estimate plus the tail bound must fit inside the
   accepted error below, or the call raises instead of returning.
-  ``scipy.integrate`` is imported on the first adaptive value, not with
-  this module, so a caller that runs only the second scheme (``nuttq
-  golden``, ``compare --scheme gauss``) loads numpy and ``scipy.special``
-  alone.
 * ``gauss`` (the name is kept for callers; the method is tanh-sinh):
   nested tanh-sinh levels (Takahasi & Mori 1974) on t in [-3.25, 3.25],
   from step h = 1/8 (53 nodes) to h = 1/256 (1,665), until two successive
@@ -34,24 +30,45 @@ rounding of its integrand values.
 Both integrate against the exponentially scaled Bessel function
 ``ive(n, z) = e^-|z| I_n(z)`` so the integrand never overflows, and the
 dropped upper tail of the Nuttall integral is covered by an explicit log
-domain majorant that must come in under 0.1 * tol.
+domain majorant that must come in under 0.1 * tol.  Each scheme has its own
+Bessel kernel:
+
+* the adaptive scheme calls the ``ive`` of ``scipy.special.cython_special``
+  once per node, its ``double`` specialization (the one the fused call
+  picks for a float, with plain doubles in and out and no dispatch).  Its
+  bits are those of the ``scipy.special.ive`` ufunc, which golden.txt
+  freezes.
+* the tanh-sinh scheme calls ``_ive_scaled``, numpy alone, on whole node
+  arrays: ive(n, a x) / a^n from the ascending series (DLMF 10.25.2) below
+  the Bessel argument a x = 40 and the Hankel expansion (DLMF 10.40.1)
+  above it, with a and x kept apart.  It is within 32 eps of a 40-digit
+  value where scipy's ``ive`` is hundreds of eps off at non-integer order,
+  and it does not underflow where a x does (scipy's ``ive(0.5, z)`` is 0
+  below z = 1e-305).
+
+So ``import nuttq.oracle`` loads numpy and no scipy module.
+``scipy.integrate`` and ``scipy.special.cython_special`` are imported on
+the first adaptive value (compare, figure f1, golden --regenerate); a
+caller that runs only the second scheme (golden verify, compare --scheme
+gauss) loads numpy alone.
 
 Normalized values, Q_{m,n}(a, b) / a^n for the ``nuttall_norm`` kind and
 the Marcum Q_m(a, b) = Q_{m,m-1}(a, b) / a^(m-1), come from the same core as
-the unnormalized Q_{m,n}, ``_nuttall``: it integrates within tol * a^n and
-divides the value, its estimate and its tail bound by a^n, so tol bounds
-the error of the value returned on the scale it is returned.  Where a^n
-falls below the normal range (2^-1022) it has lost digits and its
-reciprocal can overflow, so the value is refused with TermOverflowError.
+the unnormalized Q_{m,n}, ``_nuttall``, so tol bounds the error of the
+value returned on the scale it is returned.  The adaptive scheme
+integrates Q within tol * a^n and divides the value, its estimate and its
+tail bound by a^n.  The tanh-sinh scheme integrates Q / a^n, whose Bessel
+factor is the kernel's, and multiplies by a^n only for the unnormalized Q.
+Where a^n falls below the normal range (2^-1022) it has lost digits and
+its reciprocal can overflow, so a normalized value is refused with
+TermOverflowError in both schemes.
 
-Each oracle function states its integrand once, as ``f(x, exp, ive)``, and
-``_integrate`` hands it to the scheme asked for, so the two schemes cannot
-referee different integrands.  The adaptive scheme calls it once per node
-with a Python float and its defaults, ``math.exp`` and the ``ive`` of
-``scipy.special.cython_special``: the same kernel as the
-``scipy.special.ive`` ufunc, with plain doubles in and out instead of a
-ufunc dispatch per call.  The tanh-sinh scheme calls it on whole node
-arrays with ``numpy.exp`` and the ufunc.
+Each oracle function states its integrand once, as ``integrand(exp, ive,
+s)``, which returns the node function with Bessel factor ive(n, s x), and
+``_integrate`` builds that function for the scheme asked for, so the two
+schemes cannot referee different integrands.  QUADPACK gets the function
+of ``math.exp``, cython_special's ``ive`` and s itself; tanh-sinh gets the
+one of ``numpy.exp``, ``_ive_scaled`` bound to s, and 1 for s.
 
 QUADPACK's error estimate on a panel accepted after one 21-point rule is
 an extrapolation from that rule and can fall far short of the true error,
@@ -65,13 +82,12 @@ oracle raises :class:`DomainError` instead of returning unvalidated numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ive
-from scipy.special.cython_special import ive as ive_scalar
 
 from . import _ORACLE_NAMES
 from .box import ORACLE_TOL, TOL_MAX, TOL_MIN, check_box
@@ -105,6 +121,71 @@ def _tanh_sinh_level(h: float, first: bool):
 # nodes t = -+3.25 are on the first level, 2.7e-18 of the interval from
 # each endpoint.
 _TS_LEVELS = [_tanh_sinh_level(2.0 ** -j, j == 3) for j in range(3, 9)]
+
+# The tanh-sinh scheme's Bessel factor switches from the ascending series to
+# the Hankel expansion at the Bessel argument z = _SEAM.  At z = 40 the
+# series needs 53 terms and the Hankel expansion 18 for 2^-56 relative, at
+# every order in [0, 10]; _ive_scaled sums 65 and 33.  Below z = 40 the
+# Hankel terms cancel more (their sum is up to 12 times smaller than their
+# magnitudes at z = 40, 52 times at z = 25), and above it the series needs
+# more terms.
+_SEAM = 40.0
+_K = np.arange(1.0, 65.0)       # the series' term indices past 0
+
+
+@functools.lru_cache(maxsize=64)
+def _bessel_sums(nu: float) -> np.ndarray:
+    """The 3 x 33 coefficient matrix of _ive_scaled at order nu.
+
+    Row 0 holds c_0 .. c_32 of the ascending series (DLMF 10.25.2) as a
+    polynomial in z^2, c_k = 2^-nu / (Gamma(nu+1) 4^k k! (nu+1)_k); row 1
+    holds c_33 .. c_64 from column 1 on.  Row 2 holds the Hankel expansion
+    (DLMF 10.40.1) as a polynomial in 1/z, (-1)^k a_k(nu) / sqrt(2 pi) with
+    a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (8 j).  Cached by order:
+    the values of a grid share theirs.
+    """
+    series = np.cumprod(np.concatenate(
+        ([2.0 ** -nu / math.gamma(nu + 1.0)], 0.25 / (_K * (nu + _K)))))
+    j = _K[:32]
+    hankel = np.cumprod(np.concatenate(
+        ([1.0 / math.sqrt(2.0 * math.pi)],
+         ((2.0 * j - 1.0) ** 2 - 4.0 * nu * nu) / (8.0 * j))))
+    coef = np.stack([series[:33], np.concatenate(([0.0], series[33:])),
+                     hankel])
+    coef.flags.writeable = False    # every caller of an order shares it
+    return coef
+
+
+def _ive_scaled(nu: float, x, a: float):
+    """ive(nu, a x) / a^nu at the nodes x, ascending as the tanh-sinh levels
+    give them, with a and x kept apart, so an a x that underflows loses no
+    digits: for z = a x below _SEAM
+
+        (x/2)^nu / Gamma(nu+1) sum_k (z^2/4)^k / (k! (nu+1)_k) e^-z,
+
+    and above it the Hankel sum over sqrt(2 pi z), divided by a^nu.  Both
+    sums are polynomials, in v = z^2 and in v = 1/z: one matrix product of
+    _bessel_sums(nu) with the powers 1, v, .. v^32, formed by squaring,
+    gives them.
+    """
+    i = int(x.searchsorted(_SEAM / a))
+    z = -a * x                      # -z, for e^-z
+    powers = np.empty((33, x.size))
+    powers[0] = 1.0
+    v = powers[1]
+    np.square(z[:i], out=v[:i])
+    np.divide(-1.0, z[i:], out=v[i:])
+    for k in (1, 2, 4, 8, 16):      # v^(k+1) .. v^2k = (v .. v^k) v^k
+        np.multiply(powers[1:k + 1], powers[k], out=powers[k + 1:2 * k + 1])
+    sums = _bessel_sums(nu) @ powers
+    total = sums[2]                 # the Hankel sums; the series' below
+    total[:i] = sums[0, :i] + sums[1, :i] * powers[32, :i]
+    total[:i] *= np.power(x[:i], nu) * np.exp(z[:i])
+    if i < x.size:
+        # the oracle's nodes lie below 48, so a > 0.8 here and a^-nu is a
+        # normal number
+        total[i:] *= np.sqrt(v[i:]) * a ** -nu
+    return total
 
 
 @dataclass(frozen=True)
@@ -221,25 +302,41 @@ def _quad_tanh_sinh(f_vec, lo: float, hi: float, tol: float):
         value=value, err_est=err)
 
 
-def _integrate(f, lo: float, hi: float, tol: float, hint: float,
-               scheme: str, tail: float = 0.0) -> OracleValue:
-    """The integral of f over [lo, hi] by scheme, within tol less the bound
-    tail on the dropped part of the domain, which abs_err_est includes.
-    The adaptive scheme splits at hint, the integrand's peak, when it lies
-    inside (lo, hi) and ignores it otherwise; tanh-sinh takes no hint.
+def _integrate(integrand, lo: float, hi: float, tol: float, hint: float,
+               scheme: str, s: float, n: float, scale: float = 1.0,
+               tail: float = 0.0) -> OracleValue:
+    """The integral over [lo, hi] of the node function integrand(exp, ive,
+    s) returns, whose Bessel factor is ive(n, s x), divided by scale.  tol
+    and tail, a bound on the dropped part of the domain, are on the scale of
+    the integral; the integral is taken within tol - tail, and abs_err_est
+    includes tail.
 
-    QUADPACK calls f(x) with its scalar defaults; tanh-sinh calls it on
-    node arrays with numpy's exp and the ive ufunc, and adds its bound on
-    the mass beyond its end nodes to tail.
+    QUADPACK integrates the node function of math.exp and cython_special's
+    ive, split at hint, the integrand's peak, when it lies inside (lo, hi).
+    tanh-sinh takes no hint.  It integrates the node function of numpy's
+    exp, _ive_scaled bound to s, and 1 in place of s: the integral over
+    s^n, with no s x formed.  It multiplies that by s^n / scale and adds
+    its bound on the mass beyond its end nodes to tail.
     """
     if scheme == "adaptive":
+        # imported here, with QUADPACK in _quad_adaptive, so the second
+        # scheme alone (golden verify, compare --scheme gauss) loads numpy
+        # and no scipy module.  ive["double"] is the specialization the
+        # fused call picks for a float argument, without the dispatch.
+        from scipy.special.cython_special import ive
+
+        f = integrand(math.exp, ive["double"], s)
         value, err, subdiv = _quad_adaptive(f, lo, hi, tol - tail, hint)
-    else:
-        value, err, subdiv, ends = _quad_tanh_sinh(
-            lambda x: f(x, np.exp, ive), lo, hi, tol - tail)
-        tail += ends
-    return OracleValue(value=value, abs_err_est=err + tail,
-                       subdivisions=subdiv, tail_bound=tail)
+        return OracleValue(value / scale, (err + tail) / scale, subdiv,
+                           tail / scale)
+    unit = s ** n
+    # an s^n that underflows to 0 makes the value 0 at any accuracy
+    value, err, nodes, ends = _quad_tanh_sinh(
+        integrand(np.exp, functools.partial(_ive_scaled, a=s), 1.0), lo, hi,
+        (tol - tail) / unit if unit else math.inf)
+    ratio = unit / scale
+    tail = tail / scale + ends * ratio
+    return OracleValue(value * ratio, err * ratio + tail, nodes, tail)
 
 
 def _nuttall_tail_log(m: float, a: float, upper: float) -> float:
@@ -276,13 +373,14 @@ def _nuttall(m: float, n: float, a: float, b: float, tol: float,
             f"tail bound exp({log_tail:.2f}) exceeds 0.1*tol", value=math.nan,
             err_est=math.exp(log_tail))
 
-    def f(x, exp=math.exp, ive=ive_scalar):
-        return x ** m * exp(-0.5 * (x - a) ** 2) * ive(n, a * x)
+    def integrand(exp, ive, s):
+        def f(x):
+            return x ** m * exp(-0.5 * (x - a) ** 2) * ive(n, s * x)
+        return f
 
     hint = 0.5 * (a + math.sqrt(a * a + 4.0 * m))   # mode of x^m e^(-(x-a)^2/2)
-    ov = _integrate(f, b, upper, tol, hint, scheme, math.exp(log_tail))
-    return OracleValue(ov.value / scale, ov.abs_err_est / scale,
-                       ov.subdivisions, ov.tail_bound / scale)
+    return _integrate(integrand, b, upper, tol, hint, scheme, a, n, scale,
+                      math.exp(log_tail))
 
 
 def oracle_nuttall(m: float, n: float, a: float, b: float,
@@ -310,10 +408,12 @@ def oracle_toronto(m: float, n: float, r: float, B: float,
 
     c = 2.0 * r ** (n - m + 1.0)
 
-    def f(t, exp=math.exp, ive=ive_scalar):
-        return c * t ** (m - n) * exp(-((t - r) ** 2)) * ive(n, 2.0 * r * t)
+    def integrand(exp, ive, s):
+        def f(t):
+            return c * t ** (m - n) * exp(-((t - r) ** 2)) * ive(n, s * t)
+        return f
 
-    return _integrate(f, 0.0, B, tol, r, scheme)
+    return _integrate(integrand, 0.0, B, tol, r, scheme, 2.0 * r, n)
 
 
 def oracle_marcum(m: float, a: float, b: float,

@@ -334,15 +334,17 @@ def toronto_upper_bound_1f1(m: float, n: float, r: float) -> float:
     hence an upper bound for all finite B; it doubles as an approximation
     once B^2 is large against the retained gamma orders.  Raises
     TermOverflowError where the 1F1 factor overflows a double (r^2 beyond
-    about 700).
+    about 700), and where the prefactor's r^(2n-m+1) passes the overflow
+    gate of special.exp_checked (m > 2n + 1 at a tiny r).
     """
     if not (n >= 0.0 and r > 0.0):
         raise DomainError(f"need n >= 0 and r > 0, got n={n}, r={r}")
     if not (m - n > -1.0):
         raise DomainError(f"need m - n > -1, got {m - n}")
-    return math.exp(math.lgamma(0.5 * (m + 1.0)) - math.lgamma(n + 1.0)
-                    + (2.0 * n - m + 1.0) * math.log(r)
-                    - r * r) * kummer_1f1(0.5 * (m + 1.0), n + 1.0, r * r)
+    lg = (math.lgamma(0.5 * (m + 1.0)) - math.lgamma(n + 1.0)
+          + (2.0 * n - m + 1.0) * math.log(r) - r * r)
+    return (exp_checked(lg, "1F1 bound overflows at m={}, n={}, r={}", m, n, r)
+            * kummer_1f1(0.5 * (m + 1.0), n + 1.0, r * r))
 
 
 def toronto_marcum_residual(m: float, r: float, B: float) -> float:

@@ -175,6 +175,41 @@ class TestEval:
             "type": "error", "error_type": "domain_error",
             "message": "expected float entries, got 'abc' in 'abc'"}
 
+    @pytest.mark.parametrize("argv, kind", [
+        (["eval", "nuttall", "--terms", "abc"], "int"),
+        (["eval", "nuttall", "--tol", "abc"], "float"),
+        (["compare", "nuttall", "--assert-rel-err", "abc"], "float"),
+    ])
+    def test_non_numeric_one_value_option_is_json_error_record(
+            self, capsys, argv, kind):
+        # read as a point list's entry is: an error record, not argparse's
+        # usage text on stderr
+        rc, out = run(capsys, [*argv, "--format", "json", "--m", "2",
+                               "--n", "1", "--a", "1", "--b", "1"])
+        assert rc == 2
+        assert json.loads(out) == {
+            "type": "error", "error_type": "domain_error",
+            "message": f"expected {kind} entries, got 'abc' in 'abc'"}
+
+    def test_one_value_option_takes_one_entry(self, capsys):
+        rc, out = run(capsys, ["eval", "nuttall", "--m", "2", "--n", "1",
+                               "--a", "1", "--b", "1", "--terms", "5,6"])
+        assert rc == 2
+        assert out == "# error domain_error: expected one int, got '5,6'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "toronto", "--method", "bound_1f1"],
+        ["bounds", "toronto", "--kind", "kummer"],
+    ])
+    def test_tiny_r_1f1_overflow_is_convergence_error(self, capsys, argv):
+        # r^(2n-m+1) overflows at r = 1e-40: once a traceback with exit 1
+        rc, out = run(capsys, [*argv, "--m", "10", "--n", "0", "--r", "1e-40",
+                               "--B", "1", "--format", "json"])
+        assert rc == 3
+        record = json.loads(out.splitlines()[-1])
+        assert record["error_type"] == "convergence_error"
+        assert record["message"] == "1F1 bound overflows at m=10.0, n=0.0, r=1e-40"
+
     def test_more_than_one_point_is_refused(self, capsys):
         rc, out = run(capsys, ["eval", "nuttall", "--m", "2,3", "--n", "1,1",
                                "--a", "1", "--b", "2"])
@@ -658,8 +693,10 @@ class TestGoldenCommand:
 
     def test_underflowed_oracle_value_is_convergence_error(self, capsys,
                                                            tmp_path):
-        # both oracle values underflow to 0 and match the stored 0; golden
-        # verify refuses them as compare does
+        # the Toronto oracle value underflows to 0 and matches the stored 0;
+        # golden verify refuses it as compare does.  The Nuttall one is
+        # a^n = 1e-320 times the normalized integral, a subnormal above 0,
+        # since the second scheme's Bessel factor no longer underflows.
         path = tmp_path / "zero.txt"
         path.write_text("nuttall 2 2 1e-160 1 1e-13 0 0\n"
                         "toronto 2 1 1 1e-307 1e-13 0 0\n")
@@ -668,8 +705,11 @@ class TestGoldenCommand:
         assert rc == 3
         record = json.loads(out.splitlines()[-1])
         assert record["error_type"] == "convergence_error"
-        assert record["message"] == ("nuttall oracle value underflows to 0 "
-                                     "at m=2.0, n=2.0, a=1e-160, b=1.0")
+        assert record["message"] == ("toronto oracle value underflows to 0 "
+                                     "at m=2.0, n=1.0, r=1.0, B=1e-307")
+        gauss = nuttq.oracle_nuttall(2.0, 2.0, 1e-160, 1.0, tol=1e-13,
+                                     scheme="gauss")
+        assert 0.0 < gauss.value < 1e-320
 
     def test_refused_later_entry_writes_no_rows(self, capsys, tmp_path,
                                                 monkeypatch):
@@ -760,14 +800,15 @@ cli("eval", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2")
 cli("bounds", "toronto", "--m", "2", "--n", "0.5", "--r", "1", "--B", "2")
 cli("figure", "f2")
 assert loaded() == [], ("eval, bounds, figure f2", loaded())
+import nuttq.oracle
+assert loaded() == ["numpy"], ("import nuttq.oracle", loaded())
 cli("golden")
 cli("compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2",
     "--scheme", "gauss")
-assert loaded() == ["numpy", "scipy"], ("golden, gauss compare", loaded())
-assert "scipy.integrate" not in sys.modules, "golden, gauss compare"
+assert loaded() == ["numpy"], ("golden, gauss compare", loaded())
 cli("compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2")
 assert loaded() == ["numpy", "scipy"], ("compare", loaded())
-assert "scipy.integrate" in sys.modules, "adaptive compare"
+assert {"scipy.integrate", "scipy.special"} <= set(sys.modules), "adaptive compare"
 assert nuttq.oracle_nuttall is nuttq.oracle.oracle_nuttall
 print("ok")
 """

@@ -2,6 +2,7 @@
 cross-checks, and limit behaviour of the defining integrals."""
 
 import itertools
+import json
 import math
 import random
 
@@ -214,14 +215,16 @@ class TestGaussScheme:
 
     @staticmethod
     def counting(monkeypatch):
-        """The x arrays the second scheme hands to ive, one per level."""
+        """The x arrays the second scheme hands to its Bessel kernel, one per
+        level."""
         calls = []
+        kernel = oracle._ive_scaled
 
-        def counting_ive(order, x):
+        def counting_kernel(order, x, a):
             calls.append(x)
-            return ive(order, x)
+            return kernel(order, x, a)
 
-        monkeypatch.setattr(oracle, "ive", counting_ive)
+        monkeypatch.setattr(oracle, "_ive_scaled", counting_kernel)
         return calls
 
     def test_levels_nest(self, monkeypatch):
@@ -382,6 +385,82 @@ class TestGaussScheme:
             allowance = ov.abs_err_est + (64 * EPS + 10 * 1e-14) * abs(want)
             assert abs(ov.value - want) <= allowance, (call.__name__, args, tol)
         assert accepted >= 440
+
+
+class TestBesselKernel:
+    """The second scheme's Bessel factor ive(nu, a x) / a^nu, from numpy
+    alone, against a 40-digit mpmath value."""
+
+    # the worst relative error over the points below is 20 eps; scipy's
+    # ive is up to hundreds of eps off at non-integer order
+    BOUND = 32 * EPS
+
+    @staticmethod
+    def reference(mpmath, nu, a, x):
+        z = mpmath.mpf(a) * mpmath.mpf(x)
+        return mpmath.besseli(nu, z) * mpmath.exp(-z) / mpmath.mpf(a) ** nu
+
+    def test_within_bound_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(31)
+        checked = subnormal = 0
+        with mpmath.workdps(40):
+            for _ in range(420):
+                nu = rng.choice([float(rng.randrange(11)),
+                                 rng.randrange(10) + 0.5, 10.0 * rng.random()])
+                # a scale in the box, or one so small that a x is subnormal
+                a = rng.choice([6.0 * (1.0 - rng.random()),
+                                10.0 ** (-300.0 - 23.0 * rng.random())])
+                # nodes across [0.01, 48], some on either side of the seam
+                xs = [0.01 + 48.0 * rng.random() for _ in range(6)]
+                seam = oracle._SEAM / a
+                if seam < 48.0:
+                    xs += [seam * (1.0 + 0.01 * (rng.random() - 0.5))
+                           for _ in range(4)]
+                xs.sort()
+                got = oracle._ive_scaled(nu, np.array(xs), a)
+                for x, value in zip(xs, got):
+                    want = self.reference(mpmath, nu, a, x)
+                    assert abs(value - want) <= self.BOUND * want, (nu, a, x)
+                    checked += 1
+                    subnormal += 0.0 < a * x < 2.0 ** -1022
+        assert checked >= 3000 and subnormal >= 500
+
+    def test_branches_meet_at_the_seam(self):
+        # the series and the Hankel sum each evaluated just past the seam,
+        # on the other's side, agree with the reference there
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for nu in (0.0, 0.5, 3.3, 9.5, 10.0):
+                x = np.array([np.nextafter(40.0, 0.0), 40.0])
+                got = oracle._ive_scaled(nu, x, 1.0)
+                for xv, value in zip(x, got):
+                    want = self.reference(mpmath, nu, 1.0, xv)
+                    assert abs(value - want) <= self.BOUND * want, (nu, xv)
+
+    def test_tanh_sinh_nodes_ascend(self, monkeypatch):
+        # the kernel splits its nodes at the seam by their order, so the
+        # levels must hand them over in nondecreasing order
+        calls = TestGaussScheme.counting(monkeypatch)
+        oracle_nuttall(2.0, 3.3, 5.0, 0.0, scheme="gauss", tol=1e-14)
+        oracle_toronto(4.3, 3.3, 3.5, 8.0, scheme="gauss", tol=1e-14)
+        assert len(calls) >= 6
+        for x in calls:
+            assert np.all(np.diff(x) >= 0.0)
+
+    def test_underflowing_bessel_argument(self, capsys):
+        # scipy's ive(0.5, a x) underflows to 0 at a x below about 1e-305:
+        # the second scheme then printed 0.79788456060168778, 2.5e-10 off
+        # sqrt(2/pi), with exit 0.  At a = 5e-324 it refused, since the
+        # value underflowed to 0.
+        want = math.sqrt(2.0 / math.pi)
+        for a in ("1e-300", "5e-324"):
+            assert main(["compare", "nuttall_norm", "--m", "0.5", "--n", "0.5",
+                         "--a", a, "--b", "0", "--method", "adaptive",
+                         "--scheme", "gauss", "--format", "json"]) == 0
+            row = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+                   if json.loads(line)["type"] == "row"][0]
+            assert abs(row["oracle_value"] - want) <= 64 * EPS * want, a
 
 
 def _nuttall_series(m, n, a, b):

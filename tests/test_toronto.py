@@ -255,6 +255,14 @@ class TestKummerApproximation:
         with pytest.raises(TermOverflowError):
             toronto_upper_bound_1f1(2.0, 1.0, 40.0)
 
+    def test_tiny_r_power_overflow_raises(self):
+        # r^(2n-m+1) = 1e360 at m = 10, n = 0, r = 1e-40: the prefactor
+        # passes the overflow gate, not math.exp's OverflowError
+        with pytest.raises(TermOverflowError, match="1F1 bound overflows") as err:
+            toronto_upper_bound_1f1(10.0, 0.0, 1e-40)
+        assert err.value.log_term > 700.0
+        assert toronto_upper_bound_1f1(10.0, 0.0, 1e-30) > 0.0
+
 
 class TestMarcumLink:
     def test_residuals_small(self):
