@@ -157,9 +157,9 @@ def _bessel_sums(nu: float) -> np.ndarray:
 
 
 def _ive_scaled(nu: float, x, a: float):
-    """ive(nu, a x) / a^nu at the nodes x, ascending as the tanh-sinh levels
-    give them, with a and x kept apart, so an a x that underflows loses no
-    digits: for z = a x below _SEAM
+    """ive(nu, a x) / a^nu at the nodes x, in nondecreasing order as the
+    tanh-sinh levels give them, with a and x kept apart, so an a x that
+    underflows loses no digits: for z = a x below _SEAM
 
         (x/2)^nu / Gamma(nu+1) sum_k (z^2/4)^k / (k! (nu+1)_k) e^-z,
 
@@ -314,9 +314,10 @@ def _integrate(integrand, lo: float, hi: float, tol: float, hint: float,
     QUADPACK integrates the node function of math.exp and cython_special's
     ive, split at hint, the integrand's peak, when it lies inside (lo, hi).
     tanh-sinh takes no hint.  It integrates the node function of numpy's
-    exp, _ive_scaled bound to s, and 1 in place of s: the integral over
-    s^n, with no s x formed.  It multiplies that by s^n / scale and adds
-    its bound on the mass beyond its end nodes to tail.
+    exp, _ive_scaled bound to s, and 1 in place of s, which is the
+    integrand over s^n with no s x formed, within (tol - tail) / s^n.  It
+    multiplies that by s^n / scale and adds its bound on the mass beyond
+    its end nodes to tail.
     """
     if scheme == "adaptive":
         # imported here, with QUADPACK in _quad_adaptive, so the second
