@@ -255,13 +255,22 @@ CORPUS: list[list[str]] = [
      "--method", "bound_1f1"],
     ["bounds", "toronto", "--kind", "kummer", "--m", "10", "--n", "0",
      "--r", "1e-40", "--B", "1"],
+    # the Toronto oracle at a tiny r, where its prefactor 2 r^(n-m+1)
+    # overflows a double (see _FILES)
+    *[["golden", "--path", "tiny_r.txt", *fmt] for fmt in ([], ["--format", "json"])],
+    # an adaptive Toronto series value 2.4e-10 off the oracle, printed with
+    # exit 0
+    ["compare", "toronto", "--m", "0.1096184035539316", "--n", "0",
+     "--r", "3.919508021249239", "--B", "7.5329666489315645",
+     "--method", "adaptive"],
 ]
 
 # Files the corpus reads, written to the working directory first.  Entry 3
 # of mixed_tol.txt is moved by 1e-10 against a 1e-13 tol; entry 1 keeps a
 # loose 1e-6 tol.  bogus_kind.txt holds a valid entry, then one whose kind
 # the oracle refuses.  Both entries of zero.txt have an oracle value that
-# underflows to 0.
+# underflows to 0.  tiny_r.txt holds a Toronto entry at r = 1e-40, where
+# the oracle's prefactor 2 r^(n-m+1) is past the double range.
 _FILES = {
     "mixed_tol.txt":
         "nuttall 1 0 1 1 1e-6 0.73287980379682016 0\n"
@@ -274,6 +283,7 @@ _FILES = {
         "nuttall 2 2 1e-160 1 1e-13 0 0\n"
         "toronto 2 1 1 1e-307 1e-13 0 0\n",
     "plain.txt": "not a directory\n",
+    "tiny_r.txt": "toronto 10 0 1e-40 1 1e-13 0 0\n",
 }
 # Files the corpus writes, read back after the run.
 _OUTPUTS = ("f4.csv", "out/golden.txt")
@@ -302,7 +312,9 @@ def library_corpus() -> list[str]:
     short, the Nuttall 1F1 bound at m = 0, the Marcum oracle at a
     small or subnormal a^(m-1) and outside the box, and the unnormalized
     Nuttall Q from a = 0.1 to 6 and at a subnormal a^n, and the second
-    oracle scheme at its Bessel seam and at a = 1e-300.
+    oracle scheme at its Bessel seam and at a = 1e-300, and the Toronto
+    oracle at r = 1e-40, 6e-35 and 1e-34, where its prefactor 2 r^(n-m+1)
+    nears the double range.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -519,6 +531,13 @@ def library_corpus() -> list[str]:
     add("oracle_nuttall({}, {}, {}, {}, scheme={})", 0.5, 0.5, 1e-300, 0.0,
         "gauss")
     add("oracle_marcum({}, {}, {}, scheme={})", 1.5, 1e-300, 0.0, "gauss")
+    # the Toronto oracle's prefactor 2 r^(n-m+1) at a tiny r: the power past
+    # the double range (r = 1e-40), only the product by 2 past it (6e-35),
+    # and both inside it (1e-34)
+    for r in (1e-40, 6e-35, 1e-34):
+        for scheme in ("adaptive", "gauss"):
+            add("oracle_toronto({}, {}, {}, {}, scheme={})", 10.0, 0.0, r, 1.0,
+                scheme)
     return calls
 
 
