@@ -7,6 +7,8 @@ The script prints
 
 - the code lines of each src/nuttq/*.py in both checkouts, counting no
   blank line, no comment-only line and no docstring line;
+- every public name that the change adds to or drops from
+  ``nuttq.__all__``;
 - every invocation of a fixed CLI corpus whose stdout, exit code or
   written file differs between the two;
 - every call of a seeded library corpus whose result differs: its repr,
@@ -24,7 +26,7 @@ that checkout's src/ and calls nuttq.cli.main in-process, with stdout
 captured and an uncaught exception recorded as its last traceback line.
 The subprocess works in a fresh temporary directory, so the relative
 paths the corpus writes to are the same strings in both runs.  Exit code:
-0 when every invocation and call matches, 1 otherwise.
+0 when every public name, invocation and call matches, 1 otherwise.
 
 CI runs it on one checkout twice (``python tools/compare_checkouts.py . .``):
 the corpus must then give the same bytes in two fresh processes, which is
@@ -602,8 +604,8 @@ def _run_corpus() -> dict:
                         "stderr": err.getvalue()})
     files = {name: Path(name).read_text() if Path(name).is_file() else None
              for name in _OUTPUTS}
-    return {"nuttq": nuttq.__file__, "records": records, "files": files,
-            "library": _run_library()}
+    return {"nuttq": nuttq.__file__, "names": sorted(nuttq.__all__),
+            "records": records, "files": files, "library": _run_library()}
 
 
 # a decimal with a point or an exponent: the fields a change of value moves
@@ -673,7 +675,12 @@ def main(argv: list[str]) -> int:
     def record_text(rec: dict) -> str:
         return f"{rec['code']}\n{rec['stdout']}\n{rec['stderr']}"
 
-    differ = 0
+    old_names, new_names = set(before["names"]), set(after["names"])
+    for name in sorted(old_names - new_names):
+        print(f"DIFFERS: public name {name} dropped from nuttq.__all__")
+    for name in sorted(new_names - old_names):
+        print(f"DIFFERS: public name {name} added to nuttq.__all__")
+    differ = len(old_names ^ new_names)
     for old, new in zip(before["records"], after["records"]):
         fields = [k for k in ("code", "stdout", "stderr") if old[k] != new[k]]
         if fields:
@@ -699,8 +706,9 @@ def main(argv: list[str]) -> int:
     for name, (n, floats, worst) in sorted(summary.items()):
         print(f"SUMMARY {name}: {n} differ, {floats} only in float fields, "
               f"largest relative difference {worst:.2g}")
-    print(f"{len(CORPUS)} invocations, {len(_OUTPUTS)} written files, "
-          f"{differ} differ; {len(calls)} library calls, {calls_differ} differ")
+    print(f"{len(new_names)} public names, {len(CORPUS)} invocations, "
+          f"{len(_OUTPUTS)} written files, {differ} differ; "
+          f"{len(calls)} library calls, {calls_differ} differ")
     return 1 if differ or calls_differ else 0
 
 
