@@ -399,7 +399,9 @@ def oracle_toronto(m: float, n: float, r: float, B: float,
     """Incomplete Toronto function T_B(m, n, r) by direct quadrature.
 
     Integrand 2 r^(n-m+1) t^(m-n) e^(-(t-r)^2) ive(n, 2rt) on [0, B]; the
-    interval is finite so there is no tail term.
+    interval is finite so there is no tail term.  Where the prefactor
+    2 r^(n-m+1) is past the double range (m > n + 1 at a tiny r) it raises
+    TermOverflowError carrying the prefactor's log.
     """
     _check(tol, scheme, m, n, r, B)
     if m - n <= -1.0:
@@ -407,7 +409,14 @@ def oracle_toronto(m: float, n: float, r: float, B: float,
     if B <= 0.0:
         raise DomainError(f"B must be > 0, got {B}")
 
-    c = 2.0 * r ** (n - m + 1.0)
+    try:
+        c = 2.0 * r ** (n - m + 1.0)
+        if c == math.inf:   # r^(n-m+1) finite, twice it not
+            raise OverflowError
+    except OverflowError:   # at a tiny r with m > n + 1
+        raise TermOverflowError(
+            f"Toronto oracle prefactor 2 r^(n-m+1) overflows at m={m}, n={n}, "
+            f"r={r}", log_term=math.log(2.0) + (n - m + 1.0) * math.log(r)) from None
 
     def integrand(exp, ive, s):
         def f(t):

@@ -116,6 +116,29 @@ class TestParameterBox:
                 r"at a=1e-160, n=2.0$")):
             oracle_marcum(3.0, 1e-160, 1.0)
 
+    @pytest.mark.parametrize("scheme", ["adaptive", "gauss"])
+    def test_toronto_prefactor_overflow_is_refused(self, scheme):
+        # 2 r^(n-m+1) at m = 10, n = 0: past the double range at r = 1e-40
+        # (the power) and at 6e-35 (only the product by 2); finite at 1e-34
+        for r in (1e-40, 6e-35):
+            with pytest.raises(TermOverflowError, match=(
+                    r"^Toronto oracle prefactor 2 r\^\(n-m\+1\) overflows at "
+                    rf"m=10.0, n=0.0, r={r}$")) as exc:
+                oracle_toronto(10.0, 0.0, r, 1.0, scheme=scheme)
+            assert exc.value.log_term == math.log(2.0) - 9.0 * math.log(r)
+            assert exc.value.log_term > 709.0
+        value = oracle_toronto(10.0, 0.0, 1e-34, 1.0, scheme=scheme).value
+        assert value == pytest.approx(7.872972902696838e304, rel=1e-14)
+
+    def test_toronto_prefactor_overflow_is_a_convergence_error(self, tmp_path,
+                                                               capsys):
+        path = tmp_path / "tiny_r.txt"
+        path.write_text("toronto 10 0 1e-40 1 1e-13 0 0\n")
+        assert main(["golden", "--path", str(path), "--format", "json"]) == 3
+        error = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert error["error_type"] == "convergence_error"
+        assert error["log_term"] > 709.0
+
     def test_unknown_scheme(self):
         with pytest.raises(DomainError):
             oracle_nuttall(2.0, 1.0, 1.0, 1.0, scheme="simpson")
