@@ -409,14 +409,11 @@ def oracle_toronto(m: float, n: float, r: float, B: float,
     if B <= 0.0:
         raise DomainError(f"B must be > 0, got {B}")
 
-    try:
-        c = 2.0 * r ** (n - m + 1.0)
-        if c == math.inf:   # r^(n-m+1) finite, twice it not
-            raise OverflowError
-    except OverflowError:   # at a tiny r with m > n + 1
-        raise TermOverflowError(
-            f"Toronto oracle prefactor 2 r^(n-m+1) overflows at m={m}, n={n}, "
-            f"r={r}", log_term=math.log(2.0) + (n - m + 1.0) * math.log(r)) from None
+    try:    # 2 r^(n-m+1), exact; past the double range at a tiny r, m > n + 1
+        c = math.ldexp(r ** (n - m + 1.0), 1)
+    except OverflowError:
+        raise TermOverflowError(f"oracle 2 r^(n-m+1) overflows at m={m}, n={n}, r={r}",
+                                log_term=math.log(2.0) + (n - m + 1.0) * math.log(r))
 
     def integrand(exp, ive, s):
         def f(t):

@@ -122,7 +122,7 @@ class TestParameterBox:
         # (the power) and at 6e-35 (only the product by 2); finite at 1e-34
         for r in (1e-40, 6e-35):
             with pytest.raises(TermOverflowError, match=(
-                    r"^Toronto oracle prefactor 2 r\^\(n-m\+1\) overflows at "
+                    r"^oracle 2 r\^\(n-m\+1\) overflows at "
                     rf"m=10.0, n=0.0, r={r}$")) as exc:
                 oracle_toronto(10.0, 0.0, r, 1.0, scheme=scheme)
             assert exc.value.log_term == math.log(2.0) - 9.0 * math.log(r)
