@@ -385,7 +385,8 @@ def _figure_rows(figure: str) -> tuple[dict, list[dict]]:
                 big_b = 0.25 * i
                 t = toronto_t(3.0, 1.0, r, big_b)
                 q = marcum_q(2.0, r * math.sqrt(2.0), big_b * math.sqrt(2.0))
-                # toronto_marcum_residual(3, r, B), from the two values
+                # the residual of T_B(3, 1, r) = 1 - Q_2(r sqrt 2, B sqrt 2),
+                # the identity at n = (m-1)/2, from the two values
                 rows.append({"m": 3.0, "n": 1.0, "r": r, "B": big_b,
                              "toronto_value": t, "one_minus_marcum": 1.0 - q,
                              "identity_residual": abs(t + q - 1.0)})

@@ -26,10 +26,9 @@ truncation-bound reports read them, one walk per value or per report.
 
 Also here: the finite closed form for half-odd-integer orders (whose
 incomplete gammas depend on the binomial index alone, so each is computed
-once per value and shared by every outer term), the double-sum route for
-integer orders, the ceiling-rounded truncation error bounds, the
-Kummer 1F1 upper bound, the generalized Marcum Q wrapper, and the three-term
-recursion residual used as a consistency check.
+once per value and shared by every outer term), the ceiling-rounded
+truncation error bounds, the Kummer 1F1 upper bound and the generalized
+Marcum Q wrapper.
 """
 
 from __future__ import annotations
@@ -48,10 +47,8 @@ from .special import (
     BoundReport,
     SeriesResult,
     _half_gamma_upper,
-    bessel_i_scaled,
     ceil_half,
     check_finite,
-    check_terms,
     classify_order,
     exp_checked,
     half_odd_bessel_sum,
@@ -67,12 +64,10 @@ __all__ = [
     "NuttallParams",
     "nuttall_series_truncated",
     "nuttall_series_adaptive",
-    "nuttall_integer_series",
     "nuttall_half_integer_closed",
     "nuttall_truncation_bound",
     "nuttall_truncation_bounds",
     "nuttall_upper_bound_1f1",
-    "nuttall_recursion_residual",
     "marcum_q",
     "nuttall_q",
     "nuttall_q_normalized",
@@ -195,45 +190,6 @@ def nuttall_series_adaptive(p: NuttallParams, tol: float = SERIES_TOL,
     return walk_adaptive(_walk, p, tol, max_terms)
 
 
-def nuttall_integer_series(p: NuttallParams, terms: int) -> SeriesResult:
-    """P-term value via the double sum for integer orders with m+n odd.
-
-    Each upper incomplete gamma factor Gamma(L+1, b^2/2), L = (m+n-1)/2 + l,
-    has integer order and is therefore a finite sum, giving
-
-        Qn = sum_l sum_{k=0}^{L} A0 a^(2l) b^(2k) Gamma((m+n+1)/2 + l)
-             / (l! k! Gamma(n+l+1) 2^(l+k)),
-        A0 = 2^((m-n-1)/2) e^(-(a^2+b^2)/2).
-
-    Mathematically identical to nuttall_series_truncated at equal depth, but a
-    separate numerical route: no incomplete gamma kernel is involved at all.
-    m+n even is rejected because L must be an integer.
-    """
-    check_terms(terms)  # a bad depth is reported before bad orders
-    if classify_order(p.m) != "integer" or classify_order(p.n) != "integer":
-        raise DomainError(f"integer route needs integer orders, got {p.m}, {p.n}")
-    mi, ni = round(p.m), round(p.n)
-    if (mi + ni) % 2 != 1:
-        raise DomainError(f"integer route needs m+n odd, got m+n={mi + ni}")
-    a0_log = 0.5 * (p.m - p.n - 1) * math.log(2.0) - 0.5 * (p.a ** 2 + p.b ** 2)
-    half_b2 = 0.5 * p.b * p.b
-    total = 0.0
-    for l in range(terms):
-        big_l = (mi + ni - 1) // 2 + l
-        inner = 1.0
-        u = 1.0
-        for k in range(1, big_l + 1):
-            u *= half_b2 / k
-            inner += u
-        lg = (a0_log + 2 * l * math.log(p.a) + math.lgamma(big_l + 1.0)
-              - math.lgamma(l + 1.0) - math.lgamma(ni + l + 1.0)
-              - l * math.log(2.0))
-        term = exp_checked(lg, "double series term overflows at l={} for {}",
-                           l, p) * inner
-        total += term
-    return SeriesResult(total, terms, term, True)
-
-
 def nuttall_half_integer_closed(p: NuttallParams) -> float:
     """Finite closed form of the normalized Q for half-odd-integer orders.
 
@@ -333,31 +289,6 @@ def nuttall_upper_bound_1f1(m: float, n: float, a: float) -> float:
     return math.exp(math.lgamma(c) - math.lgamma(n + 1.0)
                     - 0.5 * (n - m + 1.0) * math.log(2.0)
                     - half_a2) * kummer_1f1(c, n + 1.0, half_a2)
-
-
-def nuttall_recursion_residual(p: NuttallParams) -> float:
-    """Absolute residual of the three-term recursion for unnormalized Q:
-
-        Q_{m,n} = b^(m-1) e^(-(a^2+b^2)/2) I_n(ab)
-                  + a Q_{m-1,n+1} + (m+n-1) Q_{m-2,n}.
-
-    Integer orders with m >= 2 so the lowest index stays in the validated
-    domain.  All three values come from the adaptive series at the default
-    tol, SERIES_TOL; the residual measures internal consistency, not
-    quadrature agreement.
-    """
-    if classify_order(p.m) != "integer" or classify_order(p.n) != "integer":
-        raise DomainError(f"recursion needs integer orders, got {p.m}, {p.n}")
-    mi = round(p.m)
-    if mi < 2:
-        raise DomainError(f"recursion check needs m >= 2, got m={p.m}")
-    a, b = p.a, p.b
-    lhs = nuttall_q(p.m, p.n, a, b)
-    boundary = b ** (mi - 1) * math.exp(-0.5 * (a - b) ** 2) \
-        * bessel_i_scaled(p.n, a * b)
-    rhs = (boundary + a * nuttall_q(p.m - 1.0, p.n + 1.0, a, b)
-           + (p.m + p.n - 1.0) * nuttall_q(p.m - 2.0, p.n, a, b))
-    return abs(lhs - rhs)
 
 
 def marcum_q(m: float, a: float, b: float, tol: float = SERIES_TOL) -> float:

@@ -2,9 +2,10 @@
 
 Everything here is hand-rolled on top of ``math`` so the series routes stay
 fully independent of the scipy-based quadrature oracle.  The kernels cover
-exactly what the evaluators need: incomplete gamma functions (linear and log
-domain), the modified Bessel function of the first kind, Kummer's confluent
-hypergeometric function, and the half-odd-integer rounding helpers.  The
+what the evaluators need: incomplete gamma functions (linear and log
+domain), Kummer's confluent hypergeometric function, and the
+half-odd-integer rounding helpers.  One more kernel, ``bessel_i_scaled``,
+e^-x I_nu(x), is called by no evaluator; the checks on them use it.  The
 incomplete gamma and Bessel kernels refuse, before they start, an argument
 so large that their iterations would stall (``_GAMMA_X_MAX``,
 ``_BESSEL_X_MAX``).
@@ -37,8 +38,8 @@ records accept four floats in range in one test before their full checks.
 
 Every log-domain value that becomes a linear one passes one overflow gate,
 ``exp_checked``: past ``LOG_OVERFLOW`` it raises ``TermOverflowError``
-carrying the log value, which both families' terms and the integer double
-series use as well as the kernels here.
+carrying the log value, which both families' terms use as well as the
+kernels here.
 
 Conventions: ``lower_inc_gamma(a, x)`` is the unregularized integral from 0
 to x of t^(a-1) e^(-t) dt, ``upper_inc_gamma`` its complement on [x, inf).
@@ -65,7 +66,6 @@ __all__ = [
     "upper_inc_gamma",
     "lower_inc_gamma_log",
     "upper_inc_gamma_log",
-    "bessel_i",
     "bessel_i_scaled",
     "kummer_1f1",
 ]
@@ -457,10 +457,12 @@ def upper_inc_gamma(a: float, x: float) -> float:
                        "upper incomplete gamma overflows at a={}, x={}", a, x)
 
 
-def _log_bessel_i(nu: float, x: float) -> float:
-    # log I_nu(x) for both public forms.  A nan order or an infinite or
-    # huge argument would never meet the stopping rule below, so all are
-    # refused.
+def bessel_i_scaled(nu: float, x: float) -> float:
+    """e^-x I_nu(x) for finite nu >= 0 and 0 <= x <= 9e5 (DomainError
+    otherwise): a Bessel value that does not overflow where I_nu(x) does.
+    No evaluator calls it; the checks on them do."""
+    # A nan order or an infinite or huge argument would never meet the
+    # stopping rule below, so all are refused.
     if not (0.0 <= nu < math.inf and 0.0 <= x <= _BESSEL_X_MAX):
         if nu < 0.0:
             raise DomainError(f"Bessel order must be >= 0, got nu={nu}")
@@ -470,12 +472,11 @@ def _log_bessel_i(nu: float, x: float) -> float:
         raise DomainError(
             f"Bessel argument must be <= {_BESSEL_X_MAX:g}, got x={x}")
     if x == 0.0:
-        return 0.0 if nu == 0.0 else -math.inf
+        return 1.0 if nu == 0.0 else 0.0
     # Ascending series sum_k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)), summed as a
     # ratio recurrence with periodic rescaling so large x stays in range.
     q = 0.25 * x * x
-    ratio = 1.0
-    total = 1.0
+    ratio = total = 1.0
     shift = 0.0
     k = 0
     while True:
@@ -492,19 +493,8 @@ def _log_bessel_i(nu: float, x: float) -> float:
             raise NonConvergenceError(
                 f"Bessel I series stalled at nu={nu}, x={x}",
                 partial_value=total, terms=k)
-    return nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) + math.log(total) + shift
-
-
-def bessel_i_scaled(nu: float, x: float) -> float:
-    """e^-x I_nu(x) for finite nu >= 0 and 0 <= x <= 9e5 (DomainError
-    otherwise).  The overflow-safe workhorse."""
-    return math.exp(_log_bessel_i(nu, x) - x)
-
-
-def bessel_i(nu: float, x: float) -> float:
-    """I_nu(x); raises TermOverflowError once e^x swamps double range."""
-    return exp_checked(_log_bessel_i(nu, x),
-                       "I_nu overflows at nu={}, x={}; use bessel_i_scaled", nu, x)
+    return math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
+                    + math.log(total) + shift - x)
 
 
 def kummer_1f1(a: float, b: float, x: float) -> float:

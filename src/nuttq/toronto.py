@@ -31,9 +31,8 @@ per value or per report.
 
 Also here: the finite closed form for integer m with half-odd-integer n
 (each of its incomplete gammas computed once per value, as in the Nuttall
-closed form), the rounding-based truncation error bounds built on it, the
-B-independent 1F1 upper bound, and the residual of the Marcum Q identity at
-n = (m-1)/2.
+closed form), the rounding-based truncation error bounds built on it and
+the B-independent 1F1 upper bound.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DomainError, TermOverflowError
-from .nuttall import marcum_q
 from .special import (
     DEFAULT_MAX_TERMS,
     SERIES_TOL,
@@ -79,7 +77,6 @@ __all__ = [
     "toronto_truncation_bound",
     "toronto_truncation_bounds",
     "toronto_upper_bound_1f1",
-    "toronto_marcum_residual",
     "toronto_t",
 ]
 
@@ -345,20 +342,6 @@ def toronto_upper_bound_1f1(m: float, n: float, r: float) -> float:
           + (2.0 * n - m + 1.0) * math.log(r) - r * r)
     return (exp_checked(lg, "1F1 bound overflows at m={}, n={}, r={}", m, n, r)
             * kummer_1f1(0.5 * (m + 1.0), n + 1.0, r * r))
-
-
-def toronto_marcum_residual(m: float, r: float, B: float) -> float:
-    """Residual of the identity T_B(m, (m-1)/2, r) = 1 - Q_{(m+1)/2}(r √2, B √2).
-
-    Both sides come from their own adaptive series engines at the default
-    tol, SERIES_TOL; this ties the two function families together without
-    touching quadrature.
-    """
-    if m < 1.0:
-        raise DomainError(f"identity needs (m+1)/2 >= 1, got m={m}")
-    t = toronto_series_adaptive(TorontoParams(m, 0.5 * (m - 1.0), r, B)).value
-    q = marcum_q(0.5 * (m + 1.0), r * math.sqrt(2.0), B * math.sqrt(2.0))
-    return abs(t + q - 1.0)
 
 
 def toronto_t(m: float, n: float, r: float, B: float,

@@ -12,16 +12,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from identities import nuttall_integer_series, nuttall_recursion_residual
 from nuttq import nuttall
 from nuttq.errors import DomainError, NonConvergenceError, TermOverflowError
 from nuttq.nuttall import (
     NuttallParams,
     marcum_q,
     nuttall_half_integer_closed,
-    nuttall_integer_series,
     nuttall_q,
     nuttall_q_normalized,
-    nuttall_recursion_residual,
     nuttall_series_adaptive,
     nuttall_series_truncated,
     nuttall_truncation_bound,

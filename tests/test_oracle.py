@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ive
 
+from identities import toronto_marcum_residual
 from nuttq import oracle
 from nuttq.box import check_box
 from nuttq.cli import main
@@ -31,7 +32,6 @@ from nuttq.oracle import (
 from nuttq.toronto import (
     TorontoParams,
     toronto_closed_form_half,
-    toronto_marcum_residual,
     toronto_series_adaptive,
     toronto_upper_bound_1f1,
 )

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from identities import toronto_marcum_residual
 from nuttq import toronto
 from nuttq.errors import DomainError, TermOverflowError
 from nuttq.nuttall import (
@@ -26,7 +27,6 @@ from nuttq.special import check_finite, lower_inc_gamma
 from nuttq.toronto import (
     TorontoParams,
     toronto_closed_form_half,
-    toronto_marcum_residual,
     toronto_series_adaptive,
     toronto_series_truncated,
     toronto_t,
