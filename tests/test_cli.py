@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -553,6 +554,48 @@ def test_missing_order_is_json_error_record(capsys, argv, message):
     assert rc == 2
     assert json.loads(out) == {"type": "error", "error_type": "domain_error",
                                "message": message}
+
+
+# The box's corners, where uniform draws never go: each parameter's ends,
+# the smallest subnormal, 1e-300 and 1e-160.
+CORNER_ORDERS = ("0", "0.5", "10")
+CORNER_SCALES = ("5e-324", "1e-300", "1e-160", "6")
+CORNER_LIMITS = ("0", "5e-324", "1e-300", "8")
+
+
+def corner_argvs():
+    """eval by each method of each function and bounds of each kind, at
+    every corner: 2,496 invocations of the stdlib-only routes."""
+    runs = [("eval", fn, "--method", method) for fn in cli.FUNCTIONS
+            for method in ("truncated", "adaptive", "closed_half", "bound_1f1")]
+    runs += [("bounds", fn, "--kind", kind) for fn in ("nuttall", "toronto")
+             for kind in ("truncation", "kummer")]
+    for command, fn, option, choice in runs:
+        scale, limit = ("--r", "--B") if fn == "toronto" else ("--a", "--b")
+        ns = [[]] if fn == "marcum" else [["--n", n] for n in CORNER_ORDERS]
+        for m, n, p3, p4 in itertools.product(CORNER_ORDERS, ns, CORNER_SCALES,
+                                              CORNER_LIMITS):
+            yield [command, fn, option, choice, "--m", m, *n, scale, p3,
+                   limit, p4, "--format", "json"]
+
+
+def test_box_corners_exit_typed_with_finite_values(capsys, monkeypatch):
+    # one parser for every invocation: building it is about 0.9 ms of the
+    # 1.5 ms an in-process invocation takes
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    count = 0
+    for argv in corner_argvs():
+        try:
+            rc = main(argv)
+        except Exception as exc:  # noqa: BLE001 - reported with its argv
+            pytest.fail(f"nuttq {' '.join(argv)} raised {exc!r}")
+        out = capsys.readouterr().out
+        assert rc in (0, 1, 2, 3), (argv, rc)
+        if rc == 0 and argv[0] == "eval":
+            value = json.loads(out.splitlines()[-1])["value"]
+            assert math.isfinite(value), (argv, value)
+        count += 1
+    assert count == 2496
 
 
 class TestFigure:
