@@ -754,6 +754,20 @@ class TestGoldenCommand:
                                      scheme="gauss")
         assert 0.0 < gauss.value < 1e-320
 
+    def test_oracle_prefactor_overflow_is_convergence_error(self, capsys,
+                                                            tmp_path):
+        # the Toronto oracle's 2 r^(n-m+1) is past the double range here
+        path = tmp_path / "tiny_r.txt"
+        path.write_text("toronto 10 0 1e-40 1 1e-13 0 0\n")
+        rc, out = run(capsys, ["golden", "--path", str(path),
+                               "--format", "json"])
+        assert rc == 3
+        record = json.loads(out.splitlines()[-1])
+        assert record["error_type"] == "convergence_error"
+        assert record["message"] == ("oracle 2 r^(n-m+1) overflows at "
+                                     "m=10.0, n=0.0, r=1e-40")
+        assert record["log_term"] > 709.0
+
     def test_refused_later_entry_writes_no_rows(self, capsys, tmp_path,
                                                 monkeypatch):
         # every entry is computed before any row is written, as in compare

@@ -130,15 +130,6 @@ class TestParameterBox:
         value = oracle_toronto(10.0, 0.0, 1e-34, 1.0, scheme=scheme).value
         assert value == pytest.approx(7.872972902696838e304, rel=1e-14)
 
-    def test_toronto_prefactor_overflow_is_a_convergence_error(self, tmp_path,
-                                                               capsys):
-        path = tmp_path / "tiny_r.txt"
-        path.write_text("toronto 10 0 1e-40 1 1e-13 0 0\n")
-        assert main(["golden", "--path", str(path), "--format", "json"]) == 3
-        error = json.loads(capsys.readouterr().out.splitlines()[-1])
-        assert error["error_type"] == "convergence_error"
-        assert error["log_term"] > 709.0
-
     def test_unknown_scheme(self):
         with pytest.raises(DomainError):
             oracle_nuttall(2.0, 1.0, 1.0, 1.0, scheme="simpson")
