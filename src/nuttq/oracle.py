@@ -409,7 +409,9 @@ def oracle_toronto(m: float, n: float, r: float, B: float,
     if B <= 0.0:
         raise DomainError(f"B must be > 0, got {B}")
 
-    try:    # 2 r^(n-m+1), exact; past the double range at a tiny r, m > n + 1
+    # c = 2 r^(n-m+1): ldexp doubles exactly and, like **, raises
+    # OverflowError past the double range (a tiny r with m > n + 1)
+    try:
         c = math.ldexp(r ** (n - m + 1.0), 1)
     except OverflowError:
         raise TermOverflowError(f"oracle 2 r^(n-m+1) overflows at m={m}, n={n}, r={r}",

@@ -3,24 +3,16 @@
 Each is a check on the series evaluators, not an evaluator: the integer
 double series, a separate numerical route to the Nuttall partial sums;
 the three-term recursion of the unnormalized Nuttall Q; and the identity
-that ties the incomplete Toronto function to the Marcum Q.  They use only
-nuttq's public names.  pytest does not collect this module; the tests
-import it.
+that ties the incomplete Toronto function to the Marcum Q.  They import
+no name of nuttq that has a leading underscore.  pytest does not collect
+this module; the tests import it.
 """
 
 import math
 
-from nuttq import (
-    DomainError,
-    NuttallParams,
-    SeriesResult,
-    TorontoParams,
-    bessel_i_scaled,
-    classify_order,
-    marcum_q,
-    nuttall_q,
-    toronto_series_adaptive,
-)
+from nuttq import (DomainError, NuttallParams, SeriesResult, TorontoParams,
+                   bessel_i_scaled, classify_order, marcum_q, nuttall_q,
+                   toronto_series_adaptive)
 from nuttq.special import check_terms, exp_checked
 
 

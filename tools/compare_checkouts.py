@@ -260,8 +260,8 @@ CORPUS: list[list[str]] = [
     # the Toronto oracle at a tiny r, where its prefactor 2 r^(n-m+1)
     # overflows a double (see _FILES)
     *[["golden", "--path", "tiny_r.txt", *fmt] for fmt in ([], ["--format", "json"])],
-    # an adaptive Toronto series value 2.4e-10 off the oracle, printed with
-    # exit 0
+    # an adaptive oracle Toronto value 2.4e-10 off the true one (149 times
+    # its own estimate), printed with exit 0
     ["compare", "toronto", "--m", "0.1096184035539316", "--n", "0",
      "--r", "3.919508021249239", "--B", "7.5329666489315645",
      "--method", "adaptive"],
