@@ -314,9 +314,9 @@ def library_corpus() -> list[str]:
     short, the Nuttall 1F1 bound at m = 0, the Marcum oracle at a
     small or subnormal a^(m-1) and outside the box, and the unnormalized
     Nuttall Q from a = 0.1 to 6 and at a subnormal a^n, and the second
-    oracle scheme at its Bessel seam and at a = 1e-300, and the Toronto
-    oracle at r = 1e-40, 6e-35 and 1e-34, where its prefactor 2 r^(n-m+1)
-    nears the double range.
+    oracle scheme at its Bessel seam, at a = 1e-300 and at a value its
+    h = 1/128 level accepts, and the Toronto oracle at r = 1e-40, 6e-35
+    and 1e-34, where its prefactor 2 r^(n-m+1) nears the double range.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -531,6 +531,11 @@ def library_corpus() -> list[str]:
         add("oracle_toronto({}, {}, {}, {}, scheme={})", n + 1.0, n, 4.5, 6.0,
             "gauss")
     add("oracle_nuttall({}, {}, {}, {}, scheme={})", 0.5, 0.5, 1e-300, 0.0,
+        "gauss")
+    # a second-scheme value accepted at h = 1/128 (833 nodes); at tol 1e-14
+    # no box point of a 40,000-point search reached h = 1/256
+    add("oracle_nuttall({}, {}, {}, {}, tol={}, scheme={})", 2.210052415685765,
+        4.826134880079131, 5.701758822019991, 0.4198386589114511, 1e-14,
         "gauss")
     add("oracle_marcum({}, {}, {}, scheme={})", 1.5, 1e-300, 0.0, "gauss")
     # the Toronto oracle's prefactor 2 r^(n-m+1) at a tiny r: the power past
