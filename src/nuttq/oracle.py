@@ -14,8 +14,11 @@ Two schemes:
 * ``gauss`` (the name is kept for callers; the method is tanh-sinh):
   nested tanh-sinh levels (Takahasi & Mori 1974) on t in [-3.25, 3.25],
   from step h = 1/8 (53 nodes) to h = 1/256 (1,665), until two successive
-  levels agree within half the accepted error.  Each level evaluates only
-  its new odd nodes, and the level sums are added by ``math.fsum``.
+  levels agree within half the accepted error.  The levels nest, so each
+  is a strided view of one table of the 1,665 nodes of h = 1/256, and
+  the integrand is called once for the first four levels (the 417 nodes
+  of h = 1/64) and once for each of the two finer ones.  Each level adds
+  the sum of its new nodes, by ``math.fsum``, to those before it.
   Where the Toronto integrand's factor t^(m-n) is singular at 0 the
   levels still converge exponentially.  The mass beyond the end nodes,
   within 2.7e-18 of the interval of each endpoint, is bounded and added
@@ -102,25 +105,37 @@ GOLDEN_TOL = 1e-13
 _ROUNDING = 64 * 2.0 ** -52
 
 
-def _tanh_sinh_level(h: float, first: bool):
-    """A tanh-sinh level of step h as (h, right, d, w).  Its nodes are t = k h
-    with |t| <= 3.25, every k on the first level and odd k on the others, so
-    each finer level holds only the nodes that are new.  right is t > 0; d
-    is the node's distance from the nearer endpoint as a share of the
+def _tanh_sinh_level(h: float):
+    """The tanh-sinh nodes of step h as (right, d, w), in increasing t.  The
+    nodes are t = k h for every k with |t| <= 3.25.  right is t > 0; d is
+    the node's distance from the nearer endpoint as a share of the
     interval, d = 1 / (1 + e^(2|u|)) with u = pi/2 sinh t, formed without
     cancellation; w is its weight pi/2 cosh t / cosh^2 u."""
     last = round(3.25 / h)
-    t = h * (np.arange(-last, last + 1) if first
-             else np.arange(1 - last, last, 2))
+    t = h * np.arange(-last, last + 1)
     u = 0.5 * math.pi * np.sinh(t)
-    return (h, t > 0.0, 1.0 / (1.0 + np.exp(2.0 * np.abs(u))),
+    return (t > 0.0, 1.0 / (1.0 + np.exp(2.0 * np.abs(u))),
             0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2)
 
 
-# h = 1/8 (53 nodes), then 1/16, ..., 1/256 (1,665 nodes in all).  The end
-# nodes t = -+3.25 are on the first level, 2.7e-18 of the interval from
-# each endpoint.
-_TS_LEVELS = [_tanh_sinh_level(2.0 ** -j, j == 3) for j in range(3, 9)]
+# The nodes of h = 1/256 (1,665 in all), cut into the stages on which
+# _quad_tanh_sinh calls the integrand, each (right, d, w, levels): a strided
+# view of the table in increasing t, and its levels as (h, the level's
+# slice of the stage).  [0::4] is the h = 1/64 grid and holds levels 1 to
+# 4; [2::4] is level 5 and [1::2] level 6.  Of the table, level 1 (h = 1/8)
+# is [0::32] and level j >= 2 (h = 2^-(j+2)) is [2^(6-j)::2^(7-j)], the
+# nodes of odd k at its step, which no coarser level holds.  The end nodes
+# t = -+3.25 are on the first level, 2.7e-18 of the interval from each
+# endpoint.
+_TS_NODES = _tanh_sinh_level(2.0 ** -8)
+_TS_STAGES = [
+    (*(column[cut] for column in _TS_NODES),
+     [(2.0 ** -j, level) for j, level in levels])
+    for cut, levels in (
+        (slice(0, None, 4), ((3, slice(0, None, 8)), (4, slice(4, None, 8)),
+                             (5, slice(2, None, 4)), (6, slice(1, None, 2)))),
+        (slice(2, None, 4), ((7, slice(None)),)),
+        (slice(1, None, 2), ((8, slice(None)),)))]
 
 # The tanh-sinh scheme's Bessel factor switches from the ascending series to
 # the Hankel expansion at the Bessel argument z = _SEAM.  At z = 40 the
@@ -193,9 +208,10 @@ class OracleValue:
     """A quadrature result with its accounting.
 
     ``abs_err_est`` already includes ``tail_bound``.  ``subdivisions`` is the
-    QUADPACK interval count, or for the second scheme the count of integrand
-    nodes it evaluated (its levels nest, so that is its final level's node
-    count).
+    QUADPACK interval count, or for the second scheme the node count of the
+    levels it compared (its levels nest, so that is its final level's node
+    count).  The second scheme may have evaluated the integrand on more
+    nodes than that, up to 417: its first call covers four levels.
     """
 
     value: float
@@ -269,34 +285,39 @@ def _quad_tanh_sinh(f_vec, lo: float, hi: float, tol: float):
     """Nested tanh-sinh levels from h = 1/8 to 1/256 until two successive
     levels agree within half of max(tol, _ROUNDING |value|).
 
-    Each level evaluates f_vec on its new nodes only and adds their weighted
-    sum, by math.fsum, to the sums of the levels before it.  Returns the
-    value, max(last difference, _ROUNDING |value|), the node count and a
-    bound on the mass beyond the end nodes.  That mass lies within 2.7e-18
-    of the interval of each endpoint, where the oracle's integrands are
-    smooth or grow like t^m, m >= 0, so it is at most twice the end node's
-    value times its distance from the endpoint.  A refusal at h = 1/256
-    carries the last level's value and the last difference.
+    f_vec is called once per stage of _TS_STAGES, on nodes in increasing
+    order: first on the h = 1/64 grid (417 nodes), which holds the first
+    four levels, then on level 5's nodes (416), then on level 6's (832).
+    Each level adds the weighted sum of its new nodes, by math.fsum, to
+    the sums of the levels before it.  Returns the value, max(last
+    difference, _ROUNDING |value|), the node count of the levels compared
+    and a bound on the mass beyond the end nodes.  That mass lies within
+    2.7e-18 of the interval of each endpoint, where the oracle's
+    integrands are smooth or grow like t^m, m >= 0, so it is at most twice
+    the end node's value times its distance from the endpoint.  A refusal
+    at h = 1/256 carries the last level's value and the last difference.
     """
     span = hi - lo
     sums = []
     nodes = 0
     value = err = None
-    for h, right, d, w in _TS_LEVELS:
+    for right, d, w, levels in _TS_STAGES:
         # span d underflows for a span below 2e-306; no node may then sit
         # at lo, where the Toronto integrand's t^(m-n) can be singular
         fx = f_vec(np.where(right, hi - span * d,
                             lo + np.maximum(span * d, math.ulp(0.0))))
         if not sums:
             ends = 2.0 * span * float(d[0] * (abs(fx[0]) + abs(fx[-1])))
-        nodes += fx.size
-        sums.append(math.fsum((w * fx).tolist()))
-        prev, value = value, 0.5 * span * h * math.fsum(sums)
-        if prev is not None:
-            err = abs(value - prev)
-            floor = _ROUNDING * abs(value)
-            if err <= 0.5 * max(tol, floor):
-                return value, max(err, floor), nodes, ends
+        for h, level in levels:
+            fx_level = fx[level]
+            nodes += fx_level.size
+            sums.append(math.fsum((w[level] * fx_level).tolist()))
+            prev, value = value, 0.5 * span * h * math.fsum(sums)
+            if prev is not None:
+                err = abs(value - prev)
+                floor = _ROUNDING * abs(value)
+                if err <= 0.5 * max(tol, floor):
+                    return value, max(err, floor), nodes, ends
     raise ToleranceNotMetError(
         f"tanh-sinh levels exhausted at h = 1/256 ({nodes} nodes)",
         value=value, err_est=err)

@@ -205,7 +205,9 @@ def truncation_reports(walk: Walk, p, depths: Sequence[int],
     distinct depth in increasing order, and A last, all off one running
     sum: the same additions in the same order as a separate walk per sum.
     The head of the walk, up to the deepest P, comes before closed(), so an
-    error in it is the one raised; the rest of the walk comes after.
+    error in it is the one raised; the rest of the walk comes after.  A
+    caller refuses the orders closed() cannot take before calling this, so
+    that refusal comes before any depth check or term.
     """
     if not depths:
         raise DomainError("truncation reports need at least one depth")

@@ -217,6 +217,22 @@ def toronto_series_adaptive(p: TorontoParams, tol: float = SERIES_TOL,
     return walk_adaptive(_walk, p, tol, max_terms)
 
 
+def _closed_orders(m: float, n: float) -> tuple[int, int]:
+    """The integer m and nu = n - 1/2 of toronto_closed_form_half at orders
+    m and n, or DomainError where it cannot take them."""
+    if classify_order(m) != "integer" or classify_order(n) != "half-odd":
+        raise DomainError(
+            f"closed form needs integer m and half-odd n, got m={m}, n={n}")
+    mi = round(m)
+    nu = round(n - 0.5)
+    if mi < 1 or nu < 0:
+        raise DomainError(f"need m >= 1 and n >= 0.5, got m={m}, n={n}")
+    if mi < 2 * nu + 1:
+        raise DomainError(
+            f"closed form needs m >= 2n, got m={m} < 2n={2 * n}")
+    return mi, nu
+
+
 def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
     """Finite closed form of T_B(m, n, r) for integer m, half-odd n.
 
@@ -244,16 +260,7 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
     overflow on the way ((2r)^-k or r^(n-m+1/2) at r near 1e-200) raises
     TermOverflowError with log_term inf.
     """
-    if classify_order(m) != "integer" or classify_order(n) != "half-odd":
-        raise DomainError(
-            f"closed form needs integer m and half-odd n, got m={m}, n={n}")
-    mi = round(m)
-    nu = round(n - 0.5)
-    if mi < 1 or nu < 0:
-        raise DomainError(f"need m >= 1 and n >= 0.5, got m={m}, n={n}")
-    if mi < 2 * nu + 1:
-        raise DomainError(
-            f"closed form needs m >= 2n, got m={m} < 2n={2 * n}")
+    mi, nu = _closed_orders(m, n)
     if not (r > 0.0 and B > 0.0):
         raise DomainError(f"need r > 0 and B > 0, got r={r}, B={B}")
     try:
@@ -305,13 +312,17 @@ def toronto_truncation_bounds(p: TorontoParams,
     parts of that regime where rho_0 < 1 (m = 2, n = 1, r = 2: rho_0 = 0.564),
     so treat regime_ok as the claim's domain, not a guarantee.
     special.truncation_reports walks the terms once for every depth; each
-    value has the bits a separate walk would give.
+    value has the bits a separate walk would give.  Rounded orders the
+    closed form cannot take (ceil(m) < 1, ceil(m) < 2 floor_half(n)) are
+    refused first, with the closed form's DomainError, before the depths
+    are checked and before any term is walked.
     """
     mc = float(math.ceil(p.m))
     nf = floor_half(p.n)
     if nf < 0.5:
         raise DomainError(
             f"bound needs floor_half(n) >= 0.5, got n={p.n} -> {nf}")
+    _closed_orders(mc, nf)
     return truncation_reports(
         _walk, p, depths, lambda: toronto_closed_form_half(mc, nf, p.r, p.B),
         p.m > p.n)

@@ -230,7 +230,7 @@ class TestGaussScheme:
     @staticmethod
     def counting(monkeypatch):
         """The x arrays the second scheme hands to its Bessel kernel, one per
-        level."""
+        integrand call."""
         calls = []
         kernel = oracle._ive_scaled
 
@@ -241,10 +241,41 @@ class TestGaussScheme:
         monkeypatch.setattr(oracle, "_ive_scaled", counting_kernel)
         return calls
 
+    @staticmethod
+    def per_level_nodes(h, first):
+        """A level's nodes built on their own, as (right, d, w): every k on
+        the first level, h = 1/8, and odd k on the finer ones."""
+        last = round(3.25 / h)
+        t = h * (np.arange(-last, last + 1) if first
+                 else np.arange(1 - last, last, 2))
+        u = 0.5 * math.pi * np.sinh(t)
+        return (t > 0.0, 1.0 / (1.0 + np.exp(2.0 * np.abs(u))),
+                0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2)
+
+    def test_strided_levels_equal_levels_built_alone(self):
+        # each level, a strided view of the h = 1/256 table, holds the bits
+        # of the level built on its own: [0::32] for h = 1/8 and
+        # [2^(6-j)::2^(7-j)] for h = 2^-(j+2), j = 2..6
+        table = oracle._TS_NODES
+        assert table[0].size == 1665
+        cuts = [slice(0, None, 32)] + [slice(2 ** (6 - j), None, 2 ** (7 - j))
+                                       for j in range(2, 7)]
+        levels = [(h, level, (right, d, w))
+                  for right, d, w, stage_levels in oracle._TS_STAGES
+                  for h, level in stage_levels]
+        assert [h for h, *_ in levels] == [2.0 ** -j for j in range(3, 9)]
+        for (h, level, stage), cut in zip(levels, cuts):
+            alone = self.per_level_nodes(h, h == 0.125)
+            for got, strided, want in zip((column[level] for column in stage),
+                                          (column[cut] for column in table),
+                                          alone):
+                assert got.tobytes() == strided.tobytes() == want.tobytes(), h
+        assert sum(table[0][cut].size for cut in cuts) == 1665
+
     def test_levels_nest(self, monkeypatch):
-        # each level evaluates only its new nodes, so the integrand runs on
-        # as many nodes as the final level has, 52 * 2^L + 1 after L
-        # halvings of h = 1/8, and the oracle reports that count
+        # the first call evaluates the h = 1/64 grid, which holds the first
+        # four levels; the scheme reports the node count of the levels it
+        # compared, 52 * 2^L + 1 after L halvings of h = 1/8
         sizes = []
 
         def f(x):
@@ -252,15 +283,34 @@ class TestGaussScheme:
             return 1.0 / (1e-2 + (x - 0.3) ** 2)
 
         value, err, nodes, _ = _quad_tanh_sinh(f, 0.0, 1.0, 1e-10)
-        assert sizes == [53, 52, 104, 208]
-        assert nodes == sum(sizes) == 52 * 2 ** 3 + 1
+        assert sizes == [417]
+        assert nodes == 52 * 2 ** 3 + 1
         exact = 10.0 * (math.atan(7.0) + math.atan(3.0))
         assert abs(value - exact) <= err
         calls = self.counting(monkeypatch)
         ov = oracle_nuttall(9.0, 7.946609415622109, 2.508233277508591,
                             5.957047869677489, scheme="gauss")
-        assert sum(x.size for x in calls) == ov.subdivisions
+        assert sum(x.size for x in calls) == max(ov.subdivisions, 417)
         assert ov.subdivisions in {52 * 2 ** level + 1 for level in range(6)}
+
+    def test_call_count_follows_the_accepting_level(self, monkeypatch):
+        # one call of 417 nodes for a value the h = 1/64 grid accepts (105,
+        # 209 or 417 nodes compared), one more per finer level: at most 3
+        calls = self.counting(monkeypatch)
+        for args, tol, nodes in (
+                ((3.5, 9.859657406200126, 0.42683455529013425,
+                  0.24600880845346218), 1e-10, 209),
+                ((2.0, 3.3, 5.0, 0.0), 1e-14, 417),
+                ((2.210052415685765, 4.826134880079131, 5.701758822019991,
+                  0.4198386589114511), 1e-14, 833)):
+            calls.clear()
+            ov = oracle_nuttall(*args, tol=tol, scheme="gauss")
+            assert ov.subdivisions == nodes
+            want = [417] if nodes <= 417 else [417, 416]
+            assert [x.size for x in calls] == want, args
+        calls.clear()
+        oracle_toronto(2.0, 1.0, 1.0, 3.0, scheme="gauss")
+        assert [x.size for x in calls] == [417]
 
     def test_first_comparison_is_at_h_one_eighth(self, monkeypatch):
         # a smooth integrand is accepted at the first comparison, h = 1/8
@@ -274,7 +324,8 @@ class TestGaussScheme:
                 0.24600880845346218)
         calls = self.counting(monkeypatch)
         gauss = oracle_nuttall(*args, scheme="gauss")
-        assert calls[0].size == 53
+        assert [x.size for x in calls] == [417]
+        assert gauss.subdivisions >= 105
         monkeypatch.undo()
         adaptive = oracle_nuttall(*args)
         assert abs(gauss.value - adaptive.value) <= (
@@ -300,31 +351,56 @@ class TestGaussScheme:
         calls = self.counting(monkeypatch)
         args = (0.5043655403318925, 1.0, 1.0776352292261235, 4.459215224518907)
         gauss = oracle_toronto(*args, scheme="gauss")
-        assert sum(x.size for x in calls) == gauss.subdivisions <= 209
+        assert gauss.subdivisions <= 209
+        assert [x.size for x in calls] == [417]
         monkeypatch.undo()
         adaptive = oracle_toronto(*args, tol=1e-13)
         assert abs(gauss.value - adaptive.value) <= (
             gauss.abs_err_est + adaptive.abs_err_est)
 
-    def test_exhaustion_carries_the_last_difference(self):
-        # an integrand that is the node count of the level being added:
-        # the new nodes of each level carry half the rule's weight, so
-        # each level is half the one before plus half its new node count,
-        # and no two levels agree
-        sizes = []
+    # the node count of each level's new nodes, h = 1/8 to 1/256
+    LEVEL_SIZES = (53, 52, 104, 208, 416, 832)
 
-        def f(x):
-            sizes.append(x.size)
+    @classmethod
+    def level_sizes(cls, x):
+        """An integrand that is, at each node, the node count of the level
+        that adds it: the h = 1/64 grid holds levels 1 to 4, at [0::8],
+        [4::8], [2::4] and [1::2]; levels 5 and 6 come a call each."""
+        if x.size != 417:
             return np.full_like(x, x.size)
+        i = np.arange(x.size)
+        return np.select([i % 8 == 0, i % 8 == 4, i % 2 == 0],
+                         cls.LEVEL_SIZES[:3], cls.LEVEL_SIZES[3])
 
+    def test_exhaustion_carries_the_last_difference(self):
+        # the new nodes of each level carry half the rule's weight, so each
+        # level is half the one before plus half its new node count, and
+        # no two levels agree
         with pytest.raises(ToleranceNotMetError, match="exhausted") as err:
-            _quad_tanh_sinh(f, 0.0, 1.0, 1e-10)
-        prev, value = None, float(sizes[0])
-        for size in sizes[1:]:
+            _quad_tanh_sinh(self.level_sizes, 0.0, 1.0, 1e-10)
+        prev, value = None, float(self.LEVEL_SIZES[0])
+        for size in self.LEVEL_SIZES[1:]:
             prev, value = value, 0.5 * (value + size)
-        assert len(sizes) == 6
         assert err.value.value == pytest.approx(value, rel=1e-14)
         assert err.value.err_est == pytest.approx(value - prev, rel=1e-13)
+
+    def test_exhaustion_calls_three_stages_in_increasing_x(self):
+        # a refusal at h = 1/256 calls the integrand three times, each time
+        # on nondecreasing x, and on every node of the table once
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return self.level_sizes(x)
+
+        with pytest.raises(ToleranceNotMetError, match=r"\(1665 nodes\)"):
+            _quad_tanh_sinh(f, 0.25, 3.5, 1e-10)
+        assert [x.size for x in calls] == [417, 416, 832]
+        for x in calls:
+            assert np.all(np.diff(x) >= 0.0)
+        right, d, _ = oracle._TS_NODES
+        table = np.where(right, 3.5 - 3.25 * d, 0.25 + 3.25 * d)
+        assert np.array_equal(np.sort(np.concatenate(calls)), table)
 
     @pytest.mark.parametrize("m, n, r, big_b", [
         (0.01, 1.0, 1.0, 2.0),     # t^(m-n) singular at 0, f ~ t^0.01
@@ -337,7 +413,7 @@ class TestGaussScheme:
         # Near 0, where t^(m-n) may be singular, quad integrates it; B less
         # delta rounds to B, and the integrand is smooth there, so that end
         # is delta f(B).
-        delta = big_b * oracle._TS_LEVELS[0][2][0]
+        delta = big_b * oracle._TS_NODES[1][0]
 
         def f(t):
             return (2.0 * r ** (n - m + 1.0) * t ** (m - n)
@@ -453,12 +529,14 @@ class TestBesselKernel:
                     assert abs(value - want) <= self.BOUND * want, (nu, xv)
 
     def test_tanh_sinh_nodes_ascend(self, monkeypatch):
-        # the kernel splits its nodes at the seam by their order, so the
-        # levels must hand them over in nondecreasing order
+        # the kernel splits its nodes at the seam by their order, so each
+        # stage must hand them over in nondecreasing order
         calls = TestGaussScheme.counting(monkeypatch)
         oracle_nuttall(2.0, 3.3, 5.0, 0.0, scheme="gauss", tol=1e-14)
         oracle_toronto(4.3, 3.3, 3.5, 8.0, scheme="gauss", tol=1e-14)
-        assert len(calls) >= 6
+        oracle_nuttall(2.210052415685765, 4.826134880079131, 5.701758822019991,
+                       0.4198386589114511, scheme="gauss", tol=1e-14)
+        assert [x.size for x in calls] == [417, 417, 417, 416]
         for x in calls:
             assert np.all(np.diff(x) >= 0.0)
 

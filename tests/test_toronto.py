@@ -221,6 +221,24 @@ class TestTruncationBound:
         with pytest.raises(DomainError):
             toronto_truncation_bound(TorontoParams(2.0, 0.2, 1.0, 2.0), 5)
 
+    @pytest.mark.parametrize("m, n, message", [
+        (2.0, 1.6, "closed form needs m >= 2n, got m=2.0 < 2n=3.0"),
+        (0.0, 0.6, "need m >= 1 and n >= 0.5, got m=0.0, n=0.5"),
+    ])
+    def test_rounded_orders_refused_before_the_walk(self, monkeypatch, m, n,
+                                                    message):
+        # the closed form's refusal of the rounded orders comes before any
+        # term of the series, and before the depth check
+        calls = []
+        monkeypatch.setattr(toronto, "lower_inc_gamma_log",
+                            lambda *args: calls.append(args))
+        p = TorontoParams(m, n, 1.0, 2.0)
+        for depths in ([5], [0]):
+            with pytest.raises(DomainError) as exc:
+                toronto.toronto_truncation_bounds(p, depths)
+            assert str(exc.value) == message
+        assert calls == []
+
 
 class TestKummerApproximation:
     def test_upper_limit_free(self):
