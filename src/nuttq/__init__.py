@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 _ORACLE_NAMES = frozenset({
     "OracleValue",
     "GoldenEntry",
-    "GOLDEN_CASES",
     "GOLDEN_TOL",
     "oracle_nuttall",
     "oracle_toronto",

@@ -78,6 +78,11 @@ an extrapolation from that rule and can fall far short of the true error,
 so a result whose every panel stopped there gets a second opinion from the
 same panels split at their midpoints (see ``_quad_adaptive``).
 
+The packaged golden file, ``data/golden.txt``, is the one list of golden
+cases; each line states a case and its adaptive value at GOLDEN_TOL.
+:func:`write_golden` recomputes the file's own entries, so a new case is
+a new line in the file, then a regeneration.
+
 Parameters are validated against the supported box by
 :func:`nuttq.box.check_box`, the one statement of it; outside the box the
 oracle raises :class:`DomainError` instead of returning unvalidated numbers.
@@ -455,41 +460,6 @@ def oracle_marcum(m: float, a: float, b: float,
     return _nuttall(m, m - 1.0, a, b, tol, scheme, normalized=True)
 
 
-# Reference cases frozen into data/golden.txt.  Marcum rows carry n = m - 1.
-GOLDEN_CASES = [
-    ("nuttall", 1.0, 0.0, 1.0, 1.0),
-    ("nuttall", 1.0, 0.0, 0.5, 3.0),
-    ("nuttall", 2.0, 1.0, 1.0, 2.0),
-    ("nuttall", 2.0, 1.0, 3.0, 0.5),
-    ("nuttall", 3.0, 0.5, 2.0, 1.0),
-    ("nuttall", 3.0, 0.5, 0.5, 2.0),
-    ("nuttall", 1.5, 0.5, 1.0, 1.0),
-    ("nuttall", 1.5, 0.5, 2.0, 3.0),
-    ("nuttall", 2.5, 1.5, 2.0, 0.5),
-    ("nuttall", 2.5, 1.5, 3.0, 3.0),
-    ("nuttall", 2.0, 1.0, 1.0, 0.0),
-    ("nuttall", 3.0, 0.5, 1.0, 8.0),
-    ("toronto", 2.0, 1.0, 1.0, 3.0),
-    ("toronto", 2.0, 1.0, 2.0, 1.0),
-    ("toronto", 3.0, 1.5, 0.8, 2.0),
-    ("toronto", 3.0, 1.5, 0.5, 1.0),
-    ("toronto", 2.0, 0.5, 1.0, 2.0),
-    ("toronto", 2.0, 0.5, 2.0, 0.5),
-    ("toronto", 4.0, 1.0, 2.0, 3.0),
-    ("toronto", 4.0, 1.0, 0.5, 1.0),
-    ("toronto", 1.0, 0.0, 1.0, 2.0),
-    ("toronto", 1.0, 0.5, 0.3, 2.0),
-    ("toronto", 2.0, 1.0, 0.8, 8.0),
-    ("toronto", 3.0, 1.5, 1.0, 8.0),
-    ("marcum", 1.0, 0.0, 1.0, 1.0),
-    ("marcum", 2.0, 1.0, 1.0, 1.0),
-    ("marcum", 1.0, 0.0, 0.5, 2.0),
-    ("marcum", 3.0, 2.0, 2.0, 1.0),
-    ("marcum", 1.5, 0.5, 1.0, 1.0),
-    ("marcum", 2.0, 1.0, 2.0, 0.0),
-]
-
-
 def golden_path() -> Path:
     return Path(__file__).parent / "data" / "golden.txt"
 
@@ -521,26 +491,32 @@ def _golden_file(action: str, path: Path, call):
 
 
 def write_golden(path: Path | str | None = None) -> Path:
-    """Recompute every golden case with the adaptive scheme and write the file.
+    """Recompute the packaged golden file's entries and write them to path.
 
-    The output is deterministic (fixed cases, fixed tolerance, "%.17g"
-    formatting, no timestamps), so regeneration is expected to be
-    bit-identical to the committed file.  The directory is made before any
-    value is computed; DomainError if it or the file cannot be written.
+    The packaged file, :func:`golden_path`, is the one list of golden cases
+    (a marcum entry carries n = m - 1): each entry's kind and parameters
+    are read from it and its value and error estimate recomputed with the
+    adaptive scheme at GOLDEN_TOL.  The output is deterministic (the
+    file's cases, a fixed tolerance, "%.17g" formatting, no timestamps),
+    so regeneration is expected to be bit-identical to the packaged file.
+    The packaged file is read, then the directory made, before any value
+    is computed; DomainError if the one cannot be read or the other or the
+    file cannot be written.
     """
+    entries = read_golden()
     path = Path(path) if path is not None else golden_path()
     _golden_file("write", path,
                  lambda: path.parent.mkdir(parents=True, exist_ok=True))
     lines = [
         "# nuttq golden reference values",
         "# columns: kind m n a_or_r b_or_B tol value err_est",
-        f"# {len(GOLDEN_CASES)} cases, adaptive scheme, tol={_fmt(GOLDEN_TOL)}",
+        f"# {len(entries)} cases, adaptive scheme, tol={_fmt(GOLDEN_TOL)}",
     ]
-    for kind, m, n, p3, p4 in GOLDEN_CASES:
-        ov = _evaluate_case(kind, m, n, p3, p4, GOLDEN_TOL)
-        lines.append(" ".join([kind, _fmt(m), _fmt(n), _fmt(p3), _fmt(p4),
-                               _fmt(GOLDEN_TOL), _fmt(ov.value),
-                               _fmt(ov.abs_err_est)]))
+    for e in entries:
+        case = (e.m, e.n, e.a_or_r, e.b_or_big_b)
+        ov = _evaluate_case(e.kind, *case, GOLDEN_TOL)
+        lines.append(" ".join([e.kind, *map(_fmt, case), _fmt(GOLDEN_TOL),
+                               _fmt(ov.value), _fmt(ov.abs_err_est)]))
     _golden_file("write", path, lambda: path.write_text("\n".join(lines) + "\n"))
     return path
 

@@ -18,7 +18,6 @@ from nuttq.cli import main
 from nuttq.errors import DomainError, TermOverflowError, ToleranceNotMetError
 from nuttq.nuttall import NuttallParams, marcum_q, nuttall_series_adaptive
 from nuttq.oracle import (
-    GOLDEN_CASES,
     GOLDEN_TOL,
     _nuttall_tail_log,
     _quad_tanh_sinh,
@@ -577,16 +576,44 @@ class TestGoldenFile:
         assert kinds.count("toronto") == 12
         assert kinds.count("marcum") == 6
 
-    def test_matches_case_table(self, golden_entries):
-        assert len(GOLDEN_CASES) == len(golden_entries)
-        for case, entry in zip(GOLDEN_CASES, golden_entries):
-            assert case[0] == entry.kind
-            assert case[1:5] == (entry.m, entry.n, entry.a_or_r, entry.b_or_big_b)
+    def test_header_and_tols_are_the_ones_regeneration_writes(
+            self, golden_entries):
+        # regeneration rewrites the header and every entry's tol column
+        # from GOLDEN_TOL and the entry count
+        header = golden_path().read_text().splitlines()[2]
+        assert header == (f"# {len(golden_entries)} cases, adaptive scheme, "
+                          f"tol={GOLDEN_TOL!r}")
+        assert all(e.tol == GOLDEN_TOL for e in golden_entries)
 
     def test_regeneration_bit_identical(self, tmp_path):
         out = tmp_path / "golden.txt"
         write_golden(out)
         assert out.read_bytes() == golden_path().read_bytes()
+
+    def test_regeneration_recomputes_the_packaged_entries(self, tmp_path,
+                                                          monkeypatch):
+        lines = golden_path().read_text().splitlines()
+        packaged = tmp_path / "packaged.txt"
+        packaged.write_text("\n".join(lines[:6]) + "\n")
+        monkeypatch.setattr(oracle, "golden_path", lambda: packaged)
+        out = tmp_path / "golden.txt"
+        write_golden(out)
+        assert out.read_text().splitlines() == [
+            *lines[:2], "# 3 cases, adaptive scheme, tol=1e-13", *lines[3:6]]
+
+    def test_unreadable_packaged_file_writes_nothing(self, tmp_path,
+                                                     monkeypatch, capsys):
+        missing = tmp_path / "missing.txt"
+        monkeypatch.setattr(oracle, "golden_path", lambda: missing)
+        message = (f"cannot read golden file {str(missing)!r}: "
+                   "No such file or directory")
+        out = tmp_path / "out" / "golden.txt"
+        with pytest.raises(DomainError) as refused:
+            write_golden(out)
+        assert str(refused.value) == message
+        assert main(["golden", "--regenerate", "--path", str(out)]) == 2
+        assert capsys.readouterr().out == f"# error domain_error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_dual_scheme_agreement(self, golden_entries):
         from nuttq.oracle import _evaluate_case

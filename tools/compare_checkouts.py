@@ -14,19 +14,26 @@ The script prints
 - every call of a seeded library corpus whose result differs: its repr,
   or for an exception its type, message and attributes (log_term,
   partial_value, ...).  The calls cover the special-function kernels at
-  their branch seams and edges, both series, the integer double series,
-  both closed forms, the bound reports and the oracle in both schemes;
+  their branch seams and edges, both series, both closed forms, the
+  bound reports and the oracle in both schemes;
 - a summary line per library function and per CLI subcommand and
   function with differences: how many differ, how many of those differ
   only in float fields (every other character, integers included, the
   same), and the largest relative difference among those floats.
+
+A library call is evaluated only if every name it reads is in that
+checkout's ``nuttq.__all__`` (or is nan or inf); otherwise its result
+records the missing names.  A call missing names in both checkouts checks
+nothing, so it fails the run with exit 2, naming the call; a name that
+only one side has is an ordinary difference.
 
 Each checkout runs both corpora in one subprocess that imports nuttq from
 that checkout's src/ and calls nuttq.cli.main in-process, with stdout
 captured and an uncaught exception recorded as its last traceback line.
 The subprocess works in a fresh temporary directory, so the relative
 paths the corpus writes to are the same strings in both runs.  Exit code:
-0 when every public name, invocation and call matches, 1 otherwise.
+0 when every public name, invocation and call matches, 1 otherwise, and 2
+for a corpus call that misses names in both checkouts.
 
 CI runs it on one checkout twice (``python tools/compare_checkouts.py . .``):
 the corpus must then give the same bytes in two fresh processes, which is
@@ -205,8 +212,9 @@ CORPUS: list[list[str]] = [
      "--format", "json"],
     ["eval", "toronto", "--m", "10", "--n", "0.5", "--r", "1e-200", "--B", "2",
      "--method", "closed_half", "--format", "json"],
-    # a Gauss-Legendre refinement that converges only algebraically (the
-    # t^(m-n) singularity at 0, m - n = -0.496) and is refused
+    # the second (tanh-sinh) scheme at the t^(m-n) singularity at 0
+    # (m - n = -0.496), where the retired Gauss-Legendre scheme converged
+    # only algebraically and refused
     ["compare", "toronto", "--m", "0.5043655403318925", "--n", "1",
      "--r", "1.0776352292261235", "--B", "4.459215224518907", "--scheme", "gauss"],
     # the adaptive oracle's hint split: QUADPACK accepts both panels after
@@ -307,9 +315,8 @@ def library_corpus() -> list[str]:
     series walks' edges (caps, large tols, unsorted and duplicate depths,
     a B whose square underflows), kernel arguments past the kernels'
     limits, the parameter records' constructors at the values where
-    their checks decide and with fields that are not floats, and the
-    integer double series at depth 500 and at the depths and orders it
-    refuses, two Gauss-Legendre oracle reproductions, the Toronto closed
+    their checks decide and with fields that are not floats, two
+    second-scheme (tanh-sinh) oracle reproductions, the Toronto closed
     form at B = 2r, four oracle points where a scheme's own estimate falls
     short, the Nuttall 1F1 bound at m = 0, the Marcum oracle at a
     small or subnormal a^(m-1) and outside the box, and the unnormalized
@@ -326,7 +333,8 @@ def library_corpus() -> list[str]:
         calls.append(template.format(*(repr(a) for a in args)))
 
     # kernels: the gamma branch seam and its complement, zero, overflow,
-    # refused arguments; Bessel I at zero, overflow and refused arguments
+    # refused arguments; the scaled Bessel I at zero, overflow and refused
+    # arguments
     orders = [0.5, 1.0, 2.5, 7.0, 60.0, 510.5] + [u(0.05, 100.0) for _ in range(40)]
     for a in orders:
         xs = [0.0, a + 1.0, a + 1.0 - 1e-12, a + 1.0 + 1e-12,
@@ -339,14 +347,12 @@ def library_corpus() -> list[str]:
     for nu in [0.0, 0.5, 1.5, 2.5, 7.5, 40.0] + [u(0.0, 20.0) for _ in range(20)]:
         for x in (0.0, 1e-300, u(0.0, 3.0), u(0.0, 60.0), 700.0, 800.0,
                   2000.0, -1.0, math.nan):
-            add("bessel_i({}, {})", nu, x)
             add("bessel_i_scaled({}, {})", nu, x)
     # non-finite gamma input, refused before the kernels' step caps
     for a, x in ((2.5, math.inf), (math.inf, 1.0)):
         for kernel in ("lower_inc_gamma", "upper_inc_gamma", "upper_inc_gamma_log"):
             add(kernel + "({}, {})", a, x)
     for nu, x in ((-0.5, 1.0), (math.nan, 1.0), (1.0, math.inf)):
-        add("bessel_i({}, {})", nu, x)
         add("bessel_i_scaled({}, {})", nu, x)
     for _ in range(60):
         add("kummer_1f1({}, {}, {})", u(0.1, 10.0), u(0.5, 11.0), u(0.0, 40.0))
@@ -378,13 +384,6 @@ def library_corpus() -> list[str]:
         add("toronto_series_adaptive(TorontoParams({}, {}, {}, {}))", *pt)
     add("toronto_series_adaptive(TorontoParams({}, {}, {}, {}))",
         2.0, 1.0, 1.0, 1e-200)
-    for _ in range(60):
-        m = float(rng.randrange(0, 11))
-        n = float(rng.randrange(0, 11))
-        add("nuttall_integer_series(NuttallParams({}, {}, {}, {}), {})",
-            m, n, u(0.01, 6.0), u(0.0, 8.0), rng.choice([1, 5, 20, 60]))
-    add("nuttall_integer_series(NuttallParams({}, {}, {}, {}), {})",
-        301.0, 0.0, 40.0, 1.0, 500)
 
     # closed forms, with their seams b = a and B = r and a, r = 1e-200
     for _ in range(120):
@@ -403,8 +402,8 @@ def library_corpus() -> list[str]:
             m, n, 1e-200, b)
     add("toronto_closed_form_half({}, {}, {}, {})", 10.0, 0.5, 1e-200, 2.0)
 
-    # bound reports: truncation bounds at several depths, the 1F1 bounds,
-    # the recursion and Marcum residuals
+    # bound reports: truncation bounds at several depths and the 1F1
+    # bounds; then the Marcum Q
     for _ in range(100):
         depths = sorted(rng.sample([1, 2, 5, 20, 60, 500], rng.randrange(1, 4)))
         add("nuttall_truncation_bounds(NuttallParams({}, {}, {}, {}), {})",
@@ -415,11 +414,6 @@ def library_corpus() -> list[str]:
             u(0.0, 10.0), u(0.01, 6.0))
         add("toronto_upper_bound_1f1({}, {}, {})", *toronto_point()[:3])
     for _ in range(20):
-        add("nuttall_recursion_residual(NuttallParams({}, {}, {}, {}))",
-            float(rng.randrange(2, 11)), float(rng.randrange(0, 11)),
-            u(0.01, 6.0), u(0.0, 8.0))
-        add("toronto_marcum_residual({}, {}, {})", u(1.0, 10.0), u(0.01, 6.0),
-            u(0.01, 8.0))
         add("marcum_q({}, {}, {})", u(1.0, 10.0), u(0.01, 6.0), u(0.0, 8.0))
 
     # the oracle, in both schemes
@@ -457,9 +451,8 @@ def library_corpus() -> list[str]:
                    "lower_inc_gamma_log", "upper_inc_gamma_log"):
         for a, x in ((2.5, 1e308), (100.0, 1e18), (2.5, 2.0 ** 53)):
             add(kernel + "({}, {})", a, x)
-    for kernel in ("bessel_i", "bessel_i_scaled"):
-        for nu, x in ((0.0, 1e150), (0.0, 1.2e6), (2.5, 9e5)):
-            add(kernel + "({}, {})", nu, x)
+    for nu, x in ((0.0, 1e150), (0.0, 1.2e6), (2.5, 9e5)):
+        add("bessel_i_scaled({}, {})", nu, x)
     # Constructor edges, drawing nothing either: each value where a check
     # decides in each field of both parameter records, fields that are not
     # floats, and Toronto's integrability edge m - n = -1, on it and 2^-40
@@ -473,22 +466,17 @@ def library_corpus() -> list[str]:
                     *base[:field], value, *base[field + 1:])
     for m in (1.0, 1.0 + 2.0 ** -40):
         add("TorontoParams({}, {}, {}, {})", m, 2.0, 1.0, 2.0)
-    # The integer double series' own loop and the deepest partial sums,
-    # drawing nothing either: a bad depth is refused before non-integer
-    # orders, m + n even is refused at depth 500, an in-box sum at depth
-    # 500; Toronto's partial sums at depths 1 and 500 where B^2 underflows.
-    integer = "nuttall_integer_series(NuttallParams({}, {}, {}, {}), {})"
-    for depth in (0, 501):
-        add(integer, 2.5, 1.5, 1.0, 2.0, depth)
-    add(integer, 2.0, 2.0, 1.0, 2.0, 500)
-    add(integer, 3.0, 2.0, 4.0, 5.0, 500)
+    # Toronto's partial sums at depths 1 and 500 where B^2 underflows,
+    # drawing nothing either.
     for depth in (1, 500):
         add("toronto_series_truncated(TorontoParams({}, {}, {}, {}), {})",
             2.0, 1.0, 1.0, 1e-170, depth)
-    # Gauss-Legendre reproductions, drawing nothing either: a Nuttall value
-    # near 1e6 whose refinement differences grew with the strip count, a
-    # Toronto one that converges only algebraically; and the Toronto closed
-    # form at B = 2r, where (B - r)^2 equals r^2.
+    # Second-scheme (tanh-sinh) reproductions, drawing nothing either, at
+    # two points of the retired Gauss-Legendre scheme: a Nuttall value near
+    # 1e6, where its refinement differences grew with the strip count, and
+    # a Toronto one with the t^(m-n) singularity at 0, where it converged
+    # only algebraically; and the Toronto closed form at B = 2r, where
+    # (B - r)^2 equals r^2.
     add("oracle_nuttall({}, {}, {}, {}, scheme={})", 9.747297662154839, 7.0,
         4.61520624372118, 2.275415732502098, "gauss")
     add("oracle_toronto({}, {}, {}, {}, scheme={})", 0.5043655403318925, 1.0,
@@ -548,15 +536,28 @@ def library_corpus() -> list[str]:
     return calls
 
 
+# the start of a library result whose call reads names the checkout lacks
+_MISSING = "not in nuttq.__all__: "
+
+
 def _run_library() -> list[str]:
     """Evaluate library_corpus() against the nuttq on sys.path: each call's
-    repr, or its exception's type, message and attributes."""
+    repr, or its exception's type, message and attributes, or, for a call
+    reading a name that is not in nuttq.__all__ (nor nan or inf), those
+    names, without evaluating it."""
     import nuttq
 
     names = {name: getattr(nuttq, name) for name in nuttq.__all__}
     names.update(nan=math.nan, inf=math.inf)
+    known = set(names)
     results = []
     for call in library_corpus():
+        tree = ast.parse(call, mode="eval")
+        missing = sorted({node.id for node in ast.walk(tree)
+                          if isinstance(node, ast.Name)} - known)
+        if missing:
+            results.append(_MISSING + " ".join(missing))
+            continue
         try:
             results.append(repr(eval(call, names)))  # noqa: S307 - our corpus
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
@@ -666,6 +667,15 @@ def main(argv: list[str]) -> int:
     print(f"{'total':<16}{totals[0]:>8}{totals[1]:>8}")
 
     before, after = _corpus_of(parent), _corpus_of(change)
+    calls = library_corpus()
+    dead = [(call, old) for call, old, new
+            in zip(calls, before["library"], after["library"])
+            if old.startswith(_MISSING) and new.startswith(_MISSING)]
+    for call, old in dead:
+        print(f"DEAD (names missing in both checkouts): {call}\n    {old}",
+              file=sys.stderr)
+    if dead:
+        return 2
     # name -> [differ, differ only in floats, largest relative difference]
     summary: dict[str, list] = {}
 
@@ -701,7 +711,6 @@ def main(argv: list[str]) -> int:
             differ += 1
             print(f"DIFFERS: written file {name}")
             tally(f"written file {name}", str(old), str(new))
-    calls = library_corpus()
     calls_differ = 0
     for call, old, new in zip(calls, before["library"], after["library"]):
         if old != new:
