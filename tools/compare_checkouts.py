@@ -318,7 +318,8 @@ def library_corpus() -> list[str]:
     their checks decide and with fields that are not floats, two
     second-scheme (tanh-sinh) oracle reproductions, the Toronto closed
     form at B = 2r, four oracle points where a scheme's own estimate falls
-    short, the Nuttall 1F1 bound at m = 0, the Marcum oracle at a
+    short, the Nuttall 1F1 bound at m = 0 and where its log passes the
+    overflow gate, the Marcum oracle at a
     small or subnormal a^(m-1) and outside the box, and the unnormalized
     Nuttall Q from a = 0.1 to 6 and at a subnormal a^n, and the second
     oracle scheme at its Bessel seam, at a = 1e-300 and at a value its
@@ -496,6 +497,9 @@ def library_corpus() -> list[str]:
     # the Nuttall 1F1 bound at m = 0, where c = (m + n + 1)/2 stays positive
     for n, a in ((0.0, 1.0), (3.3, 2.5), (9.0, 6.0), (0.5, 0.1)):
         add("nuttall_upper_bound_1f1({}, {}, {})", 0.0, n, a)
+    # and where lgamma(c) takes its log past the double range
+    for m, a in ((400.0, 1.0), (1500.0, 0.1)):
+        add("nuttall_upper_bound_1f1({}, {}, {})", m, 0.0, a)
     # the Marcum oracle at a small a^(m-1), at one below the normal range,
     # and at a scale parameter outside the box
     for pt in ((10.0, 0.01, 1.0), (3.0, 1e-160, 1.0), (2.5, -1.0, 1.0),
