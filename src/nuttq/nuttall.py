@@ -280,15 +280,17 @@ def nuttall_upper_bound_1f1(m: float, n: float, a: float) -> float:
     1F1 denominator parameter becomes 1, which is not a pole, and the b = 0
     equality still holds term by term.  So is m = 0, where c stays
     positive.  Raises TermOverflowError where the 1F1 factor overflows a
-    double (a^2/2 beyond about 700).
+    double (a^2/2 beyond about 700), and where the prefactor's log passes
+    the overflow gate of special.exp_checked (lgamma(c) at a large m).
     """
     if not (m >= 0.0 and n >= 0.0 and a > 0.0):
         raise DomainError(f"need m >= 0, n >= 0, a > 0, got m={m}, n={n}, a={a}")
     c = 0.5 * (m + n + 1.0)
     half_a2 = 0.5 * a * a
-    return math.exp(math.lgamma(c) - math.lgamma(n + 1.0)
-                    - 0.5 * (n - m + 1.0) * math.log(2.0)
-                    - half_a2) * kummer_1f1(c, n + 1.0, half_a2)
+    lg = (math.lgamma(c) - math.lgamma(n + 1.0)
+          - 0.5 * (n - m + 1.0) * math.log(2.0) - half_a2)
+    return (exp_checked(lg, "1F1 bound overflows at m={}, n={}, a={}", m, n, a)
+            * kummer_1f1(c, n + 1.0, half_a2))
 
 
 def marcum_q(m: float, a: float, b: float, tol: float = SERIES_TOL) -> float:

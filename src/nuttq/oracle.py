@@ -15,10 +15,12 @@ Two schemes:
   nested tanh-sinh levels (Takahasi & Mori 1974) on t in [-3.25, 3.25],
   from step h = 1/8 (53 nodes) to h = 1/256 (1,665), until two successive
   levels agree within half the accepted error.  The levels nest, so each
-  is a strided view of one table of the 1,665 nodes of h = 1/256, and
-  the integrand is called once for the first four levels (the 417 nodes
-  of h = 1/64) and once for each of the two finer ones.  Each level adds
-  the sum of its new nodes, by ``math.fsum``, to those before it.
+  level's new nodes are a strided view of one table of the 1,665 nodes
+  of h = 1/256: level 1 (h = 1/8) is [0::32] and level j >= 2
+  (h = 2^-(j+2)) is [2^(6-j)::2^(7-j)].  The integrand is called on
+  [0::4], the 417 nodes of h = 1/64 that hold levels 1 to 4, and then on
+  each of the two finer levels' nodes.  Each level adds the sum of its
+  new nodes, by ``math.fsum``, to those before it.
   Where the Toronto integrand's factor t^(m-n) is singular at 0 the
   levels still converge exponentially.  The mass beyond the end nodes,
   within 2.7e-18 of the interval of each endpoint, is bounded and added
@@ -110,37 +112,21 @@ GOLDEN_TOL = 1e-13
 _ROUNDING = 64 * 2.0 ** -52
 
 
-def _tanh_sinh_level(h: float):
-    """The tanh-sinh nodes of step h as (right, d, w), in increasing t.  The
-    nodes are t = k h for every k with |t| <= 3.25.  right is t > 0; d is
-    the node's distance from the nearer endpoint as a share of the
-    interval, d = 1 / (1 + e^(2|u|)) with u = pi/2 sinh t, formed without
-    cancellation; w is its weight pi/2 cosh t / cosh^2 u."""
-    last = round(3.25 / h)
-    t = h * np.arange(-last, last + 1)
-    u = 0.5 * math.pi * np.sinh(t)
-    return (t > 0.0, 1.0 / (1.0 + np.exp(2.0 * np.abs(u))),
-            0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2)
-
-
-# The nodes of h = 1/256 (1,665 in all), cut into the stages on which
-# _quad_tanh_sinh calls the integrand, each (right, d, w, levels): a strided
-# view of the table in increasing t, and its levels as (h, the level's
-# slice of the stage).  [0::4] is the h = 1/64 grid and holds levels 1 to
-# 4; [2::4] is level 5 and [1::2] level 6.  Of the table, level 1 (h = 1/8)
-# is [0::32] and level j >= 2 (h = 2^-(j+2)) is [2^(6-j)::2^(7-j)], the
-# nodes of odd k at its step, which no coarser level holds.  The end nodes
-# t = -+3.25 are on the first level, 2.7e-18 of the interval from each
-# endpoint.
-_TS_NODES = _tanh_sinh_level(2.0 ** -8)
-_TS_STAGES = [
-    (*(column[cut] for column in _TS_NODES),
-     [(2.0 ** -j, level) for j, level in levels])
-    for cut, levels in (
-        (slice(0, None, 4), ((3, slice(0, None, 8)), (4, slice(4, None, 8)),
-                             (5, slice(2, None, 4)), (6, slice(1, None, 2)))),
-        (slice(2, None, 4), ((7, slice(None)),)),
-        (slice(1, None, 2), ((8, slice(None)),)))]
+# The tanh-sinh nodes t = k/256, |k| <= 832, of h = 1/256 (1,665 in all,
+# t in [-3.25, 3.25]), as columns (right, d, w) in increasing t.  right is
+# t > 0; d is the node's distance from the nearer endpoint as a share of
+# the interval, d = 1 / (1 + e^(2|u|)) with u = pi/2 sinh t, formed without
+# cancellation; w is its weight pi/2 cosh t / cosh^2 u.  The end nodes
+# t = -+3.25 are 2.7e-18 of the interval from each endpoint.
+_T = 2.0 ** -8 * np.arange(-832, 833)
+_U = 0.5 * math.pi * np.sinh(_T)
+_TS_NODES = (_T > 0.0, 1.0 / (1.0 + np.exp(2.0 * np.abs(_U))),
+             0.5 * math.pi * np.cosh(_T) / np.cosh(_U) ** 2)
+# The levels' new nodes, strided views of that table: level 1 (h = 1/8) is
+# [0::32], and level j >= 2 (h = 2^-(j+2)) is [2^(6-j)::2^(7-j)], the nodes
+# of odd k at its step, which no coarser level holds.
+_TS_LEVELS = [slice(0, None, 32)] + [slice(2 ** (6 - j), None, 2 ** (7 - j))
+                                     for j in range(2, 7)]
 
 # The tanh-sinh scheme's Bessel factor switches from the ascending series to
 # the Hankel expansion at the Bessel argument z = _SEAM.  At z = 40 the
@@ -187,6 +173,11 @@ def _ive_scaled(nu: float, x, a: float):
     sums are polynomials, in v = z^2 and in v = 1/z: one matrix product of
     _bessel_sums(nu) with the powers 1, v, .. v^32, formed by squaring,
     gives them.
+
+    A node's bits depend on the batch it comes in: the BLAS product sums a
+    column of a short matrix otherwise than the same column of a long one.
+    So the batches _quad_tanh_sinh calls the integrand on, 417, 416 and
+    832 nodes, are part of the second scheme's bits.
     """
     i = int(x.searchsorted(_SEAM / a))
     z = -a * x                      # -z, for e^-z
@@ -215,8 +206,9 @@ class OracleValue:
     ``abs_err_est`` already includes ``tail_bound``.  ``subdivisions`` is the
     QUADPACK interval count, or for the second scheme the node count of the
     levels it compared (its levels nest, so that is its final level's node
-    count).  The second scheme may have evaluated the integrand on more
-    nodes than that, up to 417: its first call covers four levels.
+    count, 52 * 2^(j-1) + 1 at level j).  The second scheme may have
+    evaluated the integrand on more nodes than that, up to 417: its first
+    call covers levels 1 to 4.
     """
 
     value: float
@@ -290,39 +282,43 @@ def _quad_tanh_sinh(f_vec, lo: float, hi: float, tol: float):
     """Nested tanh-sinh levels from h = 1/8 to 1/256 until two successive
     levels agree within half of max(tol, _ROUNDING |value|).
 
-    f_vec is called once per stage of _TS_STAGES, on nodes in increasing
-    order: first on the h = 1/64 grid (417 nodes), which holds the first
-    four levels, then on level 5's nodes (416), then on level 6's (832).
-    Each level adds the weighted sum of its new nodes, by math.fsum, to
-    the sums of the levels before it.  Returns the value, max(last
-    difference, _ROUNDING |value|), the node count of the levels compared
-    and a bound on the mass beyond the end nodes.  That mass lies within
-    2.7e-18 of the interval of each endpoint, where the oracle's
+    Level j of _TS_LEVELS, at h = 2^-(j+2), adds the weighted sum of its
+    new nodes, by math.fsum, to the sums of the levels before it.  f_vec is
+    called three times at most, on nodes in increasing order: before level
+    1 on the h = 1/64 grid, [0::4] of the table (417 nodes), which holds
+    levels 1 to 4, and before levels 5 and 6 on their own nodes (416 and
+    832).  Those batches fix the bits of _ive_scaled.  Returns the value,
+    max(last difference, _ROUNDING |value|), the node count of the levels
+    compared and a bound on the mass beyond the end nodes.  That mass lies
+    within 2.7e-18 of the interval of each endpoint, where the oracle's
     integrands are smooth or grow like t^m, m >= 0, so it is at most twice
     the end node's value times its distance from the endpoint.  A refusal
     at h = 1/256 carries the last level's value and the last difference.
     """
     span = hi - lo
+    right, d, w = _TS_NODES
+    fx = np.empty(d.size)
     sums = []
     nodes = 0
     value = err = None
-    for right, d, w, levels in _TS_STAGES:
-        # span d underflows for a span below 2e-306; no node may then sit
-        # at lo, where the Toronto integrand's t^(m-n) can be singular
-        fx = f_vec(np.where(right, hi - span * d,
-                            lo + np.maximum(span * d, math.ulp(0.0))))
-        if not sums:
-            ends = 2.0 * span * float(d[0] * (abs(fx[0]) + abs(fx[-1])))
-        for h, level in levels:
-            fx_level = fx[level]
-            nodes += fx_level.size
-            sums.append(math.fsum((w[level] * fx_level).tolist()))
-            prev, value = value, 0.5 * span * h * math.fsum(sums)
-            if prev is not None:
-                err = abs(value - prev)
-                floor = _ROUNDING * abs(value)
-                if err <= 0.5 * max(tol, floor):
-                    return value, max(err, floor), nodes, ends
+    for j, level in enumerate(_TS_LEVELS, 1):
+        if j == 1 or j > 4:
+            cut = slice(0, None, 4) if j == 1 else level
+            # span d underflows for a span below 2e-306; no node may then
+            # sit at lo, where the Toronto integrand's t^(m-n) can be
+            # singular
+            fx[cut] = f_vec(np.where(
+                right[cut], hi - span * d[cut],
+                lo + np.maximum(span * d[cut], math.ulp(0.0))))
+        nodes += fx[level].size
+        sums.append(math.fsum((w[level] * fx[level]).tolist()))
+        prev, value = value, 0.5 * span * 2.0 ** -(j + 2) * math.fsum(sums)
+        if prev is not None:
+            err = abs(value - prev)
+            floor = _ROUNDING * abs(value)
+            if err <= 0.5 * max(tol, floor):
+                ends = 2.0 * span * float(d[0] * (abs(fx[0]) + abs(fx[-1])))
+                return value, max(err, floor), nodes, ends
     raise ToleranceNotMetError(
         f"tanh-sinh levels exhausted at h = 1/256 ({nodes} nodes)",
         value=value, err_est=err)

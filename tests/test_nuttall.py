@@ -339,6 +339,19 @@ class TestKummerBound:
         with pytest.raises(TermOverflowError):
             nuttall_upper_bound_1f1(2.0, 1.0, 40.0)
 
+    @pytest.mark.parametrize("m, a", [(400.0, 1.0), (1500.0, 0.1)])
+    def test_prefactor_overflow_passes_the_gate(self, m, a):
+        # lgamma(c) takes the prefactor's log past the double range, which
+        # math.exp would report as a bare OverflowError
+        with pytest.raises(TermOverflowError,
+                           match=f"1F1 bound overflows at m={m}, n=0.0, a={a}"
+                           ) as exc:
+            nuttall_upper_bound_1f1(m, 0.0, a)
+        c = 0.5 * (m + 1.0)
+        assert exc.value.log_term == pytest.approx(
+            math.lgamma(c) - 0.5 * (1.0 - m) * math.log(2.0) - 0.5 * a * a)
+        assert exc.value.log_term > 700.0
+
 
 class TestIdentities:
     def test_recursion_residuals(self):

@@ -253,23 +253,19 @@ class TestGaussScheme:
 
     def test_strided_levels_equal_levels_built_alone(self):
         # each level, a strided view of the h = 1/256 table, holds the bits
-        # of the level built on its own: [0::32] for h = 1/8 and
-        # [2^(6-j)::2^(7-j)] for h = 2^-(j+2), j = 2..6
+        # of the level built on its own, and the six levels partition the
+        # table: [0::32] for h = 1/8 and [2^(6-j)::2^(7-j)] for
+        # h = 2^-(j+2), j = 2..6
         table = oracle._TS_NODES
         assert table[0].size == 1665
-        cuts = [slice(0, None, 32)] + [slice(2 ** (6 - j), None, 2 ** (7 - j))
-                                       for j in range(2, 7)]
-        levels = [(h, level, (right, d, w))
-                  for right, d, w, stage_levels in oracle._TS_STAGES
-                  for h, level in stage_levels]
-        assert [h for h, *_ in levels] == [2.0 ** -j for j in range(3, 9)]
-        for (h, level, stage), cut in zip(levels, cuts):
-            alone = self.per_level_nodes(h, h == 0.125)
-            for got, strided, want in zip((column[level] for column in stage),
-                                          (column[cut] for column in table),
-                                          alone):
-                assert got.tobytes() == strided.tobytes() == want.tobytes(), h
-        assert sum(table[0][cut].size for cut in cuts) == 1665
+        for j, level in enumerate(oracle._TS_LEVELS, 1):
+            alone = self.per_level_nodes(2.0 ** -(j + 2), j == 1)
+            for strided, want in zip((column[level] for column in table),
+                                     alone):
+                assert strided.tobytes() == want.tobytes(), j
+        index = np.arange(1665)
+        assert np.array_equal(np.sort(np.concatenate(
+            [index[level] for level in oracle._TS_LEVELS])), index)
 
     def test_levels_nest(self, monkeypatch):
         # the first call evaluates the h = 1/64 grid, which holds the first

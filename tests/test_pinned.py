@@ -3,8 +3,8 @@
 Each closed form builds its incomplete gamma lists once per value from the
 half-integer ladder; the kernel-call counts below hold it to that: no call
 for Nuttall, at most 6 for Toronto.  The float.hex pins hold the
-exact bits of a few closed-form, truncation-bound and adaptive-oracle
-values, so any reordering of their arithmetic fails here even when it
+exact bits of a few closed-form, truncation-bound and oracle values (of
+both schemes), so any reordering of their arithmetic fails here even when it
 stays within tolerance.  The pinned points are ones where the closed forms
 agree with the series to a few ulps; they pin bits, not accuracy.
 """
@@ -127,3 +127,34 @@ def test_truncation_bound_bits():
 def test_adaptive_oracle_bits(call, bits):
     ov = call()
     assert (ov.value.hex(), ov.abs_err_est.hex(), ov.subdivisions) == bits
+
+
+# values the second scheme accepts at each of its first four comparisons
+# (105, 209, 417 and 833 nodes): the node schedule and its call batches,
+# 417 nodes then 416, fix these bits.  The tail bound of T_2(2, 1, 2) reads
+# the end node t = 3.25, which moves by an ulp when levels 1 to 4 are
+# evaluated in a call each instead of in one call of 417 nodes.
+@pytest.mark.parametrize("call, bits", [
+    (lambda: oracle_toronto(2.0, 1.0, 1.0, 3.0, scheme="gauss"),
+     ("0x1.69a5d4a639b54p-1", "0x1.c300501ebb89cp-44",
+      "0x1.407aee271f6ffp-62", 105)),
+    (lambda: oracle_toronto(2.0, 1.0, 2.0, 2.0, scheme="gauss"),
+     ("0x1.8af42c3f31c36p-2", "0x1.8b5f5f4c0df84p-48",
+      "0x1.accc3370d3925p-58", 105)),
+    (lambda: oracle_nuttall(3.5, 9.859657406200126, 0.42683455529013425,
+                            0.24600880845346218, scheme="gauss"),
+     ("0x1.c7499d6f9685fp-28", "0x1.3510252e642cep-46",
+      "0x1.652cf5504bfffp-123", 209)),
+    (lambda: oracle_nuttall(2.0, 3.3, 5.0, 0.0, tol=1e-14, scheme="gauss"),
+     ("0x1.06e0dbbc4463bp+2", "0x1.06e0dbbc4463bp-44",
+      "0x1.17a1c7d7d59c3p-349", 417)),
+    (lambda: oracle_nuttall(2.210052415685765, 4.826134880079131,
+                            5.701758822019991, 0.4198386589114511, tol=1e-14,
+                            scheme="gauss"),
+     ("0x1.79c2e148dec4dp+2", "0x1.79c2e148e0a78p-44",
+      "0x1.e2b09ad8945e6p-84", 833)),
+])
+def test_second_scheme_oracle_bits(call, bits):
+    ov = call()
+    assert (ov.value.hex(), ov.abs_err_est.hex(), ov.tail_bound.hex(),
+            ov.subdivisions) == bits
