@@ -319,7 +319,8 @@ def library_corpus() -> list[str]:
     second-scheme (tanh-sinh) oracle reproductions, the Toronto closed
     form at B = 2r, four oracle points where a scheme's own estimate falls
     short, the Nuttall 1F1 bound at m = 0 and where its log passes the
-    overflow gate, the Marcum oracle at a
+    overflow gate, both 1F1 bounds where only the product of their two
+    finite factors overflows, the Marcum oracle at a
     small or subnormal a^(m-1) and outside the box, and the unnormalized
     Nuttall Q from a = 0.1 to 6 and at a subnormal a^n, and the second
     oracle scheme at its Bessel seam, at a = 1e-300 and at a value its
@@ -500,6 +501,11 @@ def library_corpus() -> list[str]:
     # and where lgamma(c) takes its log past the double range
     for m, a in ((400.0, 1.0), (1500.0, 0.1)):
         add("nuttall_upper_bound_1f1({}, {}, {})", m, 0.0, a)
+    # both 1F1 bounds where the prefactor and the 1F1 factor are finite
+    # but their product overflows
+    for a in (5.0, 10.0):
+        add("nuttall_upper_bound_1f1({}, {}, {})", 300.0, 0.0, a)
+    add("toronto_upper_bound_1f1({}, {}, {})", 690.0, 0.0, 5.0)
     # the Marcum oracle at a small a^(m-1), at one below the normal range,
     # and at a scale parameter outside the box
     for pt in ((10.0, 0.01, 1.0), (3.0, 1e-160, 1.0), (2.5, -1.0, 1.0),
