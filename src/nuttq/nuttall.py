@@ -51,6 +51,7 @@ from .special import (
     check_finite,
     classify_order,
     exp_checked,
+    exp_times_checked,
     half_odd_bessel_sum,
     kummer_1f1,
     not_converged,
@@ -131,6 +132,9 @@ def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
     recomputed in log domain, from its own kernel call for
     Gamma((m+n+1)/2 + l, x): that keeps terms which underflow before the
     hump (large a) and decides overflow exactly as the log-domain term does.
+    l and the marks it meets are floats, for the float fast path that
+    special's module docstring describes; a checkpoint's terms_used is
+    int(l) + 1.
     """
     x = 0.5 * p.b * p.b
     s = 0.5 * (p.m + p.n + 1)
@@ -140,26 +144,26 @@ def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
     t = _term(p, 0, log_gamma)
     h = math.exp(s * math.log(x) - x - log_gamma) if x > 0.0 else 0.0
     marks = iter(depths)
-    mark = next(marks, 0) - 1
-    last = max_terms - 1
+    mark = next(marks, 0) - 1.0
+    last = max_terms - 1.0
     lo, hi = TERM_MIN, TERM_MAX
     total = 0.0
     below = 0
     stop = None
-    l = 0
+    l = 0.0
     while True:
         total += t
         if l == mark:
-            yield SeriesResult(total, l + 1, t, True)
-            mark = next(marks, 0) - 1
-            if stop is not None and mark < 0:
+            yield SeriesResult(total, int(l) + 1, t, True)
+            mark = next(marks, 0) - 1.0
+            if stop is not None and mark < 0.0:
                 yield stop
                 return
         if t < tol * total:
             below += 1
             if below == _STOP_RUN and stop is None:
-                stop = SeriesResult(total, l + 1, t, True)
-                if mark < 0:
+                stop = SeriesResult(total, int(l) + 1, t, True)
+                if mark < 0.0:
                     yield stop
                     return
         else:
@@ -167,11 +171,12 @@ def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
         if l == last:
             raise not_converged(p, tol, max_terms, total)
         step = s + l + h
-        t *= half_a2 * step / ((l + 1) * (n + l + 1))
+        t *= half_a2 * step / ((l + 1.0) * (n + l + 1.0))
         h = x * h / step
-        l += 1
+        l += 1.0
         if not lo <= t <= hi:
-            t = _term(p, l, upper_inc_gamma_log(0.5 * (p.m + p.n + 2 * l + 1), x))
+            t = _term(p, int(l),
+                      upper_inc_gamma_log(0.5 * (p.m + p.n + 2.0 * l + 1.0), x))
 
 
 def nuttall_series_truncated(p: NuttallParams, terms: int) -> SeriesResult:
@@ -280,8 +285,10 @@ def nuttall_upper_bound_1f1(m: float, n: float, a: float) -> float:
     1F1 denominator parameter becomes 1, which is not a pole, and the b = 0
     equality still holds term by term.  So is m = 0, where c stays
     positive.  Raises TermOverflowError where the 1F1 factor overflows a
-    double (a^2/2 beyond about 700), and where the prefactor's log passes
-    the overflow gate of special.exp_checked (lgamma(c) at a large m).
+    double (a^2/2 beyond about 700), where the prefactor's log passes
+    the overflow gate of special.exp_checked (lgamma(c) at a large m), and
+    where the two factors are finite but their product is not (m = 300,
+    n = 0, a = 5), through special.exp_times_checked.
     """
     if not (m >= 0.0 and n >= 0.0 and a > 0.0):
         raise DomainError(f"need m >= 0, n >= 0, a > 0, got m={m}, n={n}, a={a}")
@@ -289,8 +296,8 @@ def nuttall_upper_bound_1f1(m: float, n: float, a: float) -> float:
     half_a2 = 0.5 * a * a
     lg = (math.lgamma(c) - math.lgamma(n + 1.0)
           - 0.5 * (n - m + 1.0) * math.log(2.0) - half_a2)
-    return (exp_checked(lg, "1F1 bound overflows at m={}, n={}, a={}", m, n, a)
-            * kummer_1f1(c, n + 1.0, half_a2))
+    return exp_times_checked(lg, lambda: kummer_1f1(c, n + 1.0, half_a2),
+                             "1F1 bound overflows at m={}, n={}, a={}", m, n, a)
 
 
 def marcum_q(m: float, a: float, b: float, tol: float = SERIES_TOL) -> float:

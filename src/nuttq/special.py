@@ -36,10 +36,24 @@ builds, so ``SeriesResult`` and ``BoundReport`` (like the families'
 parameter records) are slotted and built positionally, and the parameter
 records accept four floats in range in one test before their full checks.
 
+Inside the loops the cost is the interpreter's arithmetic, and CPython
+(3.11 on) runs an operation on two floats by a specialized fast path but
+one that mixes an int with a float by its generic one.  So the counters
+of the hot loops, the two walks' term indices and the steps of
+``_log_lower_series``, ``_log_upper_cf`` and ``kummer_1f1``, are floats,
+and so are the constants they meet in each step.  That changes no bit:
+CPython converts an int operand to the same double before the IEEE
+operation, and a float counter is exact below 2^53, which no loop nears:
+the kernels stop within 500,000 steps and a walk at its max_terms (10,000
+by default).  Where a count leaves a loop, in a ``SeriesResult``, an
+error's ``terms`` or a message, it is ``int(...)`` of the counter.
+
 Every log-domain value that becomes a linear one passes one overflow gate,
 ``exp_checked``: past ``LOG_OVERFLOW`` it raises ``TermOverflowError``
 carrying the log value, which both families' terms use as well as the
-kernels here.
+kernels here.  ``exp_times_checked`` puts a product e^lg * f (both
+families' 1F1 bounds) through the same gate and refuses it, with log_term
+lg + log f, where only the product overflows.
 
 Conventions: ``lower_inc_gamma(a, x)`` is the unregularized integral from 0
 to x of t^(a-1) e^(-t) dt, ``upper_inc_gamma`` its complement on [x, inf).
@@ -240,8 +254,13 @@ def half_odd_bessel_sum(nu: int, top: int, x: float, y: float,
     from the elementary form of I_{nu+1/2}.  minus, plus and weights hold
     the per-l factors (at least top + 1 of each); the caller computes the
     incomplete gammas in them once per value.  Each summand is the product
-    C(s,l) y^(s-l) weights[l] g[l] taken left to right.
+    C(s,l) y^(s-l) weights[l] g[l] taken left to right.  The powers y^i
+    are formed once per value, and each summand's common factor
+    C(s,l) y^(s-l) weights[l] once for both sums: for y > 0, (-y)^j is
+    -(y^j) for odd j, bit for bit (float ** negates the power of |y|), so
+    J(s, -y, plus) subtracts the summands where s - l is odd.
     """
+    powers = [y ** i for i in range(top + 1)]
     total = 0.0
     for k in range(nu + 1):
         c_k = (math.factorial(nu + k)
@@ -250,9 +269,12 @@ def half_odd_bessel_sum(nu: int, top: int, x: float, y: float,
         s = top - k
         j_minus = j_plus = 0.0
         for l in range(s + 1):
-            comb = math.comb(s, l)
-            j_minus += comb * y ** (s - l) * weights[l] * minus[l]
-            j_plus += comb * (-y) ** (s - l) * weights[l] * plus[l]
+            common = math.comb(s, l) * powers[s - l] * weights[l]
+            j_minus += common * minus[l]
+            if (s - l) & 1:
+                j_plus -= common * plus[l]
+            else:
+                j_plus += common * plus[l]
         total += outer * ((-1) ** k * j_minus + (-1) ** (nu + 1) * j_plus)
     return total
 
@@ -319,6 +341,25 @@ def exp_checked(lg: float, message: str, *args) -> float:
     return math.exp(lg)
 
 
+def exp_times_checked(lg: float, factor: Callable[[], float], message: str,
+                      *args) -> float:
+    """exp_checked(lg, message, *args) * factor(), with factor() > 0 made
+    only once e^lg has passed the gate.
+
+    Where both are finite but the product overflows, raises
+    TermOverflowError(message.format(*args)) with log_term lg + log
+    factor().  factor is the caller's own call, so a caller that rebinds a
+    kernel name sees the call.
+    """
+    prefactor = exp_checked(lg, message, *args)
+    value = factor()
+    product = prefactor * value
+    if product == math.inf:
+        raise TermOverflowError(message.format(*args),
+                                log_term=lg + math.log(value))
+    return product
+
+
 def check_finite(**values: float) -> None:
     """Raise DomainError naming the first keyword value that is +-inf or nan."""
     for name, value in values.items():
@@ -353,32 +394,38 @@ def classify_order(x: float) -> str:
 
 def _log_lower_series(a: float, x: float) -> float:
     # gamma_lower(a,x) = x^a e^-x * sum_k x^k / (a (a+1) ... (a+k)),
-    # the stable branch for x < a + 1.
+    # the stable branch for x < a + 1.  k is a float (see the module
+    # docstring).
     term = 1.0 / a
     total = term
-    k = 0
+    cap = float(_MAX_KERNEL_TERMS)
+    k = 0.0
     while True:
-        k += 1
+        k += 1.0
         term *= x / (a + k)
         total += term
         if term < _EPS * total:
             break
-        if k > _MAX_KERNEL_TERMS:
+        if k > cap:
             raise NonConvergenceError(
                 f"lower incomplete gamma series stalled at a={a}, x={x}",
-                partial_value=total, terms=k)
+                partial_value=total, terms=int(k))
     return a * math.log(x) - x + math.log(total)
 
 
 def _log_upper_cf(a: float, x: float) -> float:
     # Gamma_upper(a,x) = x^a e^-x * CF, modified Lentz evaluation of the
-    # standard continued fraction; the stable branch for x >= a + 1.
+    # standard continued fraction; the stable branch for x >= a + 1.  Its
+    # steps i = 1, 2, ... are floats (see the module docstring).
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_KERNEL_TERMS):
+    last = _MAX_KERNEL_TERMS - 1.0
+    i = 0.0
+    while i < last:
+        i += 1.0
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -518,16 +565,20 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
         raise DomainError(f"1F1 argument must be >= 0, got {x}")
     term = 1.0
     total = 1.0
-    for k in range(_KUMMER_MAX_TERMS):
+    # k = 0, 1, ... as floats (see the module docstring)
+    cap = float(_KUMMER_MAX_TERMS)
+    k = 0.0
+    while k < cap:
         term *= (a + k) * x / ((b + k) * (k + 1.0))
         total += term
         if math.isinf(total):
             # log_term is inf when the term itself overflowed
             raise TermOverflowError(
-                f"1F1 series overflows at k={k} for a={a}, b={b}, x={x}",
+                f"1F1 series overflows at k={int(k)} for a={a}, b={b}, x={x}",
                 log_term=math.log(abs(term)))
         if abs(term) < _KUMMER_RTOL * abs(total):
             return total
+        k += 1.0
     raise NonConvergenceError(
         f"1F1 series did not converge for a={a}, b={b}, x={x}",
         partial_value=total, terms=_KUMMER_MAX_TERMS)

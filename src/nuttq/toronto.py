@@ -54,6 +54,7 @@ from .special import (
     check_finite,
     classify_order,
     exp_checked,
+    exp_times_checked,
     floor_half,
     half_odd_bessel_sum,
     kummer_1f1,
@@ -68,6 +69,8 @@ from .special import (
 
 # terms per incomplete gamma kernel call of the recurrence (see _walk)
 _BLOCK = 32
+# the offsets i of a block's descent below its top, as floats
+_DESCENT = tuple(float(i) for i in range(_BLOCK - 2, -1, -1))
 
 __all__ = [
     "TorontoParams",
@@ -147,6 +150,9 @@ def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
     from its own kernel call for gamma(c + k, x), as in the Nuttall series.
     If B^2 underflows to 0 every term is 0.0: the partial sums are 0.0, no
     tol is met, and no kernel is asked for log gamma(s, 0).
+    k, the marks it meets and the descent's offsets are floats, for the
+    float fast path that special's module docstring describes; a
+    checkpoint's terms_used is int(k) + 1.
     """
     x = p.B * p.B
     if x == 0.0:
@@ -159,29 +165,29 @@ def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
     log_x = math.log(x)
     t = _term(p, 0, lower_inc_gamma_log(c, x))
     marks = iter(depths)
-    mark = next(marks, 0) - 1
-    last = max_terms - 1
+    mark = next(marks, 0) - 1.0
+    last = max_terms - 1.0
     lo, hi = TERM_MIN, TERM_MAX
     total = 0.0
     below = 0
     stop = None
-    # v[j] = v_{c+k+1} for the step from term k, j = k mod _BLOCK
-    v = [0.0] * _BLOCK
+    # v[j] = v_{c+k+1} for the step from term k, j = k mod _BLOCK; the
+    # first step makes the first block
     j = _BLOCK - 1
-    k = 0
+    k = 0.0
     while True:
         total += t
         if k == mark:
-            yield SeriesResult(total, k + 1, t, True)
-            mark = next(marks, 0) - 1
-            if stop is not None and mark < 0:
+            yield SeriesResult(total, int(k) + 1, t, True)
+            mark = next(marks, 0) - 1.0
+            if stop is not None and mark < 0.0:
                 yield stop
                 return
         if t < tol * total:
             below += 1
             if below == _STOP_RUN and stop is None:
-                stop = SeriesResult(total, k + 1, t, True)
-                if mark < 0:
+                stop = SeriesResult(total, int(k) + 1, t, True)
+                if mark < 0.0:
                     yield stop
                     return
         else:
@@ -191,14 +197,18 @@ def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
         j += 1
         if j == _BLOCK:
             top = c + (k + _BLOCK)
-            w = v[-1] = math.exp(top * log_x - x - lower_inc_gamma_log(top, x))
-            for i in range(_BLOCK - 2, -1, -1):
-                w = v[i] = (c + k + 1 + i) * w / (x + w)
+            w = math.exp(top * log_x - x - lower_inc_gamma_log(top, x))
+            v = [w]
+            base = c + k + 1.0
+            for i in _DESCENT:
+                w = (base + i) * w / (x + w)
+                v.append(w)
+            v.reverse()
             j = 0
-        t *= r2 / ((k + 1) * (n + k + 1)) * (c + k) * x / (x + v[j])
-        k += 1
+        t *= r2 / ((k + 1.0) * (n + k + 1.0)) * (c + k) * x / (x + v[j])
+        k += 1.0
         if not lo <= t <= hi:
-            t = _term(p, k, lower_inc_gamma_log(c + k, x))
+            t = _term(p, int(k), lower_inc_gamma_log(c + k, x))
 
 
 def toronto_series_truncated(p: TorontoParams, terms: int) -> SeriesResult:
@@ -342,8 +352,10 @@ def toronto_upper_bound_1f1(m: float, n: float, r: float) -> float:
     hence an upper bound for all finite B; it doubles as an approximation
     once B^2 is large against the retained gamma orders.  Raises
     TermOverflowError where the 1F1 factor overflows a double (r^2 beyond
-    about 700), and where the prefactor's r^(2n-m+1) passes the overflow
-    gate of special.exp_checked (m > 2n + 1 at a tiny r).
+    about 700), where the prefactor's r^(2n-m+1) passes the overflow
+    gate of special.exp_checked (m > 2n + 1 at a tiny r), and where the two
+    factors are finite but their product is not (m = 690, n = 0, r = 5),
+    through special.exp_times_checked.
     """
     if not (n >= 0.0 and r > 0.0):
         raise DomainError(f"need n >= 0 and r > 0, got n={n}, r={r}")
@@ -351,8 +363,9 @@ def toronto_upper_bound_1f1(m: float, n: float, r: float) -> float:
         raise DomainError(f"need m - n > -1, got {m - n}")
     lg = (math.lgamma(0.5 * (m + 1.0)) - math.lgamma(n + 1.0)
           + (2.0 * n - m + 1.0) * math.log(r) - r * r)
-    return (exp_checked(lg, "1F1 bound overflows at m={}, n={}, r={}", m, n, r)
-            * kummer_1f1(0.5 * (m + 1.0), n + 1.0, r * r))
+    return exp_times_checked(
+        lg, lambda: kummer_1f1(0.5 * (m + 1.0), n + 1.0, r * r),
+        "1F1 bound overflows at m={}, n={}, r={}", m, n, r)
 
 
 def toronto_t(m: float, n: float, r: float, B: float,

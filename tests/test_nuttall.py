@@ -6,6 +6,7 @@ defining integral.
 """
 
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from nuttq.nuttall import (
     nuttall_truncation_bound,
     nuttall_upper_bound_1f1,
 )
-from nuttq.special import check_finite, upper_inc_gamma
+from nuttq.special import check_finite, kummer_1f1, upper_inc_gamma
 from nuttq.toronto import (
     TorontoParams,
     toronto_series_adaptive,
@@ -351,6 +352,21 @@ class TestKummerBound:
         assert exc.value.log_term == pytest.approx(
             math.lgamma(c) - 0.5 * (1.0 - m) * math.log(2.0) - 0.5 * a * a)
         assert exc.value.log_term > 700.0
+
+    @pytest.mark.parametrize("a", [5.0, 10.0])
+    def test_product_overflow_raises(self, a):
+        # the prefactor passes the gate and 1F1 is finite, but their product
+        # overflows; the error carries the product's log
+        m, c, half_a2 = 300.0, 150.5, 0.5 * a * a
+        with pytest.raises(TermOverflowError,
+                           match=f"1F1 bound overflows at m={m}, n=0.0, a={a}"
+                           ) as exc:
+            nuttall_upper_bound_1f1(m, 0.0, a)
+        lg = math.lgamma(c) - 0.5 * (1.0 - m) * math.log(2.0) - half_a2
+        assert lg < 700.0
+        assert exc.value.log_term == pytest.approx(
+            lg + math.log(kummer_1f1(c, 1.0, half_a2)))
+        assert exc.value.log_term > math.log(sys.float_info.max)
 
 
 class TestIdentities:

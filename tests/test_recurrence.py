@@ -16,7 +16,8 @@ of one report per depth, and check that an adaptive sum reads its walk
 to the end.  The last ones pin the walk's contract: every checkpoint is
 a SeriesResult, the one at depth P is the P-term truncated sum, the stop
 rule counts from term 0, and a cap ends the walk with that depth's
-partial sum and makes no term past it.
+partial sum and makes no term past it.  The walks and kernels count in
+floats; the last test checks that every count they hand out is an int.
 """
 
 import json
@@ -26,6 +27,7 @@ import random
 import pytest
 
 import nuttq.nuttall as nuttall
+import nuttq.special as special
 import nuttq.toronto as toronto
 from nuttq.cli import main
 from nuttq.errors import DomainError, NonConvergenceError, TermOverflowError
@@ -493,3 +495,49 @@ def test_cap_ends_the_walk_with_the_partial_sum(kernel_calls, point, calls):
         kernel_calls[family] = 0
         assert truncated(point, cap).terms_used == cap
         assert kernel_calls[family] == want, cap
+
+
+@pytest.mark.parametrize("point", [
+    NuttallParams(2.5, 1.5, 0.5, 2.0),
+    # every term before the hump is recomputed in log domain
+    NuttallParams(2.0, 1.0, 60.0, 1.0),
+    # depth 500 runs through many of the walk's blocks
+    TorontoParams(3.0, 1.5, 5.0, 2.0),
+    TorontoParams(2.0, 1.0, 3.0, 1.0),
+])
+def test_counts_handed_out_are_ints(monkeypatch, point):
+    # the walks' term indices and the kernels' steps are floats; every count
+    # that leaves them, in a record, an error or a message, is an int
+    module = nuttall if isinstance(point, NuttallParams) else toronto
+    family = module.__name__.rsplit(".", 1)[1]
+    truncated, adaptive = _series(point)
+    read = []
+
+    def recorded(*args, walk=module._walk):
+        for checkpoint in walk(*args):
+            read.append(checkpoint)
+            yield checkpoint
+
+    monkeypatch.setattr(module, "_walk", recorded)
+    for terms in (1, 33, 500):
+        assert type(truncated(point, terms).terms_used) is int
+    assert type(adaptive(point).terms_used) is int
+    getattr(module, f"{family}_truncation_bounds")(point, [1, 5, 64, 500])
+    assert len(read) == 3 + 1 + 5
+    assert all(type(checkpoint.terms_used) is int for checkpoint in read)
+    with pytest.raises(NonConvergenceError) as exc:
+        adaptive(point, max_terms=2)
+    assert type(exc.value.terms) is int
+    # the kernels' own caps, lowered so that each one is reached
+    monkeypatch.setattr(special, "_MAX_KERNEL_TERMS", 3)
+    monkeypatch.setattr(special, "_KUMMER_MAX_TERMS", 3)
+    for kernel, args in ((special.lower_inc_gamma_log, (30.3, 20.0)),
+                         (special.upper_inc_gamma_log, (3.3, 20.0)),
+                         (special.kummer_1f1, (3.3, 2.0, 18.0))):
+        with pytest.raises(NonConvergenceError) as exc:
+            kernel(*args)
+        assert type(exc.value.terms) is int, kernel
+    monkeypatch.undo()
+    with pytest.raises(TermOverflowError,
+                       match=r"^1F1 series overflows at k=457 for a=2.0, "):
+        special.kummer_1f1(2.0, 2.0, 800.0)

@@ -23,7 +23,7 @@ from nuttq.nuttall import (
     nuttall_series_adaptive,
     nuttall_upper_bound_1f1,
 )
-from nuttq.special import check_finite, lower_inc_gamma
+from nuttq.special import check_finite, kummer_1f1, lower_inc_gamma
 from nuttq.toronto import (
     TorontoParams,
     toronto_closed_form_half,
@@ -280,6 +280,20 @@ class TestKummerApproximation:
             toronto_upper_bound_1f1(10.0, 0.0, 1e-40)
         assert err.value.log_term > 700.0
         assert toronto_upper_bound_1f1(10.0, 0.0, 1e-30) > 0.0
+
+    def test_product_overflow_raises(self):
+        # the prefactor passes the gate and 1F1 is finite, but their product
+        # overflows; the error carries the product's log
+        m, r = 690.0, 5.0
+        with pytest.raises(TermOverflowError,
+                           match="1F1 bound overflows at m=690.0, n=0.0, r=5.0"
+                           ) as err:
+            toronto_upper_bound_1f1(m, 0.0, r)
+        lg = math.lgamma(0.5 * (m + 1.0)) + (1.0 - m) * math.log(r) - r * r
+        assert lg < 700.0
+        assert err.value.log_term == pytest.approx(
+            lg + math.log(kummer_1f1(0.5 * (m + 1.0), 1.0, r * r)))
+        assert err.value.log_term > math.log(sys.float_info.max)
 
 
 class TestMarcumLink:
