@@ -88,6 +88,10 @@ CORPUS: list[list[str]] = [
     ["eval", "nuttall", "--m", "2", "--n", "1", "--a", "", "--b", "2"],
     ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "1e-160"],
     ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "0"],
+    # B^2 below the normal range, where x = B * B has lost digits
+    *[["eval", "toronto", "--m", m, "--n", "0", "--r", "1", "--B", big_b]
+      for m, big_b in (("0", "1e-161"), ("0.5", "1e-161"), ("0", "1e-160"),
+                       ("0", "1e-300"))],
     *[["eval", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2", *flag]
       for flag in (["--tol", "1e-15"], ["--tol", "nan"], ["--tol", "inf"],
                    ["--max-terms", "0"])],
@@ -325,7 +329,9 @@ def library_corpus() -> list[str]:
     Nuttall Q from a = 0.1 to 6 and at a subnormal a^n, and the second
     oracle scheme at its Bessel seam, at a = 1e-300 and at a value its
     h = 1/128 level accepts, and the Toronto oracle at r = 1e-40, 6e-35
-    and 1e-34, where its prefactor 2 r^(n-m+1) nears the double range.
+    and 1e-34, where its prefactor 2 r^(n-m+1) nears the double range;
+    the Toronto series where B^2 is below the normal range, and counts
+    (depths and caps) that are not integers, beside integral floats.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -473,6 +479,26 @@ def library_corpus() -> list[str]:
     for depth in (1, 500):
         add("toronto_series_truncated(TorontoParams({}, {}, {}, {}), {})",
             2.0, 1.0, 1.0, 1e-170, depth)
+    # The Toronto series where B^2 is below the normal range or underflows
+    # to 0, at orders where term 0 is normal and where it underflows
+    # (m = 2), drawing nothing either.
+    for big_b in (1.5e-154, 1e-154, 1e-160, 1e-161, 1e-300, 5e-324):
+        for pt in ((0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (2.0, 1.0, 1.0),
+                   (0.0, 0.0, 6.0), (10.0, 9.5, 3.0)):
+            add("toronto_series_adaptive(TorontoParams({}, {}, {}, {}))",
+                *pt, big_b)
+        add("toronto_series_truncated(TorontoParams({}, {}, {}, {}), {})",
+            0.5, 0.0, 1.0, big_b, 20)
+    # Counts that are not integers, and integral floats, drawing nothing
+    # either: a depth of 2.5, a cap of 2.5 and of inf, and 3.0 for both.
+    for family, pt in (("nuttall", (2.0, 1.0, 1.0, 1.0)),
+                       ("toronto", (2.0, 1.0, 1.0, 2.0))):
+        params = family.capitalize() + "Params({}, {}, {}, {})"
+        for count in (2.5, 3.0):
+            add(f"{family}_series_truncated({params}, {{}})", *pt, count)
+            add(f"{family}_truncation_bounds({params}, {{}})", *pt, [count])
+        for cap in (2.5, math.inf, 3.0):
+            add(f"{family}_series_adaptive({params}, max_terms={{}})", *pt, cap)
     # Second-scheme (tanh-sinh) reproductions, drawing nothing either, at
     # two points of the retired Gauss-Legendre scheme: a Nuttall value near
     # 1e6, where its refinement differences grew with the strip count, and
