@@ -43,7 +43,6 @@ from .special import (
     SERIES_TOL,
     TERM_MAX,
     TERM_MIN,
-    _STOP_RUN,
     BoundReport,
     SeriesResult,
     _half_gamma_upper,
@@ -128,13 +127,25 @@ def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
         t_{l+1} = t_l (a^2/2) (s+l+h_l) / ((l+1)(n+l+1)).
 
     Every quantity is positive, so each step adds relative rounding error
-    and never cancels.  A running term outside [TERM_MIN, TERM_MAX] is
-    recomputed in log domain, from its own kernel call for
-    Gamma((m+n+1)/2 + l, x): that keeps terms which underflow before the
-    hump (large a) and decides overflow exactly as the log-domain term does.
-    l and the marks it meets are floats, for the float fast path that
-    special's module docstring describes; a checkpoint's terms_used is
-    int(l) + 1.
+    and never cancels.  The stop rule of special.Walk takes the ratio
+    majorant
+
+        rho_l = (a^2/2) (K+l) / ((l+1)(n+l+1)),  K = x + max(s, 1),
+
+    which bounds t_{i+1}/t_i at every i >= l: s+l+h_l <= K+l.  Where
+    s+l >= 1, Gamma(s+l, x) >= x^(s+l-1) integral_x^inf e^-t dt gives
+    h_l <= x.  Where s+l < 1 (l = 0, s < 1), the continued fraction
+    Gamma(s, x) = x^s e^-x / (x+1-s - (1-s)/(x+3-s - ...)) has a
+    denominator below x+1-s, so h_0 <= x+1-s and s+h_0 <= x+1 = K.
+    (K = max(s+x, 1) fails there: h_0 = 1.319 at s = 0.5, x = 1.)  K >= 1
+    makes rho_l nonincreasing in l.
+
+    A running term outside [TERM_MIN, TERM_MAX] is recomputed in log
+    domain, from its own kernel call for Gamma((m+n+1)/2 + l, x): that
+    keeps terms which underflow before the hump (large a) and decides
+    overflow exactly as the log-domain term does.  l and the marks it
+    meets are floats, for the float fast path that special's module
+    docstring describes; a checkpoint's terms_used is int(l) + 1.
     """
     x = 0.5 * p.b * p.b
     s = 0.5 * (p.m + p.n + 1)
@@ -147,8 +158,8 @@ def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
     mark = next(marks, 0) - 1.0
     last = max_terms - 1.0
     lo, hi = TERM_MIN, TERM_MAX
+    big_k = x + max(s, 1.0)
     total = 0.0
-    below = 0
     stop = None
     l = 0.0
     while True:
@@ -159,15 +170,13 @@ def _walk(p: NuttallParams, depths: Sequence[int], tol: float,
             if stop is not None and mark < 0.0:
                 yield stop
                 return
-        if t < tol * total:
-            below += 1
-            if below == _STOP_RUN and stop is None:
+        if t <= tol * total and stop is None:
+            rho = half_a2 * (big_k + l) / ((l + 1.0) * (n + l + 1.0))
+            if rho < 1.0 and t * rho <= tol * total * (1.0 - rho):
                 stop = SeriesResult(total, int(l) + 1, t, True)
                 if mark < 0.0:
                     yield stop
                     return
-        else:
-            below = 0
         if l == last:
             raise not_converged(p, tol, max_terms, total)
         step = s + l + h
@@ -187,11 +196,8 @@ def nuttall_series_truncated(p: NuttallParams, terms: int) -> SeriesResult:
 
 def nuttall_series_adaptive(p: NuttallParams, tol: float = SERIES_TOL,
                             max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
-    """Sum the series until terms stay below tol * partial sum.
-
-    The walk's stop rule (special.walk_adaptive) outlasts the term hump
-    near l ~ a^2/2.
-    """
+    """Sum the series until the tail is proven at most tol * partial sum,
+    by the ratio majorant of _walk (special.walk_adaptive)."""
     return walk_adaptive(_walk, p, tol, max_terms)
 
 

@@ -12,12 +12,12 @@ so large that their iterations would stall (``_GAMMA_X_MAX``,
 
 Each series family, Nuttall Q and incomplete Toronto, sums its positive
 terms in one loop of its own, its walk: the loop makes each term by the
-family's recurrence, adds it to the running sum and applies the stopping
-rule, and yields only at checkpoints (see ``Walk``).  Every checkpoint,
-each P-term partial sum S_P as well as the stop, is a ``SeriesResult``.  What
-the walks share lives here: the argument checks, the stopping rule's
-constants (``ADAPTIVE_TOL_MIN``, ``_STOP_RUN``), the default tolerance
-(``SERIES_TOL``), the ``NonConvergenceError`` they raise
+family's recurrence, adds it to the running sum and stops on a proven
+bound on the rest of the tail, and yields only at checkpoints (see
+``Walk``).  Every checkpoint, each P-term partial sum S_P as well as the
+stop, is a ``SeriesResult``.  What the walks share lives here: the
+argument checks, the tol floor (``ADAPTIVE_TOL_MIN``), the default
+tolerance (``SERIES_TOL``), the ``NonConvergenceError`` they raise
 (``not_converged``), and the readers ``walk_truncated``, ``walk_adaptive``
 and ``truncation_reports``, which forms both families' truncation-bound
 reports at every requested depth from one walk.  The
@@ -112,15 +112,16 @@ ADAPTIVE_TOL_MIN = 1e-14
 # series tol where no option sets one (compare --method adaptive, bounds
 # --kind kummer, eval's --tol default)
 SERIES_TOL = 1e-12
-# consecutive below-threshold terms required before an adaptive sum stops
-_STOP_RUN = 3
 
 # A family's walk(p, depths, tol, max_terms) sums its series from term 0 in
 # one loop and yields only at checkpoints, each a SeriesResult: the partial
 # sum SeriesResult(S_P, P, t_{P-1}, True) at each depth P of depths
 # (distinct, increasing, none above max_terms), in order; then, once no
-# depth is left, the sum at the first index where the stop rule held,
-# _STOP_RUN consecutive terms t < tol * (running sum).  It raises
+# depth is left, the sum S at the first term t where the tail after t is
+# proven at most tol * S.  The family's ratio majorant rho_i bounds every
+# term ratio t_{j+1}/t_j from index i on, so once rho < 1 that tail is at
+# most t rho / (1 - rho): at a term with t <= tol * S the walk forms rho
+# and stops iff rho < 1 and t rho <= tol * S (1 - rho).  It raises
 # not_converged(p, tol, max_terms, sum) when max_terms terms are summed
 # without the rule holding.  No term past the checkpoint being read is made.
 Walk = Callable[..., Iterator["SeriesResult"]]
@@ -152,9 +153,12 @@ class BoundReport:
 
 
 def check_terms(terms: int) -> None:
-    """Raise DomainError unless 1 <= terms <= MAX_TRUNC_TERMS."""
+    """Raise DomainError unless terms is an integer (an integral float such
+    as 3.0 passes) with 1 <= terms <= MAX_TRUNC_TERMS."""
     if not (1 <= terms <= MAX_TRUNC_TERMS):
         raise DomainError(f"terms must be in [1, {MAX_TRUNC_TERMS}], got {terms}")
+    if terms % 1:
+        raise DomainError(f"terms must be an integer, got {terms}")
 
 
 def not_converged(p, tol: float, max_terms: int,
@@ -179,20 +183,22 @@ def walk_truncated(walk: Walk, p, terms: int) -> SeriesResult:
 
 
 def walk_adaptive(walk: Walk, p, tol: float, max_terms: int) -> SeriesResult:
-    """Sum the series until its terms stay below tol * sum: the walk's stop
-    checkpoint.
+    """Sum the series until the tail past the last term made is proven at
+    most tol * sum: the walk's stop checkpoint (see Walk).
 
-    The stop rule waits for _STOP_RUN consecutive sub-threshold terms, which
-    guards against the hump the terms of both series go through (near
-    i ~ a^2/2 for Nuttall, i ~ r^2 for Toronto).  Raises DomainError for a
-    tol that is not finite or is below ADAPTIVE_TOL_MIN and for max_terms
-    below 1, before any term is made, and the walk's not_converged error
-    once max_terms terms have been summed.
+    Raises DomainError for a tol that is not finite or is below
+    ADAPTIVE_TOL_MIN and for a max_terms below 1 or not an integer (inf
+    included; an integral float such as 3.0 passes), before any term is
+    made, and the walk's not_converged error once max_terms terms have
+    been summed.
     """
-    if not (ADAPTIVE_TOL_MIN <= tol < math.inf and max_terms >= 1):
+    if not (ADAPTIVE_TOL_MIN <= tol < math.inf and max_terms >= 1
+            and max_terms % 1 == 0):
         check_finite(tol=tol)
         if tol < ADAPTIVE_TOL_MIN:
             raise DomainError(f"tol must be >= {ADAPTIVE_TOL_MIN}, got {tol}")
+        if max_terms >= 1:
+            raise DomainError(f"max_terms must be an integer, got {max_terms}")
         raise DomainError(f"max_terms must be >= 1, got {max_terms}")
     # With no depth asked, the stop is the walk's one checkpoint.  Reading
     # the walk to its end lets it return: a walk dropped at its yield is

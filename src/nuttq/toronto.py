@@ -47,7 +47,6 @@ from .special import (
     SERIES_TOL,
     TERM_MAX,
     TERM_MIN,
-    _STOP_RUN,
     BoundReport,
     SeriesResult,
     _half_gamma_lower,
@@ -148,18 +147,32 @@ def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
     cancellation, up to about 60 eps at B = 8.
     A running term outside [TERM_MIN, TERM_MAX] is recomputed in log domain
     from its own kernel call for gamma(c + k, x), as in the Nuttall series.
-    If B^2 underflows to 0 every term is 0.0: the partial sums are 0.0, no
-    tol is met, and no kernel is asked for log gamma(s, 0).
+    The stop rule of special.Walk takes the ratio majorant
+
+        rho_k = r^2 min(C+k, x) / ((k+1)(n+k+1)),  C = max(c, 1),
+
+    which bounds t_{i+1}/t_i at every i >= k, because gamma(s+1, x) <=
+    min(s, x) gamma(s, x): integrate t^s e^-t by parts for s, and use
+    t <= x under the integral for x.  C >= 1 makes rho_k nonincreasing in k.
+    Where x = B^2 is below TERM_MIN it has lost digits (or is 0.0), and
+    gamma(c, x) ~ x^c keeps that error, so the walk makes no kernel call:
+    term 0 comes from log gamma(c, B^2) = 2c log B - log c, exact to a
+    relative B^2, and is the sum at every depth and the stop.  Each later
+    term is below 2^-52 of it (the ratio is at most (rB)^2 / (n+1)), and a
+    checkpoint past term 0 reports its last term as 0.0; where rB passes
+    2^-26, e^-r^2 underflows and every term is 0.0.
     k, the marks it meets and the descent's offsets are floats, for the
     float fast path that special's module docstring describes; a
     checkpoint's terms_used is int(k) + 1.
     """
     x = p.B * p.B
-    if x == 0.0:
-        for depth in depths:
-            yield SeriesResult(0.0, depth, 0.0, True)
-        raise not_converged(p, tol, max_terms, 0.0)
     c = 0.5 * (p.m + 1.0)
+    if x < TERM_MIN:
+        t = _term(p, 0, 2.0 * c * math.log(p.B) - math.log(c))
+        # the checkpoints, then the stop at term 0
+        for depth in (*depths, 1):
+            yield SeriesResult(t, depth, t if depth == 1 else 0.0, True)
+        return
     n = p.n
     r2 = p.r * p.r
     log_x = math.log(x)
@@ -168,8 +181,8 @@ def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
     mark = next(marks, 0) - 1.0
     last = max_terms - 1.0
     lo, hi = TERM_MIN, TERM_MAX
+    big_c = max(c, 1.0)
     total = 0.0
-    below = 0
     stop = None
     # v[j] = v_{c+k+1} for the step from term k, j = k mod _BLOCK; the
     # first step makes the first block
@@ -183,15 +196,13 @@ def _walk(p: TorontoParams, depths: Sequence[int], tol: float,
             if stop is not None and mark < 0.0:
                 yield stop
                 return
-        if t < tol * total:
-            below += 1
-            if below == _STOP_RUN and stop is None:
+        if t <= tol * total and stop is None:
+            rho = r2 * min(big_c + k, x) / ((k + 1.0) * (n + k + 1.0))
+            if rho < 1.0 and t * rho <= tol * total * (1.0 - rho):
                 stop = SeriesResult(total, int(k) + 1, t, True)
                 if mark < 0.0:
                     yield stop
                     return
-        else:
-            below = 0
         if k == last:
             raise not_converged(p, tol, max_terms, total)
         j += 1
@@ -219,11 +230,8 @@ def toronto_series_truncated(p: TorontoParams, terms: int) -> SeriesResult:
 
 def toronto_series_adaptive(p: TorontoParams, tol: float = SERIES_TOL,
                             max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
-    """Sum the series until terms stay below tol * partial sum.
-
-    The walk's stop rule (special.walk_adaptive) outlasts the term hump
-    near k ~ r^2.
-    """
+    """Sum the series until the tail is proven at most tol * partial sum,
+    by the ratio majorant of _walk (special.walk_adaptive)."""
     return walk_adaptive(_walk, p, tol, max_terms)
 
 

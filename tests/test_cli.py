@@ -23,6 +23,11 @@ from nuttq.nuttall import (
     nuttall_q,
     nuttall_series_adaptive,
 )
+from nuttq.toronto import (
+    TorontoParams,
+    toronto_series_adaptive,
+    toronto_series_truncated,
+)
 
 # the checkout's src/, for the subprocesses
 SRC = Path(nuttq.__file__).resolve().parent.parent
@@ -229,17 +234,22 @@ class TestErrorRecords:
     """A JSON error record carries the payload of its exception; the CSV
     error line stays the message alone."""
 
-    def test_non_convergence_carries_partial_value_and_terms(self, capsys):
-        # B^2 underflows to 0, so every term is 0.0 and no tol is met
+    def test_non_convergence_carries_partial_value_and_terms(
+            self, capsys, monkeypatch):
+        # the library's term cap, lowered to 3, hit in the real series walk
+        monkeypatch.setattr(cli, "toronto_series_adaptive", functools.partial(
+            toronto_series_adaptive, max_terms=3))
         argv = ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1",
-                "--B", "1e-160"]
-        message = ("series for TorontoParams(m=2.0, n=1.0, r=1.0, B=1e-160) "
-                   "did not meet tol=1e-12 in 10000 terms")
+                "--B", "2"]
+        message = ("series for TorontoParams(m=2.0, n=1.0, r=1.0, B=2.0) "
+                   "did not meet tol=1e-12 in 3 terms")
+        partial = toronto_series_truncated(TorontoParams(2.0, 1.0, 1.0, 2.0),
+                                           3).value
         rc, out = run(capsys, argv + ["--format", "json"])
         assert rc == 3
         assert json.loads(out.splitlines()[-1]) == {
             "type": "error", "error_type": "convergence_error",
-            "message": message, "partial_value": 0.0, "terms": 10000}
+            "message": message, "partial_value": partial, "terms": 3}
         rc, out = run(capsys, argv)
         assert out.splitlines()[-1] == "# error convergence_error: " + message
 

@@ -180,9 +180,10 @@ class TestSeries:
         assert rel(deep, adap) < 1e-13
 
     def test_residual_monotone_past_five_terms(self):
+        # the limit is a 60-term sum: the adaptive sum may stop before 26
         for p in (NuttallParams(2.0, 1.0, 1.0, 2.0),
                   NuttallParams(3.0, 0.5, 2.0, 1.0)):
-            exact = nuttall_series_adaptive(p, tol=1e-14).value
+            exact = nuttall_series_truncated(p, 60).value
             res = [abs(exact - nuttall_series_truncated(p, t).value)
                    for t in range(5, 26)]
             for r0, r1 in zip(res, res[1:]):
@@ -198,16 +199,32 @@ class TestSeries:
             assert adaptive(p, tol=1e-14).converged
 
     def test_adaptive_term_cap(self):
-        for p, truncated, adaptive in SERIES_FAMILIES:
+        # a count that is not an integer, inf included, is refused before
+        # any term is made; at B = 1e-160 a cap of 2.5 once let the walk run
+        # without end, and a depth of 2.5 walked to the 10,000-term cap
+        tiny_b = (TorontoParams(2.0, 1.0, 1.0, 1e-160),
+                  toronto_series_truncated, toronto_series_adaptive)
+        for p, truncated, adaptive in [*SERIES_FAMILIES, tiny_b]:
             for cap in (0, -3):
                 with pytest.raises(DomainError,
                                    match=f"max_terms must be >= 1, got {cap}"):
                     adaptive(p, tol=1e-12, max_terms=cap)
-            with pytest.raises(NonConvergenceError,
-                               match=r"series for .* in 5 terms") as exc:
-                adaptive(p, tol=1e-12, max_terms=5)
-            assert exc.value.terms == 5
-            assert exc.value.partial_value == truncated(p, 5).value > 0.0
+            for cap in (2.5, math.inf):
+                with pytest.raises(
+                        DomainError,
+                        match=f"^max_terms must be an integer, got {cap}$"):
+                    adaptive(p, tol=1e-12, max_terms=cap)
+            with pytest.raises(DomainError,
+                               match=r"^terms must be an integer, got 2\.5$"):
+                truncated(p, 2.5)
+        # an integral float is a count
+        for p, truncated, adaptive in SERIES_FAMILIES:
+            for cap in (5, 5.0):
+                with pytest.raises(NonConvergenceError,
+                                   match=rf"in {cap} terms$") as exc:
+                    adaptive(p, tol=1e-12, max_terms=cap)
+                assert exc.value.terms == 5
+                assert exc.value.partial_value == truncated(p, cap).value > 0.0
 
 
 class TestIntegerSeries:

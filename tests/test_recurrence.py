@@ -3,12 +3,14 @@
 The Nuttall series makes one incomplete gamma kernel call per value.  The
 Toronto series makes one for term 0 and one per block of 32 later terms,
 and steps the rest down from each block's top.  These tests hold the
-recurrences to a 50-digit series reference over a seeded set of box
-points and over long descents at large B and r, count the kernel calls
-exactly, check the Toronto-Marcum identity on figure f3's rows, and pin
-the edge cases where a running term must be recomputed in log domain:
-terms that underflow before the hump, B^2 underflowing to 0, and a term
-that overflows mid-series.
+recurrences, and the stop rule's proven tail bound at tols from 1e-14 to
+1e-6, to a 50-digit series reference over a seeded set of box points and
+over long descents at large B and r, count the kernel calls exactly,
+check the Toronto-Marcum identity on figure f3's rows, and pin the edge
+cases where a running term must be recomputed in log domain: terms that
+underflow before the hump and a term that overflows mid-series; and
+where B^2 is below the normal range, the Toronto term 0 that is made
+from log B with no kernel call.
 
 A truncation-bound report walks its series once for every depth it is
 asked for; later tests count the walks and hold the reports to the bits
@@ -23,6 +25,7 @@ floats; the last test checks that every count they hand out is an int.
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -40,6 +43,7 @@ from nuttq.special import (
     ADAPTIVE_TOL_MIN,
     DEFAULT_MAX_TERMS,
     LOG_OVERFLOW,
+    TERM_MIN,
     SeriesResult,
 )
 from nuttq.toronto import (
@@ -50,6 +54,13 @@ from nuttq.toronto import (
 
 TOL = 1e-14
 POINTS = 60
+# (tol, allowed relative error against the 50-digit reference).  At 1e-14
+# the sums' own rounding, up to about 31 eps, is the size of tol, so the
+# gate is 10 tol; at the looser tols it is the stop rule's proven bound on
+# the tail, tol, plus 64 eps for rounding.
+GATES = ((TOL, 10 * TOL),
+         *((tol, tol + 64 * sys.float_info.epsilon)
+           for tol in (1e-12, 1e-8, 1e-6)))
 
 
 def _order(rng, kind):
@@ -140,20 +151,25 @@ def test_boxes_cover_the_edges():
             assert len(kinds) == 3
 
 
-def test_nuttall_recurrence_matches_50_digit_reference():
+def _match_reference(series, params, reference, points):
+    """Every point's adaptive sum at each tol of GATES within its gate of
+    the 50-digit reference."""
     mp = pytest.importorskip("mpmath")
-    for m, n, a, b in NUTTALL_BOX:
-        want = _nuttall_reference(mp, m, n, a, b)
-        got = nuttall_series_adaptive(NuttallParams(m, n, a, b), tol=TOL).value
-        assert abs(got - want) <= 10 * TOL * want, (m, n, a, b)
+    for point in points:
+        want = reference(mp, *point)
+        for tol, gate in GATES:
+            got = series(params(*point), tol=tol).value
+            assert abs(got - want) <= gate * want, (point, tol)
+
+
+def test_nuttall_recurrence_matches_50_digit_reference():
+    _match_reference(nuttall_series_adaptive, NuttallParams,
+                     _nuttall_reference, NUTTALL_BOX)
 
 
 def test_toronto_recurrence_matches_50_digit_reference():
-    mp = pytest.importorskip("mpmath")
-    for m, n, r, big_b in TORONTO_BOX:
-        want = _toronto_reference(mp, m, n, r, big_b)
-        got = toronto_series_adaptive(TorontoParams(m, n, r, big_b), tol=TOL).value
-        assert abs(got - want) <= 10 * TOL * want, (m, n, r, big_b)
+    _match_reference(toronto_series_adaptive, TorontoParams,
+                     _toronto_reference, TORONTO_BOX)
 
 
 def _long_descents(seed, count):
@@ -171,11 +187,8 @@ def _long_descents(seed, count):
 
 
 def test_toronto_long_descents_match_50_digit_reference():
-    mp = pytest.importorskip("mpmath")
-    for m, n, r, big_b in _long_descents(16, 40):
-        want = _toronto_reference(mp, m, n, r, big_b)
-        got = toronto_series_adaptive(TorontoParams(m, n, r, big_b), tol=TOL).value
-        assert abs(got - want) <= 10 * TOL * want, (m, n, r, big_b)
+    _match_reference(toronto_series_adaptive, TorontoParams,
+                     _toronto_reference, _long_descents(16, 40))
 
 
 @pytest.fixture
@@ -221,7 +234,7 @@ def test_toronto_box_kernel_call_total(kernel_calls):
     # blocks of 8 made 275 calls here
     for point in TORONTO_BOX:
         toronto_series_adaptive(TorontoParams(*point), tol=1e-12)
-    assert kernel_calls["toronto"] == 146
+    assert kernel_calls["toronto"] == 145
 
 
 def test_terms_underflowing_before_the_hump_are_recomputed():
@@ -232,25 +245,45 @@ def test_terms_underflowing_before_the_hump_are_recomputed():
     assert abs(res.value - 1.0) < 1e-10
 
 
-def test_underflowed_limit_is_nonconvergence_without_kernel_calls(kernel_calls):
-    # B^2 underflows to 0: every term is 0, so no tol is met, and every
-    # partial sum is 0
+def test_underflowed_limit_is_zero_without_kernel_calls(kernel_calls):
+    # B^2 underflows to 0: term 0, made from 2c log B - log c, is 0.0 and
+    # the stop; every partial sum is 0.0, and so is the limit behind the
+    # truncation reports
     for big_b in (1e-200, 1e-170):
         p = TorontoParams(2.0, 1.0, 1.0, big_b)
-        with pytest.raises(NonConvergenceError) as exc:
-            toronto_series_adaptive(p)
-        assert exc.value.partial_value == 0.0
-        assert exc.value.terms == DEFAULT_MAX_TERMS
-        assert str(exc.value) == (f"series for {p} did not meet tol=1e-12 "
-                                  f"in {DEFAULT_MAX_TERMS} terms")
+        res = toronto_series_adaptive(p)
+        assert (res.value, res.terms_used, res.last_term_abs) == (0.0, 1, 0.0)
         for depth in (1, 20, 500):
             res = toronto_series_truncated(p, depth)
             assert (res.value, res.terms_used, res.last_term_abs) == \
                 (0.0, depth, 0.0)
-        with pytest.raises(NonConvergenceError,
-                           match="tol=1e-14 in 10000 terms"):
-            toronto.toronto_truncation_bounds(p, [3, 1])
+        reports = toronto.toronto_truncation_bounds(p, [3, 1])
+        assert [(r.dominated_quantity, r.slack) for r in reports] == \
+            [(0.0, 0.0)] * 2
     assert kernel_calls["toronto"] == 0
+
+
+# B^2 below the normal range, at orders and r where term 0 is normal, is
+# subnormal and underflows to 0 (m = 2), and B = 1.5e-154, whose square is
+# just inside the normal range
+_TINY_B = (1.5e-154, 1e-154, 1e-160, 1e-161, 1e-300, 5e-324)
+_TINY_B_ORDERS = ((0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (2.0, 1.0, 1.0),
+                  (0.0, 0.0, 6.0), (10.0, 9.5, 3.0))
+
+
+def test_subnormal_square_takes_term_zero_from_log_b(kernel_calls):
+    # x = B * B has lost digits below TERM_MIN and gamma(c, x) ~ x^c keeps
+    # the error (0.6% at B = 1e-161); term 0 from 2c log B - log c is the
+    # value, with no kernel call
+    mp = pytest.importorskip("mpmath")
+    for big_b in _TINY_B:
+        for m, n, r in _TINY_B_ORDERS:
+            want = _toronto_reference(mp, m, n, r, big_b)
+            kernel_calls["toronto"] = 0
+            got = toronto_series_adaptive(TorontoParams(m, n, r, big_b)).value
+            # a subnormal value is good to its spacing, 5e-324
+            assert abs(got - want) <= 1e-13 * want + 5e-324, (m, n, r, big_b)
+            assert (kernel_calls["toronto"] == 0) == (big_b * big_b < TERM_MIN)
 
 
 def test_figure_f3_rows_meet_the_marcum_identity(capsys):
@@ -414,46 +447,41 @@ def _result_bits(res):
 @pytest.mark.parametrize("module, params, box", FAMILIES)
 def test_every_checkpoint_is_the_series_result_of_its_depth(module, params, box):
     # the depth-P checkpoint is the P-term truncated sum, the stop comes
-    # last; where B^2 underflows the walk yields its partial sums, then
-    # raises not_converged
+    # last, also where B^2 underflows and the walk makes only term 0
     family = module.__name__.rsplit(".", 1)[1]
     truncated = getattr(module, f"{family}_series_truncated")
     depths = (1, 5, 20, 500)
     points = list(box)
     if module is toronto:
-        points.append((2.0, 1.0, 1.0, 1e-170))
+        points += [(2.0, 1.0, 1.0, 1e-170), (0.0, 0.0, 1.0, 1e-161)]
     for point in points:
         p = params(*point)
-        checkpoints = []
-        try:
-            for checkpoint in module._walk(p, depths, ADAPTIVE_TOL_MIN,
-                                           DEFAULT_MAX_TERMS):
-                checkpoints.append(checkpoint)
-        except NonConvergenceError:
-            assert point[3] == 1e-170 and len(checkpoints) == len(depths)
-        else:
-            assert len(checkpoints) == len(depths) + 1, point
+        checkpoints = list(module._walk(p, depths, ADAPTIVE_TOL_MIN,
+                                        DEFAULT_MAX_TERMS))
+        assert len(checkpoints) == len(depths) + 1, point
         assert all(type(c) is SeriesResult for c in checkpoints), point
         for depth, checkpoint in zip(depths, checkpoints):
             assert _result_bits(checkpoint) == \
                 _result_bits(truncated(p, depth)), (point, depth)
 
 
-# (terms_used, value.hex()) at tol 0.5, 1 and 2; at tol 2 term 0 already
-# counts as below tol * sum, so three terms are the least a sum can take
+# (terms_used, value.hex()) at tol 0.5, 1 and 2.  From tol 1 on, term 0
+# itself is below tol * sum, and the stop can come at it: one term is the
+# least a sum can take.  Before the hump (a = 3, r = 3) the ratio majorant
+# is above 1 and keeps the sum going.
 _LARGE_TOL_PINS = {
     NuttallParams(2.0, 1.0, 3.0, 1.0): [
-        (6, "0x1.66e6e037d7759p-1"), (4, "0x1.5c8456268f484p-2"),
-        (3, "0x1.5f8f22a909c04p-3")],
+        (7, "0x1.a87fd69b1b0aap-1"), (6, "0x1.66e6e037d7759p-1"),
+        (6, "0x1.66e6e037d7759p-1")],
     NuttallParams(2.5, 1.5, 0.5, 2.0): [
-        (4, "0x1.27a61a4a5d59bp-1"), (4, "0x1.27a61a4a5d59bp-1"),
-        (3, "0x1.2781950c221ffp-1")],
+        (2, "0x1.2449f5b7bdbe4p-1"), (1, "0x1.f07e953679d05p-2"),
+        (1, "0x1.f07e953679d05p-2")],
     TorontoParams(2.0, 1.0, 3.0, 1.0): [
-        (5, "0x1.15f708c63adb3p-10"), (4, "0x1.048ecf2c1ab48p-10"),
+        (4, "0x1.048ecf2c1ab48p-10"), (4, "0x1.048ecf2c1ab48p-10"),
         (3, "0x1.a796edd905475p-11")],
     TorontoParams(3.0, 1.5, 1.0, 2.0): [
-        (4, "0x1.efe1ce7c6cfe5p-2"), (4, "0x1.efe1ce7c6cfe5p-2"),
-        (3, "0x1.e532740f1b93bp-2")],
+        (2, "0x1.ae27576cfa2b8p-2"), (2, "0x1.ae27576cfa2b8p-2"),
+        (2, "0x1.ae27576cfa2b8p-2")],
 }
 
 
