@@ -330,8 +330,10 @@ def library_corpus() -> list[str]:
     oracle scheme at its Bessel seam, at a = 1e-300 and at a value its
     h = 1/128 level accepts, and the Toronto oracle at r = 1e-40, 6e-35
     and 1e-34, where its prefactor 2 r^(n-m+1) nears the double range;
-    the Toronto series where B^2 is below the normal range, and counts
-    (depths and caps) that are not integers, beside integral floats.
+    the Toronto series where B^2 is below the normal range, counts
+    (depths and caps) that are not integers, beside integral floats, the
+    second-scheme values accepted at 105 and 417 nodes, and a Nuttall sum
+    stopped by a cap of 5.0.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -569,6 +571,18 @@ def library_corpus() -> list[str]:
         for scheme in ("adaptive", "gauss"):
             add("oracle_toronto({}, {}, {}, {}, scheme={})", 10.0, 0.0, r, 1.0,
                 scheme)
+    # second-scheme values accepted at 105 and 417 nodes, whose last bits
+    # move with numpy's SIMD dispatch and the BLAS kernel, so that only
+    # this diff on one host guards them
+    add("oracle_toronto({}, {}, {}, {}, scheme={})", 2.0, 1.0, 1.0, 3.0,
+        "gauss")
+    add("oracle_toronto({}, {}, {}, {}, scheme={})", 2.0, 1.0, 2.0, 2.0,
+        "gauss")
+    add("oracle_nuttall({}, {}, {}, {}, tol={}, scheme={})", 2.0, 3.3, 5.0,
+        0.0, 1e-14, "gauss")
+    # an integral float cap that the walk reaches
+    add("nuttall_series_adaptive(NuttallParams({}, {}, {}, {}), tol={}, "
+        "max_terms={})", 2.0, 1.0, 3.0, 1.0, 1e-12, 5.0)
     return calls
 
 
