@@ -165,10 +165,10 @@ def not_converged(p, tol: float, max_terms: int,
                   partial: float) -> NonConvergenceError:
     """The error a walk raises once max_terms terms are summed without the
     stop rule holding: it names the parameters p and carries the partial
-    sum."""
+    sum and the count, as an int for an integral float cap too."""
     return NonConvergenceError(
-        f"series for {p} did not meet tol={tol} in {max_terms} terms",
-        partial_value=partial, terms=max_terms)
+        f"series for {p} did not meet tol={tol} in {int(max_terms)} terms",
+        partial_value=partial, terms=int(max_terms))
 
 
 def walk_truncated(walk: Walk, p, terms: int) -> SeriesResult:

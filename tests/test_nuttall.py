@@ -217,13 +217,13 @@ class TestSeries:
             with pytest.raises(DomainError,
                                match=r"^terms must be an integer, got 2\.5$"):
                 truncated(p, 2.5)
-        # an integral float is a count
+        # an integral float is a count, handed out as an int
         for p, truncated, adaptive in SERIES_FAMILIES:
             for cap in (5, 5.0):
                 with pytest.raises(NonConvergenceError,
-                                   match=rf"in {cap} terms$") as exc:
+                                   match=r" in 5 terms$") as exc:
                     adaptive(p, tol=1e-12, max_terms=cap)
-                assert exc.value.terms == 5
+                assert type(exc.value.terms) is int and exc.value.terms == 5
                 assert exc.value.partial_value == truncated(p, cap).value > 0.0
 
 

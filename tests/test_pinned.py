@@ -3,10 +3,16 @@
 Each closed form builds its incomplete gamma lists once per value from the
 half-integer ladder; the kernel-call counts below hold it to that: no call
 for Nuttall, at most 6 for Toronto.  The float.hex pins hold the
-exact bits of a few closed-form, truncation-bound and oracle values (of
-both schemes), so any reordering of their arithmetic fails here even when it
+exact bits of a few closed-form, truncation-bound and adaptive-oracle
+values, so any reordering of their arithmetic fails here even when it
 stays within tolerance.  The pinned points are ones where the closed forms
 agree with the series to a few ulps; they pin bits, not accuracy.
+
+No value that numpy computes is hex-pinned: its bits depend on the CPU
+(numpy's SIMD dispatch, the BLAS kernel), not on the code alone.  The
+second oracle scheme's values get their node counts and their accuracy
+checked instead; their bits are guarded on one host by
+tools/compare_checkouts.py.
 """
 
 import pytest
@@ -17,14 +23,18 @@ import nuttq.toronto as toronto
 from nuttq.nuttall import (
     NuttallParams,
     nuttall_half_integer_closed,
+    nuttall_q,
     nuttall_truncation_bound,
 )
 from nuttq.oracle import oracle_marcum, oracle_nuttall, oracle_toronto
 from nuttq.toronto import (
     TorontoParams,
     toronto_closed_form_half,
+    toronto_t,
     toronto_truncation_bound,
 )
+
+EPS = 2.0 ** -52
 
 
 @pytest.fixture
@@ -130,31 +140,34 @@ def test_adaptive_oracle_bits(call, bits):
 
 
 # values the second scheme accepts at each of its first four comparisons
-# (105, 209, 417 and 833 nodes): the node schedule and its call batches,
-# 417 nodes then 416, fix these bits.  The tail bound of T_2(2, 1, 2) reads
-# the end node t = 3.25, which moves by an ulp when levels 1 to 4 are
-# evaluated in a call each instead of in one call of 417 nodes.
+# (105, 209, 417 and 833 nodes), each with its node count and the adaptive
+# series at tol 1e-14.  Their last bits are numpy's and move with its SIMD
+# dispatch and the BLAS kernel, so only what the scheme decides is checked:
+# the node count exactly, the value within abs_err_est plus 64 ulps and the
+# series' own allowance of 10 tol relative, and a tail bound inside
+# abs_err_est.
 @pytest.mark.parametrize("call, bits", [
     (lambda: oracle_toronto(2.0, 1.0, 1.0, 3.0, scheme="gauss"),
-     ("0x1.69a5d4a639b54p-1", "0x1.c300501ebb89cp-44",
-      "0x1.407aee271f6ffp-62", 105)),
+     (105, lambda: toronto_t(2.0, 1.0, 1.0, 3.0, tol=1e-14))),
     (lambda: oracle_toronto(2.0, 1.0, 2.0, 2.0, scheme="gauss"),
-     ("0x1.8af42c3f31c36p-2", "0x1.8b5f5f4c0df84p-48",
-      "0x1.accc3370d3925p-58", 105)),
+     (105, lambda: toronto_t(2.0, 1.0, 2.0, 2.0, tol=1e-14))),
     (lambda: oracle_nuttall(3.5, 9.859657406200126, 0.42683455529013425,
                             0.24600880845346218, scheme="gauss"),
-     ("0x1.c7499d6f9685fp-28", "0x1.3510252e642cep-46",
-      "0x1.652cf5504bfffp-123", 209)),
+     (209, lambda: nuttall_q(3.5, 9.859657406200126, 0.42683455529013425,
+                             0.24600880845346218, tol=1e-14))),
     (lambda: oracle_nuttall(2.0, 3.3, 5.0, 0.0, tol=1e-14, scheme="gauss"),
-     ("0x1.06e0dbbc4463bp+2", "0x1.06e0dbbc4463bp-44",
-      "0x1.17a1c7d7d59c3p-349", 417)),
+     (417, lambda: nuttall_q(2.0, 3.3, 5.0, 0.0, tol=1e-14))),
     (lambda: oracle_nuttall(2.210052415685765, 4.826134880079131,
                             5.701758822019991, 0.4198386589114511, tol=1e-14,
                             scheme="gauss"),
-     ("0x1.79c2e148dec4dp+2", "0x1.79c2e148e0a78p-44",
-      "0x1.e2b09ad8945e6p-84", 833)),
+     (833, lambda: nuttall_q(2.210052415685765, 4.826134880079131,
+                             5.701758822019991, 0.4198386589114511,
+                             tol=1e-14))),
 ])
 def test_second_scheme_oracle_bits(call, bits):
-    ov = call()
-    assert (ov.value.hex(), ov.abs_err_est.hex(), ov.tail_bound.hex(),
-            ov.subdivisions) == bits
+    nodes, series = bits
+    ov, want = call(), series()
+    assert ov.subdivisions == nodes
+    allowance = ov.abs_err_est + (64 * EPS + 10 * 1e-14) * abs(want)
+    assert abs(ov.value - want) <= allowance
+    assert 0.0 < ov.tail_bound <= ov.abs_err_est

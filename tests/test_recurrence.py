@@ -553,9 +553,10 @@ def test_counts_handed_out_are_ints(monkeypatch, point):
     getattr(module, f"{family}_truncation_bounds")(point, [1, 5, 64, 500])
     assert len(read) == 3 + 1 + 5
     assert all(type(checkpoint.terms_used) is int for checkpoint in read)
-    with pytest.raises(NonConvergenceError) as exc:
-        adaptive(point, max_terms=2)
-    assert type(exc.value.terms) is int
+    for cap in (2, 5.0):
+        with pytest.raises(NonConvergenceError) as exc:
+            adaptive(point, max_terms=cap)
+        assert type(exc.value.terms) is int
     # the kernels' own caps, lowered so that each one is reached
     monkeypatch.setattr(special, "_MAX_KERNEL_TERMS", 3)
     monkeypatch.setattr(special, "_KUMMER_MAX_TERMS", 3)
