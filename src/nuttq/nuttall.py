@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, TermOverflowError
 from .special import (
-    DEFAULT_MAX_TERMS,
     SERIES_TOL,
     TERM_MAX,
     TERM_MIN,
@@ -194,11 +193,11 @@ def nuttall_series_truncated(p: NuttallParams, terms: int) -> SeriesResult:
     return walk_truncated(_walk, p, terms)
 
 
-def nuttall_series_adaptive(p: NuttallParams, tol: float = SERIES_TOL,
-                            max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
+def nuttall_series_adaptive(p: NuttallParams,
+                            tol: float = SERIES_TOL) -> SeriesResult:
     """Sum the series until the tail is proven at most tol * partial sum,
     by the ratio majorant of _walk (special.walk_adaptive)."""
-    return walk_adaptive(_walk, p, tol, max_terms)
+    return walk_adaptive(_walk, p, tol)
 
 
 def nuttall_half_integer_closed(p: NuttallParams) -> float:
@@ -250,7 +249,7 @@ def nuttall_half_integer_closed(p: NuttallParams) -> float:
 
 
 def nuttall_truncation_bounds(p: NuttallParams,
-                              depths: Sequence[int]) -> list[BoundReport]:
+                              depths: Iterable[int]) -> list[BoundReport]:
     """Closed-form bounds on the P-term truncation error at each depth P in
     depths, with their slack, from one walk of the series.
 

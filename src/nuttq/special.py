@@ -17,13 +17,13 @@ bound on the rest of the tail, and yields only at checkpoints (see
 ``Walk``).  Every checkpoint, each P-term partial sum S_P as well as the
 stop, is a ``SeriesResult``.  What the walks share lives here: the
 argument checks, the tol floor (``ADAPTIVE_TOL_MIN``), the default
-tolerance (``SERIES_TOL``), the ``NonConvergenceError`` they raise
-(``not_converged``), and the readers ``walk_truncated``, ``walk_adaptive``
-and ``truncation_reports``, which forms both families' truncation-bound
-reports at every requested depth from one walk.  The
-closed-form core, ``half_odd_bessel_sum``, sums the finite
-double sum that the elementary form of I_{nu+1/2} gives; both families'
-half-odd closed forms pass it their incomplete gammas.  Those all have
+tolerance (``SERIES_TOL``), the term cap (``MAX_TERMS``), the
+``NonConvergenceError`` they raise at it (``not_converged``), and the
+readers ``walk_truncated``, ``walk_adaptive`` and ``truncation_reports``,
+which forms both families' truncation-bound reports at every requested
+depth from one walk.  The closed-form core, ``half_odd_bessel_sum``,
+sums the finite double sum that the elementary form of I_{nu+1/2} gives;
+both families' half-odd closed forms pass it their incomplete gammas.  Those all have
 order (l+1)/2, so the half-integer ladders build them:
 ``_half_gamma_upper`` steps Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x up
 from sqrt(pi) erfc(sqrt(x)) and e^-x with no kernel call, and
@@ -44,9 +44,9 @@ of the hot loops, the two walks' term indices and the steps of
 and so are the constants they meet in each step.  That changes no bit:
 CPython converts an int operand to the same double before the IEEE
 operation, and a float counter is exact below 2^53, which no loop nears:
-the kernels stop within 500,000 steps and a walk at its max_terms (10,000
-by default).  Where a count leaves a loop, in a ``SeriesResult``, an
-error's ``terms`` or a message, it is ``int(...)`` of the counter.
+the kernels stop within 500,000 steps and a walk at ``MAX_TERMS``.  Where
+a count leaves a loop, in a ``SeriesResult`` or a message, it is
+``int(...)`` of the counter; an error's ``terms`` is the int cap itself.
 
 Every log-domain value that becomes a linear one passes one overflow gate,
 ``exp_checked``: past ``LOG_OVERFLOW`` it raises ``TermOverflowError``
@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, NonConvergenceError, TermOverflowError
 
@@ -106,7 +106,7 @@ _KUMMER_MAX_TERMS = 10_000
 
 # Summation-core limits shared by both series families.
 MAX_TRUNC_TERMS = 500
-DEFAULT_MAX_TERMS = 10_000
+MAX_TERMS = 10_000
 ADAPTIVE_TOL_MIN = 1e-14
 # the default relative tol of every adaptive series function, and the CLI's
 # series tol where no option sets one (compare --method adaptive, bounds
@@ -123,7 +123,9 @@ SERIES_TOL = 1e-12
 # most t rho / (1 - rho): at a term with t <= tol * S the walk forms rho
 # and stops iff rho < 1 and t rho <= tol * S (1 - rho).  It raises
 # not_converged(p, tol, max_terms, sum) when max_terms terms are summed
-# without the rule holding.  No term past the checkpoint being read is made.
+# without the rule holding.  No term past the checkpoint being read is
+# made.  The readers below pass MAX_TERMS as max_terms; nothing else sets
+# the cap.
 Walk = Callable[..., Iterator["SeriesResult"]]
 
 
@@ -165,10 +167,10 @@ def not_converged(p, tol: float, max_terms: int,
                   partial: float) -> NonConvergenceError:
     """The error a walk raises once max_terms terms are summed without the
     stop rule holding: it names the parameters p and carries the partial
-    sum and the count, as an int for an integral float cap too."""
+    sum and the count."""
     return NonConvergenceError(
-        f"series for {p} did not meet tol={tol} in {int(max_terms)} terms",
-        partial_value=partial, terms=int(max_terms))
+        f"series for {p} did not meet tol={tol} in {max_terms} terms",
+        partial_value=partial, terms=max_terms)
 
 
 def walk_truncated(walk: Walk, p, terms: int) -> SeriesResult:
@@ -179,35 +181,28 @@ def walk_truncated(walk: Walk, p, terms: int) -> SeriesResult:
     tail, so the result is reported converged at the requested depth.
     """
     check_terms(terms)
-    return next(walk(p, (terms,), ADAPTIVE_TOL_MIN, DEFAULT_MAX_TERMS))
+    return next(walk(p, (terms,), ADAPTIVE_TOL_MIN, MAX_TERMS))
 
 
-def walk_adaptive(walk: Walk, p, tol: float, max_terms: int) -> SeriesResult:
+def walk_adaptive(walk: Walk, p, tol: float) -> SeriesResult:
     """Sum the series until the tail past the last term made is proven at
     most tol * sum: the walk's stop checkpoint (see Walk).
 
     Raises DomainError for a tol that is not finite or is below
-    ADAPTIVE_TOL_MIN and for a max_terms below 1 or not an integer (inf
-    included; an integral float such as 3.0 passes), before any term is
-    made, and the walk's not_converged error once max_terms terms have
-    been summed.
+    ADAPTIVE_TOL_MIN, before any term is made, and the walk's
+    not_converged error once MAX_TERMS terms have been summed.
     """
-    if not (ADAPTIVE_TOL_MIN <= tol < math.inf and max_terms >= 1
-            and max_terms % 1 == 0):
+    if not ADAPTIVE_TOL_MIN <= tol < math.inf:
         check_finite(tol=tol)
-        if tol < ADAPTIVE_TOL_MIN:
-            raise DomainError(f"tol must be >= {ADAPTIVE_TOL_MIN}, got {tol}")
-        if max_terms >= 1:
-            raise DomainError(f"max_terms must be an integer, got {max_terms}")
-        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
+        raise DomainError(f"tol must be >= {ADAPTIVE_TOL_MIN}, got {tol}")
     # With no depth asked, the stop is the walk's one checkpoint.  Reading
     # the walk to its end lets it return: a walk dropped at its yield is
     # closed by a GeneratorExit thrown into it, about 0.3 us a value.
-    [stop] = walk(p, (), tol, max_terms)
+    [stop] = walk(p, (), tol, MAX_TERMS)
     return stop
 
 
-def truncation_reports(walk: Walk, p, depths: Sequence[int],
+def truncation_reports(walk: Walk, p, depths: Iterable[int],
                        closed: Callable[[], float],
                        regime_ok: bool) -> list[BoundReport]:
     """Truncation-bound reports at each depth P in depths, from one walk of
@@ -221,7 +216,8 @@ def truncation_reports(walk: Walk, p, depths: Sequence[int],
     bound rests on, and regime_ok is copied into every report; the slack
     bound - actual = closed() - A does not depend on P.
 
-    Every depth is checked first.  The walk then yields S_P at each
+    depths is read once, into a list, and every depth is checked first,
+    so an iterator gives what the list of its items gives.  The walk then yields S_P at each
     distinct depth in increasing order, and A last, all off one running
     sum: the same additions in the same order as a separate walk per sum.
     The head of the walk, up to the deepest P, comes before closed(), so an
@@ -229,12 +225,13 @@ def truncation_reports(walk: Walk, p, depths: Sequence[int],
     caller refuses the orders closed() cannot take before calling this, so
     that refusal comes before any depth check or term.
     """
+    depths = list(depths)
     if not depths:
         raise DomainError("truncation reports need at least one depth")
     for depth in depths:
         check_terms(depth)
     distinct = sorted(set(depths))
-    checkpoints = walk(p, distinct, ADAPTIVE_TOL_MIN, DEFAULT_MAX_TERMS)
+    checkpoints = walk(p, distinct, ADAPTIVE_TOL_MIN, MAX_TERMS)
     partial = {depth: next(checkpoints).value for depth in distinct}
     exact = closed()
     limit = next(checkpoints).value

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, TermOverflowError
 from .special import (
-    DEFAULT_MAX_TERMS,
     SERIES_TOL,
     TERM_MAX,
     TERM_MIN,
@@ -228,11 +227,11 @@ def toronto_series_truncated(p: TorontoParams, terms: int) -> SeriesResult:
     return walk_truncated(_walk, p, terms)
 
 
-def toronto_series_adaptive(p: TorontoParams, tol: float = SERIES_TOL,
-                            max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
+def toronto_series_adaptive(p: TorontoParams,
+                            tol: float = SERIES_TOL) -> SeriesResult:
     """Sum the series until the tail is proven at most tol * partial sum,
     by the ratio majorant of _walk (special.walk_adaptive)."""
-    return walk_adaptive(_walk, p, tol, max_terms)
+    return walk_adaptive(_walk, p, tol)
 
 
 def _closed_orders(m: float, n: float) -> tuple[int, int]:
@@ -306,7 +305,7 @@ def toronto_closed_form_half(m: float, n: float, r: float, B: float) -> float:
 
 
 def toronto_truncation_bounds(p: TorontoParams,
-                              depths: Sequence[int]) -> list[BoundReport]:
+                              depths: Iterable[int]) -> list[BoundReport]:
     """Rounding-based bounds on the P-term truncation error at each depth P
     in depths, with their slack, from one walk of the series.
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nuttq
-from nuttq import cli
+from nuttq import cli, special
 from nuttq.box import ORACLE_TOL
 from nuttq.cli import main
 from nuttq.errors import DomainError
@@ -25,7 +25,6 @@ from nuttq.nuttall import (
 )
 from nuttq.toronto import (
     TorontoParams,
-    toronto_series_adaptive,
     toronto_series_truncated,
 )
 
@@ -87,9 +86,8 @@ class TestEval:
         assert rc == 2
 
     def test_term_cap_is_convergence_error(self, capsys, monkeypatch):
-        # the library's term cap, hit in the real series walk
-        monkeypatch.setattr(cli, "nuttall_series_adaptive", functools.partial(
-            nuttall_series_adaptive, max_terms=3))
+        # the library's term cap, lowered to 3, hit in the real series walk
+        monkeypatch.setattr(special, "MAX_TERMS", 3)
         rc, out = run(capsys, ["eval", "nuttall", "--method", "adaptive",
                                "--m", "2", "--n", "1", "--a", "3", "--b", "1"])
         assert rc == 3
@@ -237,8 +235,7 @@ class TestErrorRecords:
     def test_non_convergence_carries_partial_value_and_terms(
             self, capsys, monkeypatch):
         # the library's term cap, lowered to 3, hit in the real series walk
-        monkeypatch.setattr(cli, "toronto_series_adaptive", functools.partial(
-            toronto_series_adaptive, max_terms=3))
+        monkeypatch.setattr(special, "MAX_TERMS", 3)
         argv = ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1",
                 "--B", "2"]
         message = ("series for TorontoParams(m=2.0, n=1.0, r=1.0, B=2.0) "

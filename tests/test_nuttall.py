@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from identities import nuttall_integer_series, nuttall_recursion_residual
-from nuttq import nuttall
+from nuttq import nuttall, special
 from nuttq.errors import DomainError, NonConvergenceError, TermOverflowError
 from nuttq.nuttall import (
     NuttallParams,
@@ -198,33 +198,26 @@ class TestSeries:
                     adaptive(p, tol=tol)
             assert adaptive(p, tol=1e-14).converged
 
-    def test_adaptive_term_cap(self):
-        # a count that is not an integer, inf included, is refused before
-        # any term is made; at B = 1e-160 a cap of 2.5 once let the walk run
-        # without end, and a depth of 2.5 walked to the 10,000-term cap
+    def test_adaptive_term_cap(self, monkeypatch):
+        # a depth that is not an integer is refused before any term is
+        # made (at B = 1e-160 a depth of 2.5 once walked to the term cap);
+        # the cap is special.MAX_TERMS, which no call sets
         tiny_b = (TorontoParams(2.0, 1.0, 1.0, 1e-160),
                   toronto_series_truncated, toronto_series_adaptive)
         for p, truncated, adaptive in [*SERIES_FAMILIES, tiny_b]:
-            for cap in (0, -3):
-                with pytest.raises(DomainError,
-                                   match=f"max_terms must be >= 1, got {cap}"):
-                    adaptive(p, tol=1e-12, max_terms=cap)
-            for cap in (2.5, math.inf):
-                with pytest.raises(
-                        DomainError,
-                        match=f"^max_terms must be an integer, got {cap}$"):
-                    adaptive(p, tol=1e-12, max_terms=cap)
             with pytest.raises(DomainError,
                                match=r"^terms must be an integer, got 2\.5$"):
                 truncated(p, 2.5)
-        # an integral float is a count, handed out as an int
+            with pytest.raises(TypeError, match="max_terms"):
+                adaptive(p, max_terms=5)
+        # the cap, lowered so that it is reached, is handed out as an int
+        monkeypatch.setattr(special, "MAX_TERMS", 5)
         for p, truncated, adaptive in SERIES_FAMILIES:
-            for cap in (5, 5.0):
-                with pytest.raises(NonConvergenceError,
-                                   match=r" in 5 terms$") as exc:
-                    adaptive(p, tol=1e-12, max_terms=cap)
-                assert type(exc.value.terms) is int and exc.value.terms == 5
-                assert exc.value.partial_value == truncated(p, cap).value > 0.0
+            with pytest.raises(NonConvergenceError,
+                               match=r" in 5 terms$") as exc:
+                adaptive(p, tol=1e-12)
+            assert type(exc.value.terms) is int and exc.value.terms == 5
+            assert exc.value.partial_value == truncated(p, 5).value > 0.0
 
 
 class TestIntegerSeries:

@@ -41,7 +41,7 @@ from nuttq.nuttall import (
 )
 from nuttq.special import (
     ADAPTIVE_TOL_MIN,
-    DEFAULT_MAX_TERMS,
+    MAX_TERMS,
     LOG_OVERFLOW,
     TERM_MIN,
     SeriesResult,
@@ -334,7 +334,8 @@ def _bits(report):
 def test_reports_at_many_depths_have_the_bits_of_one_report_per_depth(
         module, params, box):
     # depth 500 lies past every adaptive stop in the box; unsorted and
-    # duplicate depths are reported in the order asked for
+    # duplicate depths are reported in the order asked for, and an
+    # iterator of depths as its list is
     single, many = _bound_functions(module)
     for depths in ([1, 5, 5, 20, 500], [20, 5, 20], [500, 2, 60, 2, 1]):
         reported = 0
@@ -349,6 +350,8 @@ def test_reports_at_many_depths_have_the_bits_of_one_report_per_depth(
                 continue
             assert [_bits(r) for r in reports] == \
                 [_bits(single(p, depth)) for depth in depths], (point, depths)
+            assert [_bits(r) for r in many(p, iter(depths))] == \
+                [_bits(r) for r in reports], (point, depths)
             reported += 1
         assert reported >= 10, depths
 
@@ -408,8 +411,9 @@ def test_bad_depths_are_refused_before_a_term_is_drawn(
         with pytest.raises(DomainError,
                            match=rf"^terms must be in \[1, 500\], got {bad}$"):
             many(point, depths)
-    with pytest.raises(DomainError, match="at least one depth"):
-        many(point, [])
+    for empty in ([], iter([])):
+        with pytest.raises(DomainError, match="at least one depth"):
+            many(point, empty)
     assert not started
 
 
@@ -457,7 +461,7 @@ def test_every_checkpoint_is_the_series_result_of_its_depth(module, params, box)
     for point in points:
         p = params(*point)
         checkpoints = list(module._walk(p, depths, ADAPTIVE_TOL_MIN,
-                                        DEFAULT_MAX_TERMS))
+                                        MAX_TERMS))
         assert len(checkpoints) == len(depths) + 1, point
         assert all(type(c) is SeriesResult for c in checkpoints), point
         for depth, checkpoint in zip(depths, checkpoints):
@@ -508,13 +512,15 @@ def test_stop_rule_counts_from_term_zero(point):
     # term 1 needs the first block's kernel call; term 0 has its own
     (TorontoParams(2.0, 1.0, 3.0, 1.0), [1, 2, 2]),
 ])
-def test_cap_ends_the_walk_with_the_partial_sum(kernel_calls, point, calls):
+def test_cap_ends_the_walk_with_the_partial_sum(monkeypatch, kernel_calls,
+                                                point, calls):
     truncated, adaptive = _series(point)
     family = "nuttall" if isinstance(point, NuttallParams) else "toronto"
     for cap, want in zip((1, 2, 3), calls):
+        monkeypatch.setattr(special, "MAX_TERMS", cap)
         kernel_calls[family] = 0
         with pytest.raises(NonConvergenceError) as exc:
-            adaptive(point, max_terms=cap)
+            adaptive(point)
         assert kernel_calls[family] == want, cap
         assert exc.value.terms == cap
         assert str(exc.value) == (
@@ -553,11 +559,11 @@ def test_counts_handed_out_are_ints(monkeypatch, point):
     getattr(module, f"{family}_truncation_bounds")(point, [1, 5, 64, 500])
     assert len(read) == 3 + 1 + 5
     assert all(type(checkpoint.terms_used) is int for checkpoint in read)
-    for cap in (2, 5.0):
-        with pytest.raises(NonConvergenceError) as exc:
-            adaptive(point, max_terms=cap)
-        assert type(exc.value.terms) is int
-    # the kernels' own caps, lowered so that each one is reached
+    # the caps, lowered so that each one is reached
+    monkeypatch.setattr(special, "MAX_TERMS", 2)
+    with pytest.raises(NonConvergenceError) as exc:
+        adaptive(point)
+    assert type(exc.value.terms) is int
     monkeypatch.setattr(special, "_MAX_KERNEL_TERMS", 3)
     monkeypatch.setattr(special, "_KUMMER_MAX_TERMS", 3)
     for kernel, args in ((special.lower_inc_gamma_log, (30.3, 20.0)),
