@@ -208,8 +208,10 @@ CORPUS: list[list[str]] = [
     # a missing order is an error record from the grid driver
     ["compare", "nuttall", "--n", "1", "--a", "1", "--b", "1", "--format", "json"],
     ["bounds", "nuttall", "--m", "2", "--a", "1", "--b", "1", "--format", "json"],
-    # JSON error records with each exception's payload: a term cap, an
-    # oracle estimate above an absolute tol, a closed form that overflows
+    # JSON records: a Toronto value at a B whose square is subnormal (once
+    # a term-cap error record), and error records with each exception's
+    # payload: an oracle estimate above an absolute tol, a closed form
+    # that overflows
     ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "1e-160",
      "--format", "json"],
     ["compare", "nuttall", "--m", "10", "--n", "9", "--a", "6", "--b", "0.5",
@@ -316,9 +318,9 @@ def library_corpus() -> list[str]:
     LOG_OVERFLOW, non-finite arguments (an infinite gamma order or
     argument included), high orders with a large scale parameter, and
     a, r = 1e-200 for the closed forms.  The last calls draw nothing: the
-    series walks' edges (caps, large tols, unsorted and duplicate depths,
-    a B whose square underflows), kernel arguments past the kernels'
-    limits, the parameter records' constructors at the values where
+    series walks' edges (short partial sums, large tols, unsorted and
+    duplicate depths, a B whose square underflows), kernel arguments past
+    the kernels' limits, the parameter records' constructors at the values where
     their checks decide and with fields that are not floats, two
     second-scheme (tanh-sinh) oracle reproductions, the Toronto closed
     form at B = 2r, four oracle points where a scheme's own estimate falls
@@ -330,10 +332,9 @@ def library_corpus() -> list[str]:
     oracle scheme at its Bessel seam, at a = 1e-300 and at a value its
     h = 1/128 level accepts, and the Toronto oracle at r = 1e-40, 6e-35
     and 1e-34, where its prefactor 2 r^(n-m+1) nears the double range;
-    the Toronto series where B^2 is below the normal range, counts
-    (depths and caps) that are not integers, beside integral floats, the
-    second-scheme values accepted at 105 and 417 nodes, and a Nuttall sum
-    stopped by a cap of 5.0.
+    the Toronto series where B^2 is below the normal range, depths that
+    are not integers, beside integral floats, and the second-scheme values
+    accepted at 105 and 417 nodes.
     """
     rng = random.Random(LIBRARY_SEED)
     u = rng.uniform
@@ -438,8 +439,7 @@ def library_corpus() -> list[str]:
                 u(0.01, 6.0), u(0.0, 8.0), tol, scheme)
 
     # Edge calls that draw nothing, so the seeded calls above keep their
-    # arguments: adaptive caps of 1 to 3 terms beside the partial sums of
-    # that depth, tols so large that the stop rule holds from term 0,
+    # arguments: partial sums of 1 to 3 terms, tols so large that the stop rule holds from term 0,
     # unsorted and duplicate depth lists, a Toronto B whose square
     # underflows to 0, and kernel arguments far past where the kernels'
     # iterations can finish.
@@ -450,9 +450,8 @@ def library_corpus() -> list[str]:
                        ("toronto", (3.0, 1.5, 1.0, 2.0)),
                        ("toronto", (2.0, 1.0, 1.0, 1e-170))):
         params = family.capitalize() + "Params({}, {}, {}, {})"
-        for cap in (1, 2, 3):
-            add(f"{family}_series_adaptive({params}, max_terms={{}})", *pt, cap)
-            add(f"{family}_series_truncated({params}, {{}})", *pt, cap)
+        for depth in (1, 2, 3):
+            add(f"{family}_series_truncated({params}, {{}})", *pt, depth)
         for tol in (0.5, 1.0, 2.0):
             add(f"{family}_series_adaptive({params}, tol={{}})", *pt, tol)
         for depths in ([20, 5, 20], [5, 1, 1], [500, 2, 60, 2], [1]):
@@ -491,16 +490,14 @@ def library_corpus() -> list[str]:
                 *pt, big_b)
         add("toronto_series_truncated(TorontoParams({}, {}, {}, {}), {})",
             0.5, 0.0, 1.0, big_b, 20)
-    # Counts that are not integers, and integral floats, drawing nothing
-    # either: a depth of 2.5, a cap of 2.5 and of inf, and 3.0 for both.
+    # Depths that are not integers, and integral floats, drawing nothing
+    # either: 2.5 and 3.0.
     for family, pt in (("nuttall", (2.0, 1.0, 1.0, 1.0)),
                        ("toronto", (2.0, 1.0, 1.0, 2.0))):
         params = family.capitalize() + "Params({}, {}, {}, {})"
         for count in (2.5, 3.0):
             add(f"{family}_series_truncated({params}, {{}})", *pt, count)
             add(f"{family}_truncation_bounds({params}, {{}})", *pt, [count])
-        for cap in (2.5, math.inf, 3.0):
-            add(f"{family}_series_adaptive({params}, max_terms={{}})", *pt, cap)
     # Second-scheme (tanh-sinh) reproductions, drawing nothing either, at
     # two points of the retired Gauss-Legendre scheme: a Nuttall value near
     # 1e6, where its refinement differences grew with the strip count, and
@@ -580,9 +577,6 @@ def library_corpus() -> list[str]:
         "gauss")
     add("oracle_nuttall({}, {}, {}, {}, tol={}, scheme={})", 2.0, 3.3, 5.0,
         0.0, 1e-14, "gauss")
-    # an integral float cap that the walk reaches
-    add("nuttall_series_adaptive(NuttallParams({}, {}, {}, {}), tol={}, "
-        "max_terms={})", 2.0, 1.0, 3.0, 1.0, 1e-12, 5.0)
     return calls
 
 
