@@ -23,8 +23,8 @@ readers ``walk_truncated``, ``walk_adaptive`` and ``truncation_reports``,
 which forms both families' truncation-bound reports at every requested
 depth from one walk.  The closed-form core, ``half_odd_bessel_sum``,
 sums the finite double sum that the elementary form of I_{nu+1/2} gives;
-both families' half-odd closed forms pass it their incomplete gammas.  Those all have
-order (l+1)/2, so the half-integer ladders build them:
+both families' half-odd closed forms pass it their incomplete gammas.
+Those all have order (l+1)/2, so the half-integer ladders build them:
 ``_half_gamma_upper`` steps Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x up
 from sqrt(pi) erfc(sqrt(x)) and e^-x with no kernel call, and
 ``_half_gamma_lower`` takes the complement of that where x >= s + 1 and
@@ -217,13 +217,14 @@ def truncation_reports(walk: Walk, p, depths: Iterable[int],
     bound - actual = closed() - A does not depend on P.
 
     depths is read once, into a list, and every depth is checked first,
-    so an iterator gives what the list of its items gives.  The walk then yields S_P at each
-    distinct depth in increasing order, and A last, all off one running
-    sum: the same additions in the same order as a separate walk per sum.
-    The head of the walk, up to the deepest P, comes before closed(), so an
-    error in it is the one raised; the rest of the walk comes after.  A
-    caller refuses the orders closed() cannot take before calling this, so
-    that refusal comes before any depth check or term.
+    so an iterator gives what the list of its items gives.  The walk then
+    yields S_P at each distinct depth in increasing order, and A last, all
+    off one running sum: the same additions in the same order as a
+    separate walk per sum.  The head of the walk, up to the deepest P,
+    comes before closed(), so an error in it is the one raised; the rest
+    of the walk comes after.  A caller refuses the orders closed() cannot
+    take before calling this, so that refusal comes before any depth check
+    or term.
     """
     depths = list(depths)
     if not depths:

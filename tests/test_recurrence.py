@@ -41,8 +41,8 @@ from nuttq.nuttall import (
 )
 from nuttq.special import (
     ADAPTIVE_TOL_MIN,
-    MAX_TERMS,
     LOG_OVERFLOW,
+    MAX_TERMS,
     TERM_MIN,
     SeriesResult,
 )

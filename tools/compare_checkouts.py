@@ -208,10 +208,9 @@ CORPUS: list[list[str]] = [
     # a missing order is an error record from the grid driver
     ["compare", "nuttall", "--n", "1", "--a", "1", "--b", "1", "--format", "json"],
     ["bounds", "nuttall", "--m", "2", "--a", "1", "--b", "1", "--format", "json"],
-    # JSON records: a Toronto value at a B whose square is subnormal (once
-    # a term-cap error record), and error records with each exception's
-    # payload: an oracle estimate above an absolute tol, a closed form
-    # that overflows
+    # JSON records: a Toronto value at a B whose square is subnormal, and
+    # error records with each exception's payload: an oracle estimate above
+    # an absolute tol, a closed form that overflows
     ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "1e-160",
      "--format", "json"],
     ["compare", "nuttall", "--m", "10", "--n", "9", "--a", "6", "--b", "0.5",
@@ -320,8 +319,8 @@ def library_corpus() -> list[str]:
     a, r = 1e-200 for the closed forms.  The last calls draw nothing: the
     series walks' edges (short partial sums, large tols, unsorted and
     duplicate depths, a B whose square underflows), kernel arguments past
-    the kernels' limits, the parameter records' constructors at the values where
-    their checks decide and with fields that are not floats, two
+    the kernels' limits, the parameter records' constructors at the values
+    where their checks decide and with fields that are not floats, two
     second-scheme (tanh-sinh) oracle reproductions, the Toronto closed
     form at B = 2r, four oracle points where a scheme's own estimate falls
     short, the Nuttall 1F1 bound at m = 0 and where its log passes the
@@ -439,10 +438,10 @@ def library_corpus() -> list[str]:
                 u(0.01, 6.0), u(0.0, 8.0), tol, scheme)
 
     # Edge calls that draw nothing, so the seeded calls above keep their
-    # arguments: partial sums of 1 to 3 terms, tols so large that the stop rule holds from term 0,
-    # unsorted and duplicate depth lists, a Toronto B whose square
-    # underflows to 0, and kernel arguments far past where the kernels'
-    # iterations can finish.
+    # arguments: partial sums of 1 to 3 terms, tols so large that the stop
+    # rule holds from term 0, unsorted and duplicate depth lists, a Toronto
+    # B whose square underflows to 0, and kernel arguments far past where
+    # the kernels' iterations can finish.
     for family, pt in (("nuttall", (2.0, 1.0, 3.0, 1.0)),
                        ("nuttall", (4.5, 2.5, 0.5, 2.0)),
                        ("nuttall", (2.0, 1.0, 60.0, 1.0)),
