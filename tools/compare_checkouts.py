@@ -59,6 +59,10 @@ from pathlib import Path
 
 _NUTTALL = ["--m", "2,3.2", "--n", "1,2.1", "--a", "1,2.5", "--b", "0.5,2"]
 _TORONTO = ["--m", "2,3", "--n", "1,1.5", "--r", "0.5,2", "--B", "1,3"]
+# a compare invocation that reaches the oracle runs twice, in the default
+# scheme and in the adaptive one by name, so that QUADPACK's bytes stay
+# pinned whichever scheme is the default
+_SCHEMES = ([], ["--scheme", "adaptive"])
 
 # One argv per invocation.  A golden file named in this list is written to
 # the working directory before the corpus runs (see _FILES).
@@ -113,41 +117,42 @@ CORPUS: list[list[str]] = [
       for command, fn, extra in (
           ("eval", "nuttall_norm", ["--method", "closed_half"]),
           ("bounds", "nuttall", []),
-          ("compare", "nuttall", ["--with-bounds"]),
-          ("compare", "nuttall_norm", []))],
+          *(("compare", "nuttall", ["--with-bounds", *s]) for s in _SCHEMES),
+          *(("compare", "nuttall_norm", s) for s in _SCHEMES))],
     ["eval", "toronto", "--m", "10", "--n", "0.5", "--r", "1e-200", "--B", "2",
      "--method", "closed_half"],
     ["eval", "nuttall_norm", "--m", "4.5", "--n", "0.5", "--a", "1e-200",
      "--b", "1", "--method", "closed_half"],
     # a^n = 1e-320 does not underflow, but the oracle's integrand does
-    ["compare", "nuttall_norm", "--m", "2", "--n", "2", "--a", "1e-160",
-     "--b", "1"],
-    ["compare", "nuttall", "--m", "2", "--n", "2", "--a", "1e-160", "--b", "1"],
+    *[["compare", fn, "--m", "2", "--n", "2", "--a", "1e-160", "--b", "1", *s]
+      for fn in ("nuttall_norm", "nuttall") for s in _SCHEMES],
     # normalized oracle values at a small a^n, where an absolute tol on the
     # unnormalized integral is loose, and a Marcum a^(m-1) below the
     # normal range
-    ["compare", "nuttall_norm", "--m", "10", "--n", "10", "--a", "0.1",
-     "--b", "1"],
-    ["compare", "nuttall_norm", "--m", "8", "--n", "8.5",
-     "--a", "0.018453987996552623", "--b", "1.0365687412916147"],
-    ["compare", "marcum", "--m", "10", "--a", "0.01", "--b", "1"],
-    ["compare", "marcum", "--m", "3", "--a", "1e-160", "--b", "1"],
+    *[["compare", *point, *s] for point in (
+        ["nuttall_norm", "--m", "10", "--n", "10", "--a", "0.1", "--b", "1"],
+        ["nuttall_norm", "--m", "8", "--n", "8.5",
+         "--a", "0.018453987996552623", "--b", "1.0365687412916147"],
+        ["marcum", "--m", "10", "--a", "0.01", "--b", "1"],
+        ["marcum", "--m", "3", "--a", "1e-160", "--b", "1"]) for s in _SCHEMES],
     *[["compare", fn, *grid, *extra]
       for fn, grid in (("nuttall", _NUTTALL), ("nuttall_norm", _NUTTALL),
                        ("marcum", _NUTTALL[:2] + _NUTTALL[4:]),
                        ("toronto", _TORONTO))
-      for extra in ([], ["--with-bounds"],
-                    ["--with-bounds", "--method", "adaptive", "--format", "json"],
+      for extra in (*([*bounds, *s] for bounds in (
+                        [], ["--with-bounds"],
+                        ["--with-bounds", "--method", "adaptive", "--format",
+                         "json"]) for s in _SCHEMES),
                     ["--scheme", "gauss", "--terms", "5"])],
-    ["compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2",
-     "--assert-rel-err", "1e-30"],
+    *[["compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2",
+       "--assert-rel-err", "1e-30", *s] for s in _SCHEMES],
     ["compare", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "2",
      "--with-bounds", "--method", "adaptive", "--terms", "0"],
     ["compare", "nuttall", "--m", "2", "--n", "1", "--a", "", "--b", "1"],
     ["compare", "nuttall", "--m", "2", "--n", "1", "--a", ",", "--b", "1"],
     # the truncation bound refuses n = 0.2; the 1F1 bound is kept
-    ["compare", "toronto", "--m", "2", "--n", "0.2", "--r", "1", "--B", "2",
-     "--with-bounds"],
+    *[["compare", "toronto", "--m", "2", "--n", "0.2", "--r", "1", "--B", "2",
+       "--with-bounds", *s] for s in _SCHEMES],
     ["compare", "nuttall", "--m", "2,3", "--n", "1", "--a", "1", "--b", "1"],
     ["compare", "nuttall", "--m", "2", "--n", "1", "--a", "1,x", "--b", "1"],
     ["compare", "nuttall", "--m", "2", "--n", "1",
@@ -213,8 +218,8 @@ CORPUS: list[list[str]] = [
     # an absolute tol, a closed form that overflows
     ["eval", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "1e-160",
      "--format", "json"],
-    ["compare", "nuttall", "--m", "10", "--n", "9", "--a", "6", "--b", "0.5",
-     "--format", "json"],
+    *[["compare", "nuttall", "--m", "10", "--n", "9", "--a", "6", "--b", "0.5",
+       "--format", "json", *s] for s in _SCHEMES],
     ["eval", "toronto", "--m", "10", "--n", "0.5", "--r", "1e-200", "--B", "2",
      "--method", "closed_half", "--format", "json"],
     # the second (tanh-sinh) scheme at the t^(m-n) singularity at 0
@@ -225,7 +230,8 @@ CORPUS: list[list[str]] = [
     # the adaptive oracle's hint split: QUADPACK accepts both panels after
     # one rule each, 1,900 times short of the true error
     *[["compare", "toronto", "--m", "0.5", "--n", "1", "--r", "4.09444152999109",
-       "--B", "6.319647878439", *fmt] for fmt in ([], ["--format", "json"])],
+       "--B", "6.319647878439", *fmt, *s]
+      for fmt in ([], ["--format", "json"]) for s in _SCHEMES],
     # two coarse levels of the second scheme that can agree on a wrong value,
     # having both missed the integrand's narrow peak
     ["compare", "nuttall", "--m", "3.5", "--n", "9.859657406200126",
@@ -237,15 +243,16 @@ CORPUS: list[list[str]] = [
     ["compare", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "2",
      "--method", "adaptive", "--tol", "1e-10"],
     # the Nuttall 1F1 bound at m = 0, where c = (m + n + 1)/2 stays positive
-    ["compare", "nuttall", "--m", "0", "--n", "0", "--a", "1", "--b", "1",
-     "--with-bounds"],
+    *[["compare", "nuttall", "--m", "0", "--n", "0", "--a", "1", "--b", "1",
+       "--with-bounds", *s] for s in _SCHEMES],
     *[["eval", "nuttall", "--m", "0", "--n", "0", "--a", "1", "--b", "1",
        "--method", "bound_1f1", *fmt] for fmt in ([], ["--format", "json"])],
     ["bounds", "nuttall", "--kind", "kummer", "--m", "0", "--n", "0",
      "--a", "1", "--b", "0,1"],
     # oracle values that underflow to 0, read by golden verify and compare
     *[["golden", "--path", "zero.txt", *fmt] for fmt in ([], ["--format", "json"])],
-    ["compare", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "1e-307"],
+    *[["compare", "toronto", "--m", "2", "--n", "1", "--r", "1", "--B", "1e-307",
+       *s] for s in _SCHEMES],
     # a Marcum order below 1, alone and after a good one
     ["eval", "marcum", "--m", "0.5", "--a", "1", "--b", "1"],
     ["compare", "marcum", "--m", "1,0.5", "--a", "1", "--b", "1",
@@ -275,9 +282,9 @@ CORPUS: list[list[str]] = [
     *[["golden", "--path", "tiny_r.txt", *fmt] for fmt in ([], ["--format", "json"])],
     # an adaptive oracle Toronto value 2.4e-10 off the true one (149 times
     # its own estimate), printed with exit 0
-    ["compare", "toronto", "--m", "0.1096184035539316", "--n", "0",
-     "--r", "3.919508021249239", "--B", "7.5329666489315645",
-     "--method", "adaptive"],
+    *[["compare", "toronto", "--m", "0.1096184035539316", "--n", "0",
+       "--r", "3.919508021249239", "--B", "7.5329666489315645",
+       "--method", "adaptive", *s] for s in _SCHEMES],
 ]
 
 # Files the corpus reads, written to the working directory first.  Entry 3
