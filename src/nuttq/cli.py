@@ -16,10 +16,10 @@ of stdout closes it early, as `nuttq ... | head` does; that ends quietly.
 
 Only the subcommands that need an oracle value (compare, figure f1, golden)
 import the quadrature oracle and with it numpy; eval, bounds and the other
-figures run on the stdlib-only series route.  Of those, only the ones that
-run the adaptive scheme (compare, figure f1 and golden --regenerate) import
-scipy, its QUADPACK and its ive; golden verify and compare --scheme gauss
-run on the second scheme, tanh-sinh, and load numpy alone.
+figures run on the stdlib-only series route.  compare, figure f1 and golden
+verify ask the second scheme, tanh-sinh, and load numpy alone; only the
+ones that run the adaptive scheme (compare --scheme adaptive and golden
+--regenerate) import scipy, its QUADPACK and its ive.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def cmd_eval(args) -> int:
 
 
 def _oracle_for(function: str, m: float, n: float, p3: float, p4: float,
-                tol: float, scheme: str = "adaptive") -> float:
+                tol: float, scheme: str) -> float:
     """The oracle value of function at a point, on the scale the series
     prints it: nuttall_norm and marcum are normalized by the oracle itself.
     The one reader of oracle values for compare, figure f1 and golden
@@ -363,7 +363,8 @@ def _figure_rows(figure: str) -> tuple[dict, list[dict]]:
             for i in range(0, 25):
                 b = 0.25 * i
                 series = nuttall_series_adaptive(NuttallParams(m, n, a, b)).value
-                oracle = _oracle_for("nuttall_norm", m, n, a, b, ORACLE_TOL)
+                oracle = _oracle_for("nuttall_norm", m, n, a, b, ORACLE_TOL,
+                                     "gauss")
                 rows.append({"m": m, "n": n, "a": a, "b": b,
                              "series_value": series, "oracle_value": oracle})
     elif figure == "f2":
@@ -486,9 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="series vs oracle over a cartesian grid")
     pc.add_argument("--method", default="truncated",
                     choices=("truncated", "adaptive"))
-    pc.add_argument("--scheme", choices=("adaptive", "gauss"), default="adaptive",
-                    help="oracle scheme: adaptive (QUADPACK) or gauss "
-                         "(nested tanh-sinh levels; the name is kept)")
+    pc.add_argument("--scheme", choices=("adaptive", "gauss"), default="gauss",
+                    help="oracle scheme: gauss (nested tanh-sinh levels; the "
+                         "name is kept), the default, or adaptive (QUADPACK)")
     pc.add_argument("--with-bounds", action="store_true")
     pc.add_argument("--assert-rel-err", default=None,
                     help="exit 1 if any row's rel_error exceeds this")

@@ -53,9 +53,10 @@ Bessel kernel:
 
 So ``import nuttq.oracle`` loads numpy and no scipy module.
 ``scipy.integrate`` and ``scipy.special.cython_special`` are imported on
-the first adaptive value (compare, figure f1, golden --regenerate); a
-caller that runs only the second scheme (golden verify, compare --scheme
-gauss) loads numpy alone.
+the first adaptive value (compare --scheme adaptive, golden --regenerate,
+and the library's oracle functions, whose default scheme is adaptive); a
+caller that runs only the second scheme (compare, figure f1 and golden
+verify, which ask it by default) loads numpy alone.
 
 Normalized values, Q_{m,n}(a, b) / a^n for the ``nuttall_norm`` kind and
 the Marcum Q_m(a, b) = Q_{m,m-1}(a, b) / a^(m-1), come from the same core as
@@ -239,7 +240,7 @@ def _quad_adaptive(f, lo: float, hi: float, tol: float, hint: float):
     estimate and subinterval count.  ToleranceNotMetError when the
     estimate exceeds max(tol, _ROUNDING |value|)."""
     # imported here, not at module top, so the second scheme alone (golden
-    # verify, compare --scheme gauss) never loads scipy.integrate
+    # verify, compare and figure f1) never loads scipy.integrate
     from scipy.integrate import quad
 
     # epsabs asks for less than the budget because QUADPACK's estimate is
@@ -341,7 +342,7 @@ def _integrate(integrand, lo: float, hi: float, tol: float, hint: float,
     """
     if scheme == "adaptive":
         # imported here, with QUADPACK in _quad_adaptive, so the second
-        # scheme alone (golden verify, compare --scheme gauss) loads numpy
+        # scheme alone (golden verify, compare and figure f1) loads numpy
         # and no scipy module.  ive["double"] is the specialization the
         # fused call picks for a float argument, without the dispatch.
         from scipy.special.cython_special import ive

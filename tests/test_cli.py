@@ -25,6 +25,7 @@ from nuttq.nuttall import (
 )
 from nuttq.toronto import (
     TorontoParams,
+    toronto_series_adaptive,
     toronto_series_truncated,
 )
 
@@ -253,10 +254,12 @@ class TestErrorRecords:
     def test_tolerance_not_met_carries_value_and_err_est(self, capsys):
         # QUADPACK accepts both panels of the hint split after one rule
         # each; split again, they disagree by 1.4e-10, above the oracle's
-        # 1e-10, against a first estimate of 7.4e-14
+        # 1e-10, against a first estimate of 7.4e-14.  The default scheme
+        # gives a right value here (TestCompare).
         rc, out = run(capsys, ["compare", "toronto", "--m", "0.5", "--n", "1",
                                "--r", "4.09444152999109", "--B",
-                               "6.319647878439", "--format", "json"])
+                               "6.319647878439", "--format", "json",
+                               "--scheme", "adaptive"])
         assert rc == 3
         record = json.loads(out.splitlines()[-1])
         assert set(record) == {"type", "error_type", "message", "value",
@@ -371,7 +374,7 @@ class TestCompare:
         assert rc == 0
         assert out.splitlines()[0] == (
             "# command=compare function=nuttall method=truncated terms=20 "
-            "tol=9.9999999999999998e-13 oracle_tol=1e-10 scheme=adaptive "
+            "tol=9.9999999999999998e-13 oracle_tol=1e-10 scheme=gauss "
             "points=1")
 
     def test_normalized_oracle_underflow_is_convergence_error(self, capsys):
@@ -412,14 +415,36 @@ class TestCompare:
         assert abs(oracle - want) <= ORACLE_TOL + 64 * 2.0 ** -52 * abs(want)
 
     def test_underflowed_oracle_value_is_convergence_error(self, capsys):
-        # the unnormalized integrand underflows everywhere at a = 1e-160,
-        # so the quadrature returns exactly 0
+        # the adaptive scheme's unnormalized integrand underflows everywhere
+        # at a = 1e-160, so the quadrature returns exactly 0
         rc, out = run(capsys, ["compare", "nuttall", "--m", "2",
-                               "--n", "2", "--a", "1e-160", "--b", "1"])
+                               "--n", "2", "--a", "1e-160", "--b", "1",
+                               "--scheme", "adaptive"])
         assert rc == 3
         assert out.splitlines()[-1] == (
             "# error convergence_error: nuttall oracle value underflows to 0 "
             "at m=2.0, n=2.0, a=1e-160, b=1.0")
+
+    @pytest.mark.parametrize("argv, series", [
+        # the adaptive scheme's hint split and underflow, each an exit 3
+        # in that scheme (above and TestErrorRecords)
+        (["toronto", "--m", "0.5", "--n", "1", "--r", "4.09444152999109",
+          "--B", "6.319647878439"],
+         lambda: toronto_series_adaptive(
+             TorontoParams(0.5, 1.0, 4.09444152999109, 6.319647878439),
+             tol=1e-14).value),
+        (["nuttall", "--m", "2", "--n", "2", "--a", "1e-160", "--b", "1"],
+         lambda: nuttall_q(2.0, 2.0, 1e-160, 1.0, tol=1e-14)),
+    ], ids=["hint_split", "underflow"])
+    def test_default_scheme_values_where_adaptive_refuses(self, capsys, argv,
+                                                          series):
+        rc, out = run(capsys, ["compare", *argv])
+        assert rc == 0
+        assert "scheme=gauss" in out.splitlines()[0]
+        oracle = float(csv_rows(out)[0]["oracle_value"])
+        want = series()
+        assert oracle > 0.0
+        assert abs(oracle - want) <= ORACLE_TOL + 64 * 2.0 ** -52 * abs(want)
 
     def test_mismatched_order_lists_exit_2(self, capsys):
         rc, out = run(capsys, ["compare", "nuttall", "--m", "1,2", "--n", "0",
@@ -620,6 +645,12 @@ class TestFigure:
         rc, out = run(capsys, ["figure", "f1"])
         assert rc == 0
         assert "series_value,oracle_value" in out
+        rows = csv_rows(out)
+        assert len(rows) == 75
+        for row in rows:
+            series = float(row["series_value"])
+            assert (abs(float(row["oracle_value"]) - series)
+                    <= ORACLE_TOL + 64 * 2.0 ** -52 * abs(series)), row
 
     def test_f2_gap_falls_as_a_grows(self, capsys):
         # the figure's claim: the 1F1 bound holds and tightens as a grows
@@ -867,11 +898,12 @@ assert loaded() == [], ("eval, bounds, figure f2", loaded())
 import nuttq.oracle
 assert loaded() == ["numpy"], ("import nuttq.oracle", loaded())
 cli("golden")
-cli("compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2",
-    "--scheme", "gauss")
-assert loaded() == ["numpy"], ("golden, gauss compare", loaded())
 cli("compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2")
-assert loaded() == ["numpy", "scipy"], ("compare", loaded())
+cli("figure", "f1")
+assert loaded() == ["numpy"], ("golden, compare, figure f1", loaded())
+cli("compare", "nuttall", "--m", "2", "--n", "1", "--a", "1", "--b", "2",
+    "--scheme", "adaptive")
+assert loaded() == ["numpy", "scipy"], ("adaptive compare", loaded())
 assert {"scipy.integrate", "scipy.special"} <= set(sys.modules), "adaptive compare"
 assert nuttq.oracle_nuttall is nuttq.oracle.oracle_nuttall
 print("ok")

@@ -28,11 +28,12 @@ at their default tol, in both schemes, on the first ORACLE_POINTS box
 points drawn the same way, unrounded and none skipped.  Their promise is
 the oracle's own: abs_err_est plus ORACLE_ULPS ulps of the value.
 
-The normalized oracle row checks the value ``nuttq compare nuttall_norm``
-prints, ``nuttq.cli._oracle_for`` at ORACLE_TOL in the adaptive scheme, on
-the first POINTS box points drawn the same way.  The CLI prints no error
-estimate, so its promise is the tolerance: ORACLE_TOL plus ORACLE_ULPS ulps
-of the reference.
+The normalized oracle rows check the value ``nuttq compare nuttall_norm``
+prints, ``nuttq.cli._oracle_for`` at ORACLE_TOL, in both schemes (gauss is
+compare's default, adaptive its ``--scheme adaptive``), on the first POINTS
+box points drawn the same way.  The CLI prints no error estimate, so their
+promise is the tolerance: ORACLE_TOL plus ORACLE_ULPS ulps of the
+reference.
 
 The 1F1 bound rows check nuttall_upper_bound_1f1 and
 toronto_upper_bound_1f1 on the first POINTS box points drawn the same way,
@@ -96,7 +97,7 @@ VERDICTS = ("right", "refused_exit2", "refused_exit3", "wrong_exit0")
 WRONG = {"nuttall closed_half": 26, "toronto closed_half": 103,
          "nuttall oracle adaptive": 0, "nuttall oracle gauss": 0,
          "toronto oracle adaptive": 1, "toronto oracle gauss": 0,
-         "nuttall_norm oracle adaptive": 0,
+         "nuttall_norm oracle adaptive": 0, "nuttall_norm oracle gauss": 0,
          "nuttall bound_1f1": 0, "toronto bound_1f1": 0}
 # committed refused-with-exit-3 counts at SEED: every row's is 0
 REFUSED_EXIT3 = dict.fromkeys(WRONG, 0)
@@ -193,10 +194,11 @@ ROWS = (
           ("nuttall", nuttall_box_points, oracle_nuttall, _nuttall_unnormalized),
           ("toronto", toronto_box_points, oracle_toronto, reference.toronto))
       for scheme in ("adaptive", "gauss")),
-    ("nuttall_norm oracle adaptive", nuttall_box_points, POINTS,
-     lambda m, n, a, b: _oracle_for("nuttall_norm", m, n, a, b, ORACLE_TOL,
-                                    "adaptive"),
-     reference.nuttall_norm, _within_tol),
+    *((f"nuttall_norm oracle {scheme}", nuttall_box_points, POINTS,
+       functools.partial(_oracle_for, "nuttall_norm", tol=ORACLE_TOL,
+                         scheme=scheme),
+       reference.nuttall_norm, _within_tol)
+      for scheme in ("adaptive", "gauss")),
     *((f"{family} bound_1f1", points, POINTS, _without_limit(bound),
        _without_limit(ref), _within_rtol)
       for family, points, bound, ref in (
