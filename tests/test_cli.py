@@ -440,7 +440,6 @@ class TestCompare:
                                                           series):
         rc, out = run(capsys, ["compare", *argv])
         assert rc == 0
-        assert "scheme=gauss" in out.splitlines()[0]
         oracle = float(csv_rows(out)[0]["oracle_value"])
         want = series()
         assert oracle > 0.0
